@@ -10,10 +10,17 @@
 //! into the first empty slot j ≥ i, rebuilt with fresh randomness.
 //! Deletions route through the edge index to their owning slot. Each edge
 //! therefore participates in at most O(log n) rebuilds.
+//!
+//! E₀ and the edge index live in one [`PartitionIndex`], whose index
+//! also records each E₀ edge's position in the buffer: an E₀ insert or
+//! delete is one index operation (expected O(1)), never a scan of E₀.
+//! Per-batch scratch (the sorted insertion copy, the per-slot deletion
+//! groups, slot-level deltas) is reused, so a batch that stays within E₀
+//! allocates nothing once warm.
 
 use crate::decremental::DecrementalSpanner;
+use crate::partition::PartitionIndex;
 use crate::spanner_set::SpannerSet;
-use bds_dstruct::FxHashMap;
 use bds_graph::api::{
     validate_edges, BatchDynamic, BatchStats, ConfigError, Decremental, DeltaBuf, FullyDynamic,
 };
@@ -30,11 +37,10 @@ pub struct FullyDynamicSpanner {
     n: usize,
     k: u32,
     l0: u32,
-    /// E₀: small buffer whose edges are all in the spanner.
-    e0: Vec<Edge>,
+    /// E₀ (whose edges are all in the spanner) and the edge -> owner
+    /// index (0 = E₀, i ≥ 1 = slots[i-1]).
+    part: PartitionIndex,
     slots: Vec<Slot>,
-    /// edge -> owning slot (0 = E₀, i ≥ 1 = slots[i-1]).
-    index: FxHashMap<Edge, u32>,
     spanner: SpannerSet,
     seed: u64,
     rebuilds: u64,
@@ -42,6 +48,8 @@ pub struct FullyDynamicSpanner {
     /// Reusable buffer for slot-level deltas (keeps the steady-state
     /// delta path allocation-free).
     scratch: DeltaBuf,
+    /// Reusable sorted copy of the current insertion batch.
+    batch: Vec<Edge>,
 }
 
 /// Typed builder for [`FullyDynamicSpanner`] (Theorem 1.1).
@@ -99,14 +107,14 @@ impl FullyDynamicSpanner {
             n,
             k,
             l0,
-            e0: Vec::new(),
+            part: PartitionIndex::new(),
             slots: Vec::new(),
-            index: FxHashMap::default(),
             spanner: SpannerSet::new(),
             seed,
             rebuilds: 0,
             recourse: 0,
             scratch: DeltaBuf::new(),
+            batch: Vec::new(),
         };
         if !edges.is_empty() {
             // Initial placement: smallest slot j ≥ 1 with |E| ≤ 2^{j+l0}.
@@ -161,7 +169,7 @@ impl FullyDynamicSpanner {
             self.spanner.add(e);
         }
         for e in edges {
-            self.index.insert(e, j);
+            self.part.assign(e, j);
         }
         self.slots[j as usize - 1] = Slot::Instance(Box::new(inst));
     }
@@ -204,12 +212,14 @@ impl FullyDynamicSpanner {
         if inserted.is_empty() {
             return;
         }
-        let mut u: Vec<Edge> = inserted.to_vec();
+        let mut u = std::mem::take(&mut self.batch);
+        u.clear();
+        u.extend_from_slice(inserted);
         u.sort_unstable();
         u.dedup();
         assert_eq!(u.len(), inserted.len(), "duplicate edges in insert batch");
-        for e in &u {
-            assert!(!self.index.contains_key(e), "insert of present edge {e:?}");
+        for &e in &u {
+            assert!(!self.part.contains(e), "insert of present edge {e:?}");
         }
 
         // Split U into U_r ∪ U_0 ∪ U_1 ∪ … by the binary representation of
@@ -218,56 +228,49 @@ impl FullyDynamicSpanner {
         let q = u.len() as u64 / cap0;
         let r = (u.len() as u64 % cap0) as usize;
         let mut cursor = u.len();
-        let mut pieces: Vec<(u32, Vec<Edge>)> = Vec::new();
-        for i in (0..62).rev() {
+        for i in (0..62u32).rev() {
             if q & (1 << i) != 0 {
                 let size = (cap0 << i) as usize;
-                let piece = u[cursor - size..cursor].to_vec();
                 cursor -= size;
-                pieces.push((i as u32, piece));
-            }
-        }
-        debug_assert_eq!(cursor, r);
-        let ur = u[..r].to_vec();
-
-        for (i, piece) in pieces {
-            // First empty slot j ≥ max(i, 1), absorbing E_{max(i,1)}..E_{j−1}.
-            let lo = i.max(1);
-            let mut j = lo;
-            while !self.slot_is_empty(j) {
-                j += 1;
-            }
-            let mut merged = piece;
-            for s in lo..j {
-                merged.extend(self.drain_slot(s));
-            }
-            self.build_slot(j, merged);
-        }
-
-        if !ur.is_empty() {
-            if (self.e0.len() + ur.len()) as u64 <= cap0 {
-                for e in ur {
-                    self.index.insert(e, 0);
-                    self.spanner.add(e);
-                    self.e0.push(e);
-                }
-            } else {
-                // Merge U_r ∪ E₀ ∪ E₁ ∪ … ∪ E_{j−1} into the first empty j.
-                let mut j = 1u32;
+                // First empty slot j ≥ max(i, 1), absorbing E_{max(i,1)}..E_{j−1}.
+                let lo = i.max(1);
+                let mut j = lo;
                 while !self.slot_is_empty(j) {
                     j += 1;
                 }
-                let mut merged = ur;
-                for e in self.e0.drain(..) {
-                    self.spanner.remove(e);
-                    merged.push(e);
-                }
-                for s in 1..j {
+                let mut merged = u[cursor..cursor + size].to_vec();
+                for s in lo..j {
                     merged.extend(self.drain_slot(s));
                 }
                 self.build_slot(j, merged);
             }
         }
+        debug_assert_eq!(cursor, r);
+        let ur = &u[..r];
+
+        if (self.part.e0().len() + ur.len()) as u64 <= cap0 {
+            for &e in ur {
+                self.part.push_e0(e);
+                self.spanner.add(e);
+            }
+        } else {
+            // Merge U_r ∪ E₀ ∪ E₁ ∪ … ∪ E_{j−1} into the first empty j.
+            let mut j = 1u32;
+            while !self.slot_is_empty(j) {
+                j += 1;
+            }
+            let mut merged = ur.to_vec();
+            let spanner = &mut self.spanner;
+            self.part.drain_e0(|e| {
+                spanner.remove(e);
+                merged.push(e);
+            });
+            for s in 1..j {
+                merged.extend(self.drain_slot(s));
+            }
+            self.build_slot(j, merged);
+        }
+        self.batch = u;
     }
 
     /// Delete a batch of edges (must be present; panics otherwise).
@@ -287,36 +290,20 @@ impl FullyDynamicSpanner {
     }
 
     fn delete_inner(&mut self, deleted: &[Edge]) {
-        // Group by owning slot.
-        let mut by_slot: FxHashMap<u32, Vec<Edge>> = FxHashMap::default();
-        for e in deleted {
-            let slot = self
-                .index
-                .remove(e)
-                .unwrap_or_else(|| panic!("delete of absent edge {e:?}"));
-            by_slot.entry(slot).or_default().push(*e);
-        }
-        for (slot, edges) in by_slot {
-            if slot == 0 {
-                for e in edges {
-                    // bds:allow(no-unwrap): structure invariant named in the message; corrupt state must fail fast, not propagate.
-                    let pos = self.e0.iter().position(|&x| x == e).expect("E0 edge");
-                    self.e0.swap_remove(pos);
-                    self.spanner.remove(e);
-                }
-            } else {
-                let mut scratch = std::mem::take(&mut self.scratch);
-                let Slot::Instance(d) = &mut self.slots[slot as usize - 1] else {
-                    panic!("indexed slot {slot} is empty")
-                };
-                d.delete_batch_into(&edges, &mut scratch);
-                for &e in scratch.deleted() {
-                    self.spanner.remove(e);
-                }
-                for &e in scratch.inserted() {
-                    self.spanner.add(e);
-                }
-                self.scratch = scratch;
+        let spanner = &mut self.spanner;
+        self.part.route_deletions(deleted, |e| spanner.remove(e));
+        for (slot, edges) in self.part.routed() {
+            // INVARIANT: the index only names slots built by build_slot,
+            // which grows `slots` to hold them.
+            let Slot::Instance(d) = &mut self.slots[slot as usize - 1] else {
+                panic!("indexed slot {slot} is empty")
+            };
+            d.delete_batch_into(edges, &mut self.scratch);
+            for &e in self.scratch.deleted() {
+                self.spanner.remove(e);
+            }
+            for &e in self.scratch.inserted() {
+                self.spanner.add(e);
             }
         }
     }
@@ -349,7 +336,7 @@ impl FullyDynamicSpanner {
     }
 
     pub fn num_live_edges(&self) -> usize {
-        self.index.len()
+        self.part.len()
     }
 
     pub fn spanner_size(&self) -> usize {
@@ -377,10 +364,11 @@ impl FullyDynamicSpanner {
         s
     }
 
-    /// Validation oracle: index consistency, invariant B1, per-slot
-    /// decremental validation, and spanner composition. Test-only.
+    /// Validation oracle: index consistency (E₀ positions and slot
+    /// owners), invariant B1, per-slot decremental validation, and
+    /// spanner composition. Test-only.
     pub fn validate(&self) {
-        let mut total = self.e0.len();
+        let mut slot_edges = 0;
         for (i, slot) in self.slots.iter().enumerate() {
             if let Slot::Instance(d) = slot {
                 let m = d.num_live_edges();
@@ -388,19 +376,22 @@ impl FullyDynamicSpanner {
                     m as u64 <= self.capacity(i as u32 + 1),
                     "B1 violated at {i}"
                 );
-                total += m;
+                slot_edges += m;
                 d.validate();
                 for e in d.live_edges() {
-                    assert_eq!(self.index.get(&e), Some(&(i as u32 + 1)), "index wrong");
+                    assert_eq!(self.part.slot_of(e), Some(i as u32 + 1), "index wrong");
                 }
             }
         }
-        assert_eq!(total, self.index.len(), "index size mismatch");
-        assert!(self.e0.len() as u64 <= self.capacity(0), "E0 overflow");
+        self.part.validate(slot_edges);
+        assert!(
+            self.part.e0().len() as u64 <= self.capacity(0),
+            "E0 overflow"
+        );
         // Spanner = union over slot spanners + E₀ (refcounted).
         let mut want = SpannerSet::new();
-        for e in &self.e0 {
-            want.add(*e);
+        for &e in self.part.e0() {
+            want.add(e);
         }
         for slot in &self.slots {
             if let Slot::Instance(d) = slot {
@@ -517,6 +508,59 @@ mod tests {
         }
         assert_eq!(s.num_live_edges(), 0);
         assert_eq!(s.spanner_size(), 0);
+    }
+
+    /// n = 16, k = 2 gives cap₀ = 64: a growth phase fills E₀ until it
+    /// overflows into a rebuilt slot, then churn deletes from both E₀ and
+    /// the slots. Every batch is validated (E₀ position index included)
+    /// and its delta replayed against a shadow of the spanner.
+    #[test]
+    fn e0_fill_overflow_and_deletions_keep_position_index() {
+        let (n, k) = (16, 2);
+        let mut s = FullyDynamicSpanner::new(n, k, &[], 3);
+        assert_eq!(s.capacity(0), 64);
+        let mut stream = UpdateStream::new(n, &[], 5);
+        let mut shadow: FxHashSet<Edge> = FxHashSet::default();
+        let (mut e0_deletes, mut slot_deletes, mut merges) = (0, 0, 0);
+        for round in 0..60 {
+            let b = if round < 10 {
+                stream.next_batch(12, 2)
+            } else {
+                stream.next_batch(8, 8)
+            };
+            for &e in &b.deletions {
+                match s.part.slot_of(e) {
+                    Some(0) => e0_deletes += 1,
+                    Some(_) => slot_deletes += 1,
+                    None => panic!("stream deleted an edge the spanner lacks"),
+                }
+            }
+            let (e0_before, rebuilds) = (s.part.e0().len(), s.num_rebuilds());
+            let d = s.process_batch(&b);
+            if s.num_rebuilds() > rebuilds && s.part.e0().len() < e0_before {
+                merges += 1;
+            }
+            for e in &d.deleted {
+                assert!(shadow.remove(e), "round {round}: deleted {e:?} not in H");
+            }
+            for &e in &d.inserted {
+                assert!(shadow.insert(e), "round {round}: inserted {e:?} twice");
+            }
+            s.validate();
+            let mut got = s.spanner_edges();
+            let mut want: Vec<Edge> = shadow.iter().copied().collect();
+            got.sort_unstable();
+            want.sort_unstable();
+            assert_eq!(got, want, "round {round}");
+            assert_eq!(s.num_live_edges(), stream.live_edges().len());
+            let st = edge_stretch(n, stream.live_edges(), &got, n, 3);
+            assert!(st <= (2 * k - 1) as f64, "stretch {st} in round {round}");
+        }
+        assert!(merges > 0, "E₀ never overflowed into a slot");
+        assert!(
+            e0_deletes > 0 && slot_deletes > 0,
+            "{e0_deletes} / {slot_deletes}"
+        );
     }
 
     #[test]

@@ -8,11 +8,14 @@
 //!   Even–Shiloach tree and priority-ordered in-lists.
 //! * [`fully_dynamic`] — **Theorem 1.1**: the Bentley–Saxe style
 //!   reduction from fully-dynamic to decremental (invariant B1).
+//! * [`partition`] — the Bentley–Saxe partition's E₀ buffer and
+//!   position-tagged edge → owner index, shared with Theorem 1.6.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod decremental;
 pub mod fully_dynamic;
+pub mod partition;
 pub mod spanner_set;
 
 pub use decremental::{DecrementalSpanner, DecrementalSpannerBuilder};

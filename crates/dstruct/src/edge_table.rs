@@ -705,17 +705,26 @@ impl EdgeTable {
         out
     }
 
-    /// Drain every live entry through a callback, leaving the table empty
-    /// (capacity kept). Unlike [`EdgeTable::drain`] this performs no heap
-    /// allocation — the delta-extraction hot path of every batch loop.
+    /// Drain every live entry through a callback, leaving the table empty.
+    /// Unlike [`EdgeTable::drain`] this performs no heap allocation — the
+    /// delta-extraction hot path of every batch loop — except to shrink:
+    /// a drain touches every slot, so storage more than 16× what the
+    /// drained entries need (and over 4096 slots) is re-sized for them.
+    /// Otherwise one rebuild-sized batch would make every later drain of
+    /// a per-batch baseline rebuild-sized.
     pub fn drain_with(&mut self, mut f: impl FnMut(u32, u32, u64)) {
+        let drained = self.len;
         for s in &self.slots {
             if s.key < TOMB_KEY {
                 let (u, v) = unpack(s.key);
                 f(u, v, s.val);
             }
         }
-        self.clear();
+        if self.slots.len() > (16 * capacity_for(drained)).max(1 << 12) {
+            *self = Self::with_capacity(drained);
+        } else {
+            self.clear();
+        }
     }
 
     /// Ensure ⅝-load headroom (live entries *and* tombstones count
@@ -859,6 +868,34 @@ mod tests {
             cap_before,
             t.capacity()
         );
+    }
+
+    #[test]
+    fn drain_shrinks_only_oversized_storage() {
+        let fill = |t: &mut EdgeTable, m: u32| {
+            for i in 0..m {
+                t.insert(i, i + 1, 0);
+            }
+        };
+        let mut t = EdgeTable::new();
+        fill(&mut t, 10_000);
+        let big = t.capacity();
+        t.drain_with(|_, _, _| {});
+        assert_eq!(t.capacity(), big, "sized for what it just drained");
+        fill(&mut t, 5_000);
+        t.drain_with(|_, _, _| {});
+        assert_eq!(t.capacity(), big, "within 16× of 5000 entries");
+        fill(&mut t, 10);
+        let mut seen = 0;
+        t.drain_with(|_, _, _| seen += 1);
+        assert_eq!(seen, 10);
+        assert_eq!(t.capacity(), EdgeTable::with_capacity(10).capacity());
+        t.insert(1, 2, 3);
+        assert_eq!((t.len(), t.get(1, 2)), (1, Some(3)));
+        let mut s = EdgeTable::with_capacity(1_000);
+        let small = s.capacity();
+        s.drain_with(|_, _, _| {});
+        assert_eq!(s.capacity(), small, "under 4096 slots: never shrunk");
     }
 
     #[test]

@@ -6,10 +6,14 @@
 //! (1±ε)-sparsifiers of an edge partition is a (1±ε)-sparsifier of the
 //! whole graph. E₀ edges carry weight 1 (a subgraph is an exact
 //! sparsifier of itself).
+//!
+//! E₀ and the edge index are the shared [`PartitionIndex`]: an E₀ insert
+//! or delete is one index operation (expected O(1)), never a scan of E₀,
+//! and per-batch scratch is reused as in Theorem 1.1.
 
 use crate::decremental::DecrementalSparsifier;
 use crate::weighted_set::{WeightedDeltaSet, WeightedSet};
-use bds_dstruct::{EdgeTable, FxHashMap};
+use bds_core::partition::PartitionIndex;
 use bds_graph::api::{
     validate_edges, BatchDynamic, BatchStats, ConfigError, Decremental, DeltaBuf, FullyDynamic,
 };
@@ -25,16 +29,17 @@ pub struct FullyDynamicSparsifier {
     n: usize,
     t: u32,
     l0: u32,
-    e0: Vec<Edge>,
+    /// E₀ (weight-1 edges of the sparsifier) and the edge -> owner index.
+    part: PartitionIndex,
     slots: Vec<Slot>,
-    /// Canonical edge -> owning slot number.
-    index: EdgeTable,
     sparsifier: WeightedSet,
     seed: u64,
     rebuilds: u64,
     recourse: u64,
     /// Reusable buffer for slot-level deltas.
     scratch: DeltaBuf,
+    /// Reusable sorted copy of the current insertion batch.
+    batch: Vec<Edge>,
 }
 
 /// Typed builder for [`FullyDynamicSparsifier`] (Theorem 1.6).
@@ -93,14 +98,14 @@ impl FullyDynamicSparsifier {
             n,
             t,
             l0,
-            e0: Vec::new(),
+            part: PartitionIndex::new(),
             slots: Vec::new(),
-            index: EdgeTable::new(),
             sparsifier: WeightedSet::new(),
             seed,
             rebuilds: 0,
             recourse: 0,
             scratch: DeltaBuf::new(),
+            batch: Vec::new(),
         };
         if !edges.is_empty() {
             let mut j = 1u32;
@@ -152,7 +157,7 @@ impl FullyDynamicSparsifier {
             self.sparsifier.insert(e, w);
         }
         for e in edges {
-            self.index.insert(e.u, e.v, j as u64);
+            self.part.assign(e, j);
         }
         self.slots[j as usize - 1] = Slot::Instance(Box::new(inst));
     }
@@ -192,61 +197,58 @@ impl FullyDynamicSparsifier {
         if inserted.is_empty() {
             return;
         }
-        let mut u: Vec<Edge> = inserted.to_vec();
+        let mut u = std::mem::take(&mut self.batch);
+        u.clear();
+        u.extend_from_slice(inserted);
         u.sort_unstable();
         u.dedup();
         assert_eq!(u.len(), inserted.len(), "duplicate edges in insert batch");
-        for e in &u {
-            assert!(
-                !self.index.contains(e.u, e.v),
-                "insert of present edge {e:?}"
-            );
+        for &e in &u {
+            assert!(!self.part.contains(e), "insert of present edge {e:?}");
         }
         let cap0 = self.capacity(0);
         let q = u.len() as u64 / cap0;
         let r = (u.len() as u64 % cap0) as usize;
         let mut cursor = u.len();
-        for i in (0..62).rev() {
+        for i in (0..62u32).rev() {
             if q & (1 << i) != 0 {
                 let size = (cap0 << i) as usize;
-                let piece = u[cursor - size..cursor].to_vec();
                 cursor -= size;
-                let lo = (i as u32).max(1);
+                let lo = i.max(1);
                 let mut j = lo;
                 while !self.slot_is_empty(j) {
                     j += 1;
                 }
-                let mut merged = piece;
+                let mut merged = u[cursor..cursor + size].to_vec();
                 for s in lo..j {
                     merged.extend(self.drain_slot(s));
                 }
                 self.build_slot(j, merged);
             }
         }
-        let ur = u[..r].to_vec();
-        if !ur.is_empty() {
-            if (self.e0.len() + ur.len()) as u64 <= cap0 {
-                for e in ur {
-                    self.index.insert(e.u, e.v, 0);
-                    self.sparsifier.insert(e, 1.0);
-                    self.e0.push(e);
-                }
-            } else {
-                let mut j = 1u32;
-                while !self.slot_is_empty(j) {
-                    j += 1;
-                }
-                let mut merged = ur;
-                for e in self.e0.drain(..) {
-                    self.sparsifier.remove(e);
-                    merged.push(e);
-                }
-                for s in 1..j {
-                    merged.extend(self.drain_slot(s));
-                }
-                self.build_slot(j, merged);
+        let ur = &u[..r];
+        if (self.part.e0().len() + ur.len()) as u64 <= cap0 {
+            for &e in ur {
+                self.part.push_e0(e);
+                self.sparsifier.insert(e, 1.0);
             }
+        } else {
+            let mut j = 1u32;
+            while !self.slot_is_empty(j) {
+                j += 1;
+            }
+            let mut merged = ur.to_vec();
+            let sparsifier = &mut self.sparsifier;
+            self.part.drain_e0(|e| {
+                sparsifier.remove(e);
+                merged.push(e);
+            });
+            for s in 1..j {
+                merged.extend(self.drain_slot(s));
+            }
+            self.build_slot(j, merged);
         }
+        self.batch = u;
     }
 
     /// Delete a batch of present edges.
@@ -285,41 +287,28 @@ impl FullyDynamicSparsifier {
     }
 
     fn delete_inner(&mut self, deleted: &[Edge]) {
-        let mut by_slot: FxHashMap<u32, Vec<Edge>> = FxHashMap::default();
-        for e in deleted {
-            let slot = self
-                .index
-                .remove(e.u, e.v)
-                .unwrap_or_else(|| panic!("delete of absent edge {e:?}"));
-            by_slot.entry(slot as u32).or_default().push(*e);
-        }
-        for (slot, edges) in by_slot {
-            if slot == 0 {
-                for e in edges {
-                    // bds:allow(no-unwrap): structure invariant named in the message; corrupt state must fail fast, not propagate.
-                    let pos = self.e0.iter().position(|&x| x == e).expect("E0 edge");
-                    self.e0.swap_remove(pos);
-                    self.sparsifier.remove(e);
-                }
-            } else {
-                let mut scratch = std::mem::take(&mut self.scratch);
-                let Slot::Instance(d) = &mut self.slots[slot as usize - 1] else {
-                    panic!("indexed slot {slot} empty")
-                };
-                d.delete_batch_into(&edges, &mut scratch);
-                for (e, _) in scratch.deleted_weighted() {
-                    self.sparsifier.remove(e);
-                }
-                for (e, w) in scratch.inserted_weighted() {
-                    self.sparsifier.insert(e, w);
-                }
-                self.scratch = scratch;
+        let sparsifier = &mut self.sparsifier;
+        self.part.route_deletions(deleted, |e| {
+            sparsifier.remove(e);
+        });
+        for (slot, edges) in self.part.routed() {
+            // INVARIANT: the index only names slots built by build_slot,
+            // which grows `slots` to hold them.
+            let Slot::Instance(d) = &mut self.slots[slot as usize - 1] else {
+                panic!("indexed slot {slot} empty")
+            };
+            d.delete_batch_into(edges, &mut self.scratch);
+            for (e, _) in self.scratch.deleted_weighted() {
+                self.sparsifier.remove(e);
+            }
+            for (e, w) in self.scratch.inserted_weighted() {
+                self.sparsifier.insert(e, w);
             }
         }
     }
 
     pub fn num_live_edges(&self) -> usize {
-        self.index.len()
+        self.part.len()
     }
 
     pub fn sparsifier_edges(&self) -> Vec<(Edge, f64)> {
@@ -334,21 +323,29 @@ impl FullyDynamicSparsifier {
         self.rebuilds
     }
 
-    /// Test oracle.
+    /// Test oracle: index consistency (E₀ positions and slot owners),
+    /// invariant B2, per-slot validation, and sparsifier composition.
     pub fn validate(&self) {
-        let mut total = self.e0.len();
+        let mut slot_edges = 0;
         for (i, slot) in self.slots.iter().enumerate() {
             if let Slot::Instance(d) = slot {
                 let m = d.num_live_edges();
                 assert!(m as u64 <= self.capacity(i as u32 + 1), "B2 violated");
-                total += m;
+                slot_edges += m;
                 d.validate();
+                for e in d.live_edges() {
+                    assert_eq!(self.part.slot_of(e), Some(i as u32 + 1), "index wrong");
+                }
             }
         }
-        assert_eq!(total, self.index.len());
+        self.part.validate(slot_edges);
+        assert!(
+            self.part.e0().len() as u64 <= self.capacity(0),
+            "E0 overflow"
+        );
         let mut want = WeightedSet::new();
-        for e in &self.e0 {
-            want.insert(*e, 1.0);
+        for &e in self.part.e0() {
+            want.insert(e, 1.0);
         }
         for slot in &self.slots {
             if let Slot::Instance(d) = slot {
@@ -413,6 +410,7 @@ impl FullyDynamic for FullyDynamicSparsifier {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bds_dstruct::FxHashMap;
     use bds_graph::cuts::sparsifier_error;
     use bds_graph::gen;
     use bds_graph::stream::UpdateStream;
@@ -440,6 +438,57 @@ mod tests {
             s.validate();
             assert_eq!(s.num_live_edges(), stream.live_edges().len());
         }
+    }
+
+    /// n = 16 gives cap₀ = 16: a growth phase fills E₀ until it
+    /// overflows into a rebuilt slot, then churn deletes from both E₀ and
+    /// the slots. Every batch is validated (E₀ position index included)
+    /// and its weighted delta replayed against a shadow.
+    #[test]
+    fn e0_fill_overflow_and_deletions_keep_position_index() {
+        let n = 16;
+        let mut s = FullyDynamicSparsifier::new(n, 2, &[], 3);
+        assert_eq!(s.capacity(0), 16);
+        let mut stream = UpdateStream::new(n, &[], 5);
+        let mut shadow: FxHashMap<Edge, f64> = FxHashMap::default();
+        let (mut e0_deletes, mut slot_deletes, mut merges) = (0, 0, 0);
+        for round in 0..60 {
+            let b = if round < 10 {
+                stream.next_batch(8, 2)
+            } else {
+                stream.next_batch(6, 6)
+            };
+            for &e in &b.deletions {
+                match s.part.slot_of(e) {
+                    Some(0) => e0_deletes += 1,
+                    Some(_) => slot_deletes += 1,
+                    None => panic!("stream deleted an edge the sparsifier lacks"),
+                }
+            }
+            let (e0_before, rebuilds) = (s.part.e0().len(), s.num_rebuilds());
+            let d = s.process_batch(&b);
+            if s.num_rebuilds() > rebuilds && s.part.e0().len() < e0_before {
+                merges += 1;
+            }
+            for (e, w) in &d.deleted {
+                assert_eq!(shadow.remove(e), Some(*w), "round {round}: {e:?}");
+            }
+            for &(e, w) in &d.inserted {
+                assert_eq!(shadow.insert(e, w), None, "round {round}: {e:?}");
+            }
+            s.validate();
+            let mut got = s.sparsifier_edges();
+            let mut want: Vec<(Edge, f64)> = shadow.iter().map(|(&e, &w)| (e, w)).collect();
+            got.sort_by_key(|x| x.0);
+            want.sort_by_key(|x| x.0);
+            assert_eq!(got, want, "round {round}");
+            assert_eq!(s.num_live_edges(), stream.live_edges().len());
+        }
+        assert!(merges > 0, "E₀ never overflowed into a slot");
+        assert!(
+            e0_deletes > 0 && slot_deletes > 0,
+            "{e0_deletes} / {slot_deletes}"
+        );
     }
 
     #[test]

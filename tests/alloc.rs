@@ -223,4 +223,71 @@ fn delta_path_is_allocation_free_after_warmup() {
             "replicated sharded fan-out allocated after warm-up"
         );
     });
+
+    // --- 6. Bentley–Saxe wrappers under E₀-resident churn: with the
+    //        position-indexed E₀ and reused per-batch scratch, a warm
+    //        `apply_into` whose batches stay within E₀ (no slot rebuild,
+    //        no slot deletion) is exactly zero — at 1 and at 2 threads.
+    //        n = 96, k = 2 gives the spanner cap₀ = 1024 and the
+    //        sparsifier cap₀ = 128; the 64-edge churn halves A and B
+    //        alternate (delete one, insert the other) on top of a core
+    //        that lives in slot 1.
+    for threads in [1, 2] {
+        bds_par::run_with_threads(threads, || {
+            let n = 96;
+            let init = gen::gnm(n, 384, 23);
+            let (core, churn) = init.split_at(256);
+            let (a, b) = churn.split_at(64);
+            let swap_ab = UpdateBatch {
+                deletions: a.to_vec(),
+                insertions: b.to_vec(),
+            };
+            let swap_ba = UpdateBatch {
+                deletions: b.to_vec(),
+                insertions: a.to_vec(),
+            };
+            let mut spanner = FullyDynamicSpanner::builder(n)
+                .stretch(2)
+                .seed(41)
+                .build(core)
+                .unwrap();
+            let mut sparsifier = FullyDynamicSparsifier::builder(n)
+                .seed(43)
+                .build(core)
+                .unwrap();
+            let mut buf = DeltaBuf::new();
+            for s in [
+                &mut spanner as &mut dyn FullyDynamic,
+                &mut sparsifier as &mut dyn FullyDynamic,
+            ] {
+                s.insert_into(a, &mut buf);
+                for _ in 0..4 {
+                    s.apply_into(&swap_ab, &mut buf);
+                    s.apply_into(&swap_ba, &mut buf);
+                }
+            }
+            let rebuilds = (spanner.num_rebuilds(), sparsifier.num_rebuilds());
+            let before = allocs();
+            for _ in 0..10 {
+                spanner.apply_into(&swap_ab, &mut buf);
+                assert_eq!(buf.recourse(), churn.len());
+                spanner.apply_into(&swap_ba, &mut buf);
+                assert_eq!(buf.recourse(), churn.len());
+                sparsifier.apply_into(&swap_ab, &mut buf);
+                assert_eq!(buf.recourse(), churn.len());
+                sparsifier.apply_into(&swap_ba, &mut buf);
+                assert_eq!(buf.recourse(), churn.len());
+            }
+            assert_eq!(
+                allocs() - before,
+                0,
+                "E₀-resident apply_into allocated after warm-up at {threads} threads"
+            );
+            assert_eq!(
+                (spanner.num_rebuilds(), sparsifier.num_rebuilds()),
+                rebuilds,
+                "a slot was rebuilt inside the measured window"
+            );
+        });
+    }
 }

@@ -1,5 +1,5 @@
 //! PR-5 perf snapshot: writes `BENCH_PR5.json` — the elastic sharding
-//! layer, measured three ways:
+//! layer, measured two ways:
 //!
 //! * **Reshard cost vs full rebuild**: a warmed k = 4 engine of
 //!   Theorem 1.1 shards grows to 5 lanes in place (`reshard`, moving
@@ -8,9 +8,6 @@
 //!   [`JumpPartitioner`] (moves ~1/5 of the edges) and, as the
 //!   moved-fraction contrast, the modulo [`HashPartitioner`] (moves
 //!   ~4/5).
-//! * **Replicated-write overhead**: identical schedules through r ∈
-//!   {1, 2, 3} replicas per lane (updates/s). Sequentially the fan-out
-//!   costs ~r×; on multicore hosts replicas absorb batches in parallel.
 //! * **Skew rebalance before/after**: a vertex-skewed graph under
 //!   `VertexRangePartitioner` (uniform ranges pile ~85% of edges onto
 //!   one lane), then `rebalance_if_skewed()` probes quantile recuts and
@@ -90,40 +87,6 @@ fn reshard_vs_rebuild<P: Partitioner + 'static>(
     (best_reshard, best_rebuild, moved, total)
 }
 
-/// Apply throughput (updates/s, best of `reps`) at `replicas` per lane.
-fn replicated_throughput(n: usize, m: usize, replicas: usize, rounds: usize, reps: usize) -> f64 {
-    let init = gen::gnm_connected(n, m, 9);
-    let mut best = 0.0f64;
-    for rep in 0..reps {
-        let mut engine = ShardedEngineBuilder::new(n)
-            .shards(4)
-            .replicas(replicas)
-            .partitioner(JumpPartitioner::new())
-            .build_with(&init, move |i, es| {
-                FullyDynamicSpanner::builder(n)
-                    .stretch(2)
-                    .seed(700 + i as u64)
-                    .build(es)
-            })
-            .unwrap();
-        let mut stream = UpdateStream::new(n, &init, 0xab ^ rep as u64);
-        let mut buf = DeltaBuf::new();
-        for _ in 0..3 {
-            let b = stream.next_batch(256, 256);
-            engine.apply_into(&b, &mut buf);
-        }
-        let mut updates = 0usize;
-        let t = Instant::now();
-        for _ in 0..rounds {
-            let b = stream.next_batch(256, 256);
-            updates += b.len();
-            engine.apply_into(&b, &mut buf);
-        }
-        best = best.max(updates as f64 / t.elapsed().as_secs_f64());
-    }
-    best
-}
-
 /// A vertex-skewed edge set: ~85% of edges have their lower endpoint in
 /// the bottom 1/20 of the vertex range.
 fn skewed_edges(n: usize, m: usize, seed: u64) -> Vec<Edge> {
@@ -200,38 +163,7 @@ fn main() {
     }
     let _ = writeln!(j, "\n  }},");
 
-    // --- Section 2: replicated-write overhead. ---
-    let (rn, rm, rounds, rreps) = if quick {
-        (4_000, 24_000, 8, 1)
-    } else {
-        (20_000, 120_000, 25, 3)
-    };
-    let _ = writeln!(j, "  \"replicated_apply_n{}k\": {{", rn / 1000);
-    let base = replicated_throughput(rn, rm, 1, rounds, rreps);
-    let mut first = true;
-    for r in [1usize, 2, 3] {
-        let thr = if r == 1 {
-            base
-        } else {
-            replicated_throughput(rn, rm, r, rounds, rreps)
-        };
-        eprintln!(
-            "replicated apply r={r}: {thr:.0} updates/s ({:.2}x of r=1)",
-            thr / base
-        );
-        if !first {
-            let _ = writeln!(j, ",");
-        }
-        first = false;
-        let _ = write!(
-            j,
-            "    \"replicas_{r}\": {{ \"updates_per_s\": {thr:.0}, \"relative_to_r1\": {:.3} }}",
-            thr / base
-        );
-    }
-    let _ = writeln!(j, "\n  }},");
-
-    // --- Section 3: skew rebalance before/after. ---
+    // --- Section 2: skew rebalance before/after. ---
     let (sn, sm) = if quick {
         (4_000, 24_000)
     } else {

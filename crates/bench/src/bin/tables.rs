@@ -1,8 +1,8 @@
-//! Experiment-table generator: regenerates every row recorded in
-//! EXPERIMENTS.md. The paper has no empirical section, so each table
-//! verifies a theorem claim (see DESIGN.md §4 for the index).
+//! Experiment-table generator. The paper has no empirical section, so
+//! each table checks a claim of the paper, stated in the table's
+//! heading; the rows are printed as Markdown.
 //!
-//! Usage: `cargo run -p bds-bench --bin tables --release -- [e1 e2 … | all]`
+//! Usage: `cargo run -p bds_bench --bin tables --release -- [e1 e2 … | all]`
 
 use bds_baseline::{baswana_sen, RecomputeBaseline};
 use bds_bench::standard_workload;
@@ -22,7 +22,7 @@ use std::time::Instant;
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let want = |name: &str| args.is_empty() || args.iter().any(|a| a == name || a == "all");
-    println!("# Experiment tables (paper: arXiv:2507.06338, see DESIGN.md §4)");
+    println!("# Experiment tables (paper: arXiv:2507.06338)");
     if want("e1") {
         e1_spanner_size();
     }

@@ -18,8 +18,9 @@ use bds_graph::api::{
 use bds_graph::types::{Edge, SpannerDelta, V};
 use rayon::prelude::*;
 
-/// Default β: empirically ≤ ½ edge-cut probability (experiment E11
-/// sweeps this and EXPERIMENTS.md records the measured cut rates).
+/// Default β: empirically ≤ ½ edge-cut probability (experiment E11 of
+/// `bds_bench`'s `tables` binary sweeps this and prints the measured
+/// cut rates).
 pub const DEFAULT_BETA: f64 = 0.25;
 
 struct Instance {

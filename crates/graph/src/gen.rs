@@ -1,7 +1,7 @@
 //! Workload generators. The paper evaluates no concrete graphs (it is a
-//! theory paper), so the experiment suite in DESIGN.md defines its own
-//! workload families; these are the standard ones used by the empirical
-//! dynamic-graph literature.
+//! theory paper), so the experiment tables (`bds_bench`'s `tables`
+//! binary) define their own workload families; these are the standard
+//! ones used by the empirical dynamic-graph literature.
 
 use crate::types::{Edge, V};
 use crate::union_find::UnionFind;

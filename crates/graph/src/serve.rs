@@ -75,7 +75,7 @@ use crate::api::{BatchDynamic, DeltaBuf, FullyDynamic};
 use crate::shard::{Partitioner, ShardedEngine, ShardedView};
 use crate::types::{Edge, UpdateBatch, V};
 use crate::wal::{Snapshot, WalConfig, WalWriter};
-use bds_dstruct::{FxHashMap, FxHashSet};
+use bds_dstruct::FxHashMap;
 use bds_par::sync::atomic::{AtomicBool, Ordering::SeqCst};
 use bds_par::sync::dbuf::{double_buf, BufWriter, DoubleBuf, PinGuard};
 use bds_par::sync::Arc;
@@ -142,7 +142,7 @@ pub enum IngestError {
     /// update was not applied and the final published views may trail
     /// earlier acknowledged sends; with durability enabled, recover
     /// from the log. Distinguished from [`IngestError::Closed`] so
-    /// producers can tell failover from quiescence.
+    /// producers can tell a crash from quiescence.
     WriterGone,
 }
 
@@ -164,11 +164,12 @@ impl std::error::Error for IngestError {}
 /// A cloneable producer handle onto the serve loop's bounded queue.
 ///
 /// Sends **block** when the queue is full — backpressure, not
-/// unbounded buffering. Updates are validated here (range, self-loop)
-/// so the writer thread only ever sees well-formed edges; semantic
-/// no-ops (inserting a live edge, deleting an absent one) are accepted
-/// and dropped by the coalescer instead, because only the writer knows
-/// the live set.
+/// unbounded buffering. Every entry point validates here (range,
+/// self-loop) and canonicalizes the edge, so the writer thread — and
+/// the WAL it appends to before applying — only ever sees well-formed
+/// edges; semantic no-ops (inserting a live edge, deleting an absent
+/// one) are accepted and dropped by the coalescer instead, because only
+/// the writer knows the live set.
 ///
 /// Dropping every `IngestHandle` is the shutdown signal: the loop
 /// drains the queue, publishes the final state to both view slots, and
@@ -187,24 +188,25 @@ pub struct IngestHandle {
 impl IngestHandle {
     /// Queue an edge insertion (blocking while the queue is full).
     pub fn insert(&self, a: V, b: V) -> Result<(), IngestError> {
-        self.send_edge(a, b, Update::Insert)
+        self.send(Update::Insert(Edge { u: a, v: b }))
     }
 
     /// Queue an edge deletion (blocking while the queue is full).
     pub fn delete(&self, a: V, b: V) -> Result<(), IngestError> {
-        self.send_edge(a, b, Update::Delete)
+        self.send(Update::Delete(Edge { u: a, v: b }))
     }
 
-    /// Queue an already-validated update (blocking).
+    /// Queue an update (blocking while the queue is full). The edge
+    /// need not be canonical: it is validated and canonicalized first.
     pub fn send(&self, up: Update) -> Result<(), IngestError> {
-        let e = up.edge();
-        debug_assert!((e.v as usize) < self.n);
+        let up = self.check(up)?;
         self.tx.send(up).map_err(|_| self.disconnect_error())
     }
 
     /// Non-blocking variant of [`IngestHandle::send`]: `Ok(false)` when
     /// the queue is full (the caller may retry, shed, or back off).
     pub fn try_send(&self, up: Update) -> Result<bool, IngestError> {
+        let up = self.check(up)?;
         match self.tx.try_send(up) {
             Ok(()) => Ok(true),
             Err(TrySendError::Full(_)) => Ok(false),
@@ -227,16 +229,24 @@ impl IngestHandle {
         }
     }
 
-    fn send_edge(&self, a: V, b: V, make: impl FnOnce(Edge) -> Update) -> Result<(), IngestError> {
-        if a == b {
-            return Err(IngestError::SelfLoop { v: a });
+    /// The one ingestion check every entry point runs: `Edge`'s fields
+    /// are public, so a hand-built update may be a self-loop, reach past
+    /// `n`, or list its endpoints in either order.
+    fn check(&self, up: Update) -> Result<Update, IngestError> {
+        let Edge { u, v } = up.edge();
+        if u == v {
+            return Err(IngestError::SelfLoop { v: u });
         }
-        for v in [a, b] {
-            if v as usize >= self.n {
-                return Err(IngestError::VertexOutOfRange { v, n: self.n });
+        for x in [u, v] {
+            if x as usize >= self.n {
+                return Err(IngestError::VertexOutOfRange { v: x, n: self.n });
             }
         }
-        self.send(make(Edge::new(a, b)))
+        let e = Edge::new(u, v);
+        Ok(match up {
+            Update::Insert(_) => Update::Insert(e),
+            Update::Delete(_) => Update::Delete(e),
+        })
     }
 }
 
@@ -324,12 +334,16 @@ impl<P: Partitioner> Deref for ReadGuard<P> {
 // ---------------------------------------------------------------------------
 
 /// Folds a raw update stream into engine-legal batches: drops semantic
-/// no-ops against a live-set mirror, cancels insert↔delete pairs
+/// no-ops against the live input set, cancels insert↔delete pairs
 /// within the pending batch, and guarantees the engine's strict
 /// "insert absent / delete present" contract for whatever remains.
+///
+/// The coalescer keeps no copy of the live set: `push` asks a predicate,
+/// which must answer for the state the pending batch will be applied
+/// to. [`ServeLoop::run`] applies every taken batch before it collects
+/// the next, so the engine's own live input set is exactly that state.
+#[derive(Default)]
 struct Coalescer {
-    /// Mirror of the engine's live input-edge set (updated at `take`).
-    live: FxHashSet<Edge>,
     /// Pending edge -> its index in `batch.insertions` / `.deletions`.
     pend_ins: FxHashMap<Edge, usize>,
     pend_del: FxHashMap<Edge, usize>,
@@ -339,17 +353,6 @@ struct Coalescer {
 }
 
 impl Coalescer {
-    fn new(live: FxHashSet<Edge>) -> Self {
-        Coalescer {
-            live,
-            pend_ins: FxHashMap::default(),
-            pend_del: FxHashMap::default(),
-            batch: UpdateBatch::default(),
-            dropped: 0,
-            cancelled: 0,
-        }
-    }
-
     /// Remove `e` from the pending lane `list` by swap-remove, fixing
     /// up the displaced edge's index in `map`.
     fn cancel(list: &mut Vec<Edge>, map: &mut FxHashMap<Edge, usize>, e: Edge) {
@@ -361,14 +364,16 @@ impl Coalescer {
         }
     }
 
-    fn push(&mut self, up: Update) {
+    /// Fold `up` into the pending batch; `live(e)` says whether `e` is a
+    /// live input edge before the pending batch applies.
+    fn push(&mut self, up: Update, live: impl Fn(Edge) -> bool) {
         match up {
             Update::Insert(e) => {
                 if self.pend_del.contains_key(&e) {
                     // delete(e);insert(e) with e live: net no-op.
                     Self::cancel(&mut self.batch.deletions, &mut self.pend_del, e);
                     self.cancelled += 2;
-                } else if self.live.contains(&e) || self.pend_ins.contains_key(&e) {
+                } else if live(e) || self.pend_ins.contains_key(&e) {
                     self.dropped += 1; // already (going to be) live
                 } else {
                     self.pend_ins.insert(e, self.batch.insertions.len());
@@ -380,7 +385,7 @@ impl Coalescer {
                     // insert(e);delete(e) with e absent: net no-op.
                     Self::cancel(&mut self.batch.insertions, &mut self.pend_ins, e);
                     self.cancelled += 2;
-                } else if !self.live.contains(&e) || self.pend_del.contains_key(&e) {
+                } else if !live(e) || self.pend_del.contains_key(&e) {
                     self.dropped += 1; // already (going to be) gone
                 } else {
                     self.pend_del.insert(e, self.batch.deletions.len());
@@ -390,15 +395,9 @@ impl Coalescer {
         }
     }
 
-    /// Hand the pending batch to the caller and roll the live mirror
-    /// forward as if the engine had applied it.
+    /// Hand the pending batch to the caller, who must apply it before
+    /// the next `push`.
     fn take(&mut self) -> UpdateBatch {
-        for e in &self.batch.deletions {
-            self.live.remove(e);
-        }
-        for e in &self.batch.insertions {
-            self.live.insert(*e);
-        }
         self.pend_ins.clear();
         self.pend_del.clear();
         std::mem::take(&mut self.batch)
@@ -554,7 +553,6 @@ impl<S: FullyDynamic + Send, P: Partitioner> ServeLoopBuilder<S, P> {
     pub fn try_build(self) -> io::Result<(ServeLoop<S, P>, IngestHandle)> {
         let (tx, rx) = std::sync::mpsc::sync_channel(self.queue_capacity);
         let n = self.engine.num_vertices();
-        let live: FxHashSet<Edge> = self.engine.live_input_edges().collect();
         let front = ShardedView::of(&self.engine);
         let wal = match self.durability {
             None => None,
@@ -592,7 +590,7 @@ impl<S: FullyDynamic + Send, P: Partitioner> ServeLoopBuilder<S, P> {
             rx,
             writer,
             policy: self.policy,
-            coalescer: Coalescer::new(live),
+            coalescer: Coalescer::default(),
             gone: Arc::clone(&gone),
             wal,
         };
@@ -759,7 +757,7 @@ impl<S: FullyDynamic + Send, P: Partitioner> ServeLoop<S, P> {
         while pulled < target {
             match self.rx.try_recv() {
                 Ok(up) => {
-                    self.coalescer.push(up);
+                    self.coalescer.push(up, |e| self.engine.contains_input(e));
                     pulled += 1;
                 }
                 Err(_) => {
@@ -769,7 +767,7 @@ impl<S: FullyDynamic + Send, P: Partitioner> ServeLoop<S, P> {
                     }
                     match self.rx.recv_timeout(IDLE_TICK) {
                         Ok(up) => {
-                            self.coalescer.push(up);
+                            self.coalescer.push(up, |e| self.engine.contains_input(e));
                             pulled += 1;
                         }
                         Err(RecvTimeoutError::Timeout) => break,
@@ -920,6 +918,7 @@ mod tests {
     use super::*;
     use crate::gen;
     use crate::shard::{MirrorSpanner, ShardedEngineBuilder};
+    use bds_dstruct::FxHashSet;
     use std::sync::atomic::AtomicUsize;
 
     fn engine(
@@ -938,7 +937,8 @@ mod tests {
         let a = Edge::new(0, 1);
         let b = Edge::new(2, 3);
         let c = Edge::new(4, 5);
-        let mut co = Coalescer::new([a].into_iter().collect());
+        let base: FxHashSet<Edge> = [a].into_iter().collect();
+        let mut co = Coalescer::default();
         // delete live a, reinsert a -> cancels; insert absent b twice
         // -> one insert; insert c then delete c -> cancels; delete
         // absent c -> dropped.
@@ -951,14 +951,19 @@ mod tests {
             Update::Delete(c),
             Update::Delete(c),
         ] {
-            co.push(up);
+            co.push(up, |e| base.contains(&e));
         }
         let batch = co.take();
         assert_eq!(batch.insertions, vec![b]);
         assert!(batch.deletions.is_empty());
         assert_eq!(co.cancelled, 4);
         assert_eq!(co.dropped, 2);
-        assert!(co.live.contains(&a) && co.live.contains(&b) && !co.live.contains(&c));
+        let mut after = base;
+        for e in &batch.deletions {
+            after.remove(e);
+        }
+        after.extend(batch.insertions);
+        assert_eq!(after, [a, b].into_iter().collect());
     }
 
     #[test]
@@ -967,12 +972,13 @@ mod tests {
         // last edge must keep a correct index so a later cancel of it
         // removes the right entry.
         let es: Vec<Edge> = (0..3).map(|i| Edge::new(i, i + 10)).collect();
-        let mut co = Coalescer::new(FxHashSet::default());
+        let mut co = Coalescer::default();
+        let live = |_| false;
         for &e in &es {
-            co.push(Update::Insert(e));
+            co.push(Update::Insert(e), live);
         }
-        co.push(Update::Delete(es[0])); // swap_remove moves es[2] to slot 0
-        co.push(Update::Delete(es[2]));
+        co.push(Update::Delete(es[0]), live); // swap_remove moves es[2] to slot 0
+        co.push(Update::Delete(es[2]), live);
         let batch = co.take();
         assert_eq!(batch.insertions, vec![es[1]]);
         assert!(batch.deletions.is_empty());
@@ -1139,12 +1145,41 @@ mod tests {
             ingest.delete(0, 8),
             Err(IngestError::VertexOutOfRange { v: 8, n: 8 })
         );
+        // `Edge`'s fields are public: hand-built updates through `send`
+        // and `try_send` get the same checks, so none reaches the WAL.
+        assert_eq!(
+            ingest.send(Update::Insert(Edge { u: 3, v: 3 })),
+            Err(IngestError::SelfLoop { v: 3 })
+        );
+        assert_eq!(
+            ingest.try_send(Update::Delete(Edge { u: 5, v: 5 })),
+            Err(IngestError::SelfLoop { v: 5 })
+        );
+        assert_eq!(
+            ingest.send(Update::Insert(Edge { u: 9, v: 2 })),
+            Err(IngestError::VertexOutOfRange { v: 9, n: 8 })
+        );
+        assert_eq!(
+            ingest.try_send(Update::Insert(Edge { u: 1, v: 8 })),
+            Err(IngestError::VertexOutOfRange { v: 8, n: 8 })
+        );
         assert_eq!(ingest.insert(7, 0), Ok(()));
+        // Non-canonical spellings of (0, 7) are canonicalized, so the
+        // coalescer sees the same edge and drops them as no-ops.
+        assert_eq!(ingest.send(Update::Insert(Edge { u: 7, v: 0 })), Ok(()));
+        assert_eq!(
+            ingest.try_send(Update::Insert(Edge { u: 7, v: 0 })),
+            Ok(true)
+        );
+        let reads = serve.read_handle();
         let writer = serve.spawn();
         drop(ingest);
         let report = writer.join().unwrap();
-        assert_eq!(report.raw_updates, 1);
+        assert_eq!(report.raw_updates, 3);
+        assert_eq!(report.dropped_noops, 2);
         assert_eq!(report.final_seq, 1);
+        let g = reads.pin_at_least(1);
+        assert_eq!(g.edges(), vec![Edge::new(0, 7)]);
     }
 
     #[test]
@@ -1303,6 +1338,7 @@ mod tests {
 #[cfg(all(test, bds_model))]
 mod model_tests {
     use super::*;
+    use bds_dstruct::FxHashSet;
     use bds_par::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
     use bds_par::sync::Mutex;
 
@@ -1444,9 +1480,10 @@ mod model_tests {
     /// shared queue in chunks the schedule decides; the writer drains
     /// and coalesces whatever arrives. After every push the
     /// pending-index maps must mirror the batch lanes exactly, and the
-    /// final live mirror must equal a sequential set-semantics replay
-    /// of the delivered order — for *every* delivery interleaving,
-    /// including the ones where a cancel hits a displaced entry.
+    /// base live set rolled forward by the taken batch must equal a
+    /// sequential set-semantics replay of the delivered order — for
+    /// *every* delivery interleaving, including the ones where a cancel
+    /// hits a displaced entry.
     #[test]
     fn model_coalescer_swap_remove_fixup_under_interleaving() {
         let n = check_bounded(
@@ -1474,12 +1511,13 @@ mod model_tests {
                 ]);
                 let p2 = producer(vec![Update::Delete(e67), Update::Delete(Edge::new(2, 3))]);
                 // The writer drains on the main model thread.
-                let mut co = Coalescer::new([e67].into_iter().collect());
+                let base: FxHashSet<Edge> = [e67].into_iter().collect();
+                let mut co = Coalescer::default();
                 let mut delivered: Vec<Update> = Vec::new();
                 loop {
                     let drained: Vec<Update> = std::mem::take(&mut *queue.lock().unwrap());
                     for up in drained {
-                        co.push(up);
+                        co.push(up, |e| base.contains(&e));
                         assert_pending_indexed(&co);
                         delivered.push(up);
                     }
@@ -1493,7 +1531,7 @@ mod model_tests {
                 let batch = co.take();
                 // Oracle: plain sequential set semantics over the delivery
                 // order this schedule produced.
-                let mut oracle: FxHashSet<Edge> = [e67].into_iter().collect();
+                let mut oracle = base.clone();
                 for up in delivered {
                     match up {
                         Update::Insert(e) => {
@@ -1504,7 +1542,12 @@ mod model_tests {
                         }
                     }
                 }
-                assert_eq!(co.live, oracle, "coalesced state diverged from the oracle");
+                let mut after = base;
+                for e in &batch.deletions {
+                    after.remove(e);
+                }
+                after.extend(batch.insertions.iter().copied());
+                assert_eq!(after, oracle, "coalesced state diverged from the oracle");
                 // The emitted batch is the net change: every insertion is
                 // net-new live, every deletion is net-gone.
                 for e in &batch.insertions {

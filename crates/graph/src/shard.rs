@@ -1,18 +1,17 @@
 //! Elastic sharded serving: one [`FullyDynamic`] surface over N
-//! independent — optionally replicated — shard structures.
+//! independent shard structures.
 //!
 //! The unified traits of [`crate::api`] take `&mut self` on a single
 //! structure. This module is the scaling layer on top of that contract:
-//! a [`ShardedEngine`] owns N lanes, each holding `r ≥ 1` independently
-//! built replicas of a shard structure, partitions every update batch by
-//! a deterministic edge→shard map (a [`Partitioner`]), fans the per-lane
-//! sub-batches out over lane × replica in parallel via `bds_par`, and
-//! merges the per-lane primary deltas back into the caller's single
-//! [`DeltaBuf`] — so to a caller the dispatcher *is* a [`FullyDynamic`]
-//! structure. This mirrors how parallel batch-dynamic connectivity
-//! structures scale by re-partitioning work as the graph changes and how
-//! batch-dynamic trees fan change propagation across independent pieces
-//! (Acar et al.).
+//! a [`ShardedEngine`] owns N lanes, each holding one independently
+//! built shard structure, partitions every update batch by a
+//! deterministic edge→shard map (a [`Partitioner`]), fans the per-lane
+//! sub-batches out across lanes in parallel via `bds_par`, and merges
+//! the per-lane deltas back into the caller's single [`DeltaBuf`] — so
+//! to a caller the dispatcher *is* a [`FullyDynamic`] structure. This
+//! mirrors how parallel batch-dynamic connectivity structures scale by
+//! re-partitioning work as the graph changes and how batch-dynamic
+//! trees fan change propagation across independent pieces (Acar et al.).
 //!
 //! Invariants and contracts:
 //!
@@ -26,45 +25,40 @@
 //!   load-aware rebalancing via quantile cuts), [`JumpPartitioner`]
 //!   (consistent hashing — a k→k+1 reshard moves only ~1/(k+1) of the
 //!   edges instead of nearly all of them).
+//! * **One owner of the live input set.** The engine tracks the live
+//!   input edges per lane ([`ShardedEngine::live_input_edges`]); the
+//!   serving layer ([`crate::serve`]) asks the engine for membership
+//!   instead of keeping a copy of its own.
 //! * **Elastic layout.** [`ShardedEngine::reshard`] changes the shard
 //!   count in place: only the edges whose route changes move, as a
 //!   delete batch on their old lane and an insert batch (or a fresh
 //!   factory build, for brand-new lanes) on their new one — the engine
-//!   stores the shard factory for exactly this. The engine tracks the
-//!   live input edges per lane, so reshard cost is proportional to the
-//!   moved edges, not the graph. [`ShardedEngine::rebalance_if_skewed`]
-//!   watches [`ShardedEngine::lane_loads`] and asks the partitioner for
-//!   a load-evening equivalent of itself when the maximum lane exceeds
+//!   stores the shard factory for exactly this. Because the engine
+//!   tracks the live input edges per lane, reshard cost is proportional
+//!   to the moved edges, not the graph.
+//!   [`ShardedEngine::rebalance_if_skewed`] watches
+//!   [`ShardedEngine::lane_loads`] and asks the partitioner for a
+//!   load-evening equivalent of itself when the maximum lane exceeds
 //!   [`DEFAULT_SKEW_THRESHOLD`] × the mean.
-//! * **Replication.** `replicas(r)` on the builder keeps `r`
-//!   independently built structures per lane. Writes fan to every live
-//!   replica; reads (and the merged delta) follow the lane's designated
-//!   *primary*. [`ShardedEngine::drop_replica`] kills a replica (failing
-//!   over the primary designation if needed — dropping the last live
-//!   replica of a lane is refused); [`ShardedEngine::restore_replica`]
-//!   rebuilds it from the lane's live edges through the stored factory.
-//!   Replicas of a lane always maintain the same live *input* edges;
-//!   their *outputs* coincide when the structure's output is a
-//!   deterministic function of its input history (true for
-//!   [`MirrorSpanner`] and stretch-1 spanners, where the output is the
-//!   live graph itself). After a failover the new primary serves its
-//!   own — valid — output, and mirrors must re-seed (see below).
 //! * **Sequence discipline.** Every batch bumps the engine's monotone
 //!   sequence number, stamped into the caller's merged delta and every
-//!   per-lane primary delta ([`DeltaBuf::seq`]). [`ShardedView::apply`]
-//!   asserts the sequence advances by exactly one and that the view was
-//!   built from this engine at this layout — so applying a batch twice,
+//!   per-lane delta ([`DeltaBuf::seq`]). [`ShardedView::apply`] asserts
+//!   the sequence advances by exactly one and that the view was built
+//!   from this engine at this layout — so applying a batch twice,
 //!   skipping one, mixing up two engines, or surviving a reshard /
-//!   failover all panic with a clear message instead of silently
+//!   rebalance all panic with a clear message instead of silently
 //!   corrupting the mirror.
 //! * **Zero steady-state allocations.** Each lane scatters into its own
-//!   pre-allocated sub-batch and each replica reports into its own
-//!   [`DeltaBuf`] scratch; the merge appends into the caller's warm
-//!   buffer. After warm-up the batch path — including replicated
-//!   fan-out — performs no heap allocations (asserted by the
-//!   counting-allocator test in `tests/alloc.rs`). Reshard, rebalance,
-//!   and replica restore allocate; they are maintenance, not the batch
-//!   path.
+//!   pre-allocated sub-batch and reports into its own [`DeltaBuf`]
+//!   scratch; the merge appends into the caller's warm buffer. After
+//!   warm-up the batch path performs no heap allocations (asserted by
+//!   the counting-allocator test in `tests/alloc.rs`). Reshard and
+//!   rebalance allocate; they are maintenance, not the batch path.
+//!
+//! Crash redundancy lives outside the engine: [`crate::wal`] logs every
+//! batch, [`crate::wal::recover`] rebuilds the engine from a snapshot
+//! plus the logged batches, and a [`crate::wal::FollowerView`] tails the
+//! log on another thread or process.
 //!
 //! # Quickstart
 //!
@@ -75,11 +69,9 @@
 //!
 //! let n = 100;
 //! let edges: Vec<Edge> = (1..40).map(|i| Edge::new(0, i)).collect();
-//! // Four lanes of two replicas each; the factory builds every replica
-//! // of lane `i` over the edges routed to it.
+//! // Four lanes; the factory builds lane `i` over the edges routed to it.
 //! let mut engine = ShardedEngineBuilder::new(n)
 //!     .shards(4)
-//!     .replicas(2)
 //!     .partitioner(JumpPartitioner::new())
 //!     .build_with(&edges, move |_i, shard_edges| MirrorSpanner::build(n, shard_edges))
 //!     .unwrap();
@@ -103,14 +95,9 @@
 //! assert_eq!(engine.num_shards(), 5);
 //! assert!(stats.moved_edges < stats.total_edges);
 //! let mut view = ShardedView::of(&engine);
-//!
-//! // Failover: drop lane 0's primary; reads continue from its replica.
-//! engine.drop_replica(0, 0).unwrap();
-//! assert_eq!(engine.primary_of(0), 1);
 //! engine.apply_into(&UpdateBatch::insert_only(vec![Edge::new(41, 42)]), &mut delta);
-//! view = ShardedView::of(&engine); // failover changed the layout epoch
+//! view.apply(&engine);
 //! assert!(view.contains(Edge::new(41, 42)));
-//! engine.restore_replica(0, 0).unwrap();
 //! ```
 
 use crate::api::{
@@ -528,22 +515,14 @@ impl Partitioner for VertexRangePartitioner {
 // ShardedEngine
 // ---------------------------------------------------------------------------
 
-/// One replica of a lane's shard structure plus its reusable delta
-/// scratch. `shard == None` marks a dropped replica awaiting
-/// [`ShardedEngine::restore_replica`].
-struct Replica<S> {
-    shard: Option<S>,
-    delta: DeltaBuf,
-}
-
-/// One lane: its replicas, the designated primary index, the sub-batch
-/// the scatter fills, the engine-tracked live input edges routed here,
-/// and the cumulative recourse load counter. Keeping everything a worker
-/// touches adjacent means the parallel fan-out hands each worker one
-/// exclusive `&mut Lane`.
+/// One lane: its shard structure and the delta scratch it reports
+/// into, the sub-batch the scatter fills, the engine-tracked live input
+/// edges routed here, and the cumulative recourse load counter. Keeping
+/// everything a worker touches adjacent means the parallel fan-out hands
+/// each worker one exclusive `&mut Lane`.
 struct Lane<S> {
-    replicas: Vec<Replica<S>>,
-    primary: usize,
+    shard: S,
+    delta: DeltaBuf,
     sub: UpdateBatch,
     live: EdgeTable,
     /// Lower-endpoint histogram of this lane's live edges
@@ -552,34 +531,27 @@ struct Lane<S> {
     /// probing evaluate candidates in O(buckets + k) instead of O(m).
     hist: Vec<u32>,
     recourse: u64,
-    /// Opt-in input history ([`ShardedEngineBuilder::replica_log`]):
-    /// the base edge set the lane's replicas were built over plus every
-    /// op fanned to the lane since. [`ShardedEngine::restore_replica`]
-    /// replays it so a restored replica sees the *identical* input
-    /// history as its siblings — the delta-continuity randomized
-    /// structures need (a rebuild from the current live edges is a
-    /// different history, so a randomized structure's coin flips — and
-    /// therefore its output — need not match the primary's).
-    history: Option<LaneHistory>,
-}
-
-/// The snapshot + log pair behind [`ShardedEngineBuilder::replica_log`]:
-/// `base` is the lane's build-time edge snapshot, `ops` the in-order
-/// log of every sub-batch fanned to it since.
-struct LaneHistory {
-    base: Vec<Edge>,
-    ops: Vec<(Op, UpdateBatch)>,
-}
-
-impl LaneHistory {
-    fn record(&mut self, op: Op, sub: &UpdateBatch) {
-        if !sub.is_empty() {
-            self.ops.push((op, sub.clone()));
-        }
-    }
 }
 
 impl<S> Lane<S> {
+    /// A lane serving `shard`, which was built over exactly `edges`.
+    fn new(shard: S, edges: &[Edge], n: usize) -> Self {
+        let mut live = EdgeTable::with_capacity(edges.len());
+        for e in edges {
+            live.insert(e.u, e.v, 1);
+        }
+        let mut lane = Lane {
+            shard,
+            delta: DeltaBuf::new(),
+            sub: UpdateBatch::default(),
+            live,
+            hist: Vec::new(),
+            recourse: 0,
+        };
+        lane.rebuild_hist(n);
+        lane
+    }
+
     /// Recount `hist` from the live table (layout-change paths only;
     /// the batch path maintains it incrementally).
     fn rebuild_hist(&mut self, n: usize) {
@@ -589,25 +561,9 @@ impl<S> Lane<S> {
             self.hist[endpoint_bucket(u, n)] += 1;
         }
     }
-
-    fn primary_shard(&self) -> &S {
-        self.replicas[self.primary]
-            .shard
-            .as_ref()
-            // bds:allow(no-unwrap): structure invariant named in the message; corrupt state must fail fast, not propagate.
-            .expect("lane invariant: the designated primary replica is live")
-    }
-
-    fn primary_delta(&self) -> &DeltaBuf {
-        &self.replicas[self.primary].delta
-    }
-
-    fn live_replicas(&self) -> usize {
-        self.replicas.iter().filter(|r| r.shard.is_some()).count()
-    }
 }
 
-/// Which trait entry point a fan-out round drives on every replica.
+/// Which trait entry point a fan-out round drives on every lane.
 #[derive(Clone, Copy)]
 enum Op {
     Delete,
@@ -616,9 +572,8 @@ enum Op {
 }
 
 /// The stored per-shard factory: build shard `lane` over exactly
-/// `edges`. Kept boxed so [`ShardedEngine::reshard`] and
-/// [`ShardedEngine::restore_replica`] can construct shards long after
-/// build time.
+/// `edges`. Kept boxed so [`ShardedEngine::reshard`] can construct
+/// shards long after build time.
 type Factory<S> = Box<dyn FnMut(usize, &[Edge]) -> Result<S, ConfigError> + Send>;
 
 static NEXT_ENGINE_ID: AtomicU64 = AtomicU64::new(1);
@@ -628,12 +583,8 @@ static NEXT_ENGINE_ID: AtomicU64 = AtomicU64::new(1);
 pub struct LaneLoad {
     /// Live input edges currently routed to this lane.
     pub live_edges: usize,
-    /// Cumulative output recourse served through this lane's primary.
+    /// Cumulative output recourse served through this lane.
     pub recourse: u64,
-    /// Replicas currently live (≥ 1 by the lane invariant).
-    pub live_replicas: usize,
-    /// Replica slots (the builder's `replicas(r)`).
-    pub total_replicas: usize,
 }
 
 /// What a reshard did (see [`ShardedEngine::reshard`]).
@@ -673,36 +624,30 @@ pub const DEFAULT_SKEW_THRESHOLD: f64 = 2.0;
 /// before committing the best one with a single physical re-route.
 pub const REBALANCE_PROBE_ROUNDS: usize = 8;
 
-/// A dispatcher that owns N lanes of replicated shard structures behind
-/// one [`FullyDynamic`] surface. See the [module docs](self) for the
+/// A dispatcher that owns N lanes of shard structures behind one
+/// [`FullyDynamic`] surface. See the [module docs](self) for the
 /// contract and a quickstart.
 pub struct ShardedEngine<S, P: Partitioner = HashPartitioner> {
     n: usize,
     lanes: Vec<Lane<S>>,
     part: P,
     factory: Factory<S>,
-    replicas: usize,
     /// Monotone batch sequence number (stamped into every delta).
     seq: u64,
-    /// Bumped on any layout change (reshard, rebalance, primary
-    /// failover); views bind to it.
+    /// Bumped on any layout change (reshard, rebalance); views bind
+    /// to it.
     layout: u64,
     /// Process-unique identity; views bind to it.
     id: u64,
-    /// Whether lanes keep input histories for delta-continuous restore
-    /// (the builder's [`ShardedEngineBuilder::replica_log`]).
-    replica_log: bool,
 }
 
-/// Typed builder for [`ShardedEngine`]: shard count, replication
-/// factor, partitioner, then a per-shard factory.
+/// Typed builder for [`ShardedEngine`]: shard count and partitioner,
+/// then a per-shard factory.
 #[derive(Debug, Clone)]
 pub struct ShardedEngineBuilder<P: Partitioner = HashPartitioner> {
     n: usize,
     shards: usize,
-    replicas: usize,
     part: P,
-    replica_log: bool,
 }
 
 impl<P: Partitioner> ShardedEngineBuilder<P> {
@@ -712,56 +657,23 @@ impl<P: Partitioner> ShardedEngineBuilder<P> {
         self
     }
 
-    /// Replicas per lane (default 1). Every replica is built by its own
-    /// factory call over the same lane edges; writes fan to all of
-    /// them, reads follow the designated primary.
-    pub fn replicas(mut self, replicas: usize) -> Self {
-        self.replicas = replicas;
-        self
-    }
-
     /// Replace the edge→shard map (default [`HashPartitioner`]).
     pub fn partitioner<Q: Partitioner>(self, part: Q) -> ShardedEngineBuilder<Q> {
         ShardedEngineBuilder {
             n: self.n,
             shards: self.shards,
-            replicas: self.replicas,
             part,
-            replica_log: self.replica_log,
         }
     }
 
-    /// Keep a per-lane input history — the edge set each lane was built
-    /// over plus every sub-batch fanned to it since — so
-    /// [`ShardedEngine::restore_replica`] can replay a dropped replica
-    /// through the *identical* input history its siblings saw (default
-    /// off). Without it a restore rebuilds from the current live edges,
-    /// which is a different history: a randomized structure's coin
-    /// flips — and therefore its output — need not match the primary's,
-    /// so a later failover to the restored replica could change served
-    /// answers. With it, any factory deterministic in `(i, edges)`
-    /// produces a restored replica bit-identical to an undropped one.
-    ///
-    /// Costs one batch clone per non-empty lane sub-batch (the batch
-    /// path is otherwise allocation-free) and memory linear in the
-    /// update history. [`ShardedEngine::reshard`] and rebalance record
-    /// their edge movements into surviving lanes' histories and start
-    /// brand-new lanes with a fresh base, so replay stays exact across
-    /// layout changes.
-    pub fn replica_log(mut self, enabled: bool) -> Self {
-        self.replica_log = enabled;
-        self
-    }
-
     /// Build the engine: the initial edges are routed by the
-    /// partitioner, and `factory(i, shard_edges)` builds each replica of
-    /// shard `i` over exactly the edges routed to it (their order
-    /// follows the input). The factory is stored in the engine — it is
-    /// called again by [`ShardedEngine::reshard`] (for brand-new lanes)
-    /// and [`ShardedEngine::restore_replica`], with whatever lane index
-    /// and live-edge slice apply then, so it must not assume the initial
-    /// shard count. For replica interchangeability it should be
-    /// deterministic in `(i, shard_edges)`.
+    /// partitioner, and `factory(i, shard_edges)` builds shard `i` over
+    /// exactly the edges routed to it (their order follows the input).
+    /// The factory is stored in the engine — [`ShardedEngine::reshard`]
+    /// calls it again for brand-new lanes, with whatever lane index and
+    /// edge slice apply then, so it must not assume the initial shard
+    /// count. For [`crate::wal::recover`] to rebuild an identical
+    /// engine it should be deterministic in `(i, shard_edges)`.
     pub fn build_with<S: FullyDynamic, E>(
         self,
         edges: &[Edge],
@@ -776,12 +688,6 @@ impl<P: Partitioner> ShardedEngineBuilder<P> {
                 reason: "at least one shard is required",
             });
         }
-        if self.replicas < 1 {
-            return Err(ConfigError::InvalidParam {
-                name: "replicas",
-                reason: "at least one replica per lane is required",
-            });
-        }
         self.part.validate(self.n, self.shards)?;
         validate_edges(self.n, edges)?;
         let mut factory: Factory<S> = {
@@ -793,61 +699,33 @@ impl<P: Partitioner> ShardedEngineBuilder<P> {
             routed[self.part.shard_of(e, self.shards)].push(e);
         }
         let mut lanes = Vec::with_capacity(self.shards);
-        for (i, shard_edges) in routed.into_iter().enumerate() {
-            let mut replicas = Vec::with_capacity(self.replicas);
-            for _ in 0..self.replicas {
-                replicas.push(Replica {
-                    shard: Some(factory(i, &shard_edges)?),
-                    delta: DeltaBuf::new(),
-                });
-            }
-            let mut live = EdgeTable::with_capacity(shard_edges.len());
-            for e in &shard_edges {
-                live.insert(e.u, e.v, 1);
-            }
-            let mut lane = Lane {
-                replicas,
-                primary: 0,
-                sub: UpdateBatch::default(),
-                live,
-                hist: Vec::new(),
-                recourse: 0,
-                history: self.replica_log.then(|| LaneHistory {
-                    base: shard_edges,
-                    ops: Vec::new(),
-                }),
-            };
-            lane.rebuild_hist(self.n);
-            lanes.push(lane);
+        for (i, shard_edges) in routed.iter().enumerate() {
+            lanes.push(Lane::new(factory(i, shard_edges)?, shard_edges, self.n));
         }
         Ok(ShardedEngine {
             n: self.n,
             lanes,
             part: self.part,
             factory,
-            replicas: self.replicas,
             seq: 0,
             layout: 0,
             // ordering: Relaxed — unique-ID allocation only; no other
             // state is published through the counter.
             id: NEXT_ENGINE_ID.fetch_add(1, Ordering::Relaxed),
-            replica_log: self.replica_log,
         })
     }
 }
 
 impl ShardedEngineBuilder<HashPartitioner> {
     /// Typed builder: `ShardedEngineBuilder::new(n).shards(k)
-    /// .replicas(r).partitioner(p).build_with(&edges, factory)` — the
-    /// shard type is fixed by the factory passed to
+    /// .partitioner(p).build_with(&edges, factory)` — the shard type is
+    /// fixed by the factory passed to
     /// [`ShardedEngineBuilder::build_with`].
     pub fn new(n: usize) -> Self {
         ShardedEngineBuilder {
             n,
             shards: 2,
-            replicas: 1,
             part: HashPartitioner,
-            replica_log: false,
         }
     }
 }
@@ -855,11 +733,6 @@ impl ShardedEngineBuilder<HashPartitioner> {
 impl<S, P: Partitioner> ShardedEngine<S, P> {
     pub fn num_shards(&self) -> usize {
         self.lanes.len()
-    }
-
-    /// Replica slots per lane (the builder's `replicas(r)`).
-    pub fn num_replicas(&self) -> usize {
-        self.replicas
     }
 
     pub fn partitioner(&self) -> &P {
@@ -872,9 +745,9 @@ impl<S, P: Partitioner> ShardedEngine<S, P> {
         self.seq
     }
 
-    /// Layout epoch: bumped by reshard, rebalance, and primary
-    /// failover. A [`ShardedView`] is bound to the epoch it was built
-    /// at and must be rebuilt after any layout change.
+    /// Layout epoch: bumped by reshard and rebalance. A [`ShardedView`]
+    /// is bound to the epoch it was built at and must be rebuilt after
+    /// any layout change.
     pub fn layout_epoch(&self) -> u64 {
         self.layout
     }
@@ -884,13 +757,6 @@ impl<S, P: Partitioner> ShardedEngine<S, P> {
     /// recovery can reject artifacts from a different engine.
     pub fn engine_id(&self) -> u64 {
         self.id
-    }
-
-    /// Whether the builder's [`ShardedEngineBuilder::replica_log`] was
-    /// enabled (so [`ShardedEngine::restore_replica`] replays history
-    /// instead of rebuilding from current live edges).
-    pub fn replica_log_enabled(&self) -> bool {
-        self.replica_log
     }
 
     /// Adopt a logged identity after crash recovery: the recovered
@@ -904,29 +770,14 @@ impl<S, P: Partitioner> ShardedEngine<S, P> {
         self.seq = seq;
     }
 
-    /// The primary shard structure of lane `i` (read side; updates must
-    /// go through the engine so routing and deltas stay consistent).
+    /// The shard structure of lane `i` (read side; updates must go
+    /// through the engine so routing and deltas stay consistent).
     pub fn shard(&self, i: usize) -> &S {
-        self.lanes[i].primary_shard()
+        &self.lanes[i].shard
     }
 
-    /// Replica `r` of lane `i`, or `None` if it is currently dropped.
-    pub fn replica(&self, lane: usize, r: usize) -> Option<&S> {
-        self.lanes[lane].replicas[r].shard.as_ref()
-    }
-
-    /// The designated primary replica index of lane `i`.
-    pub fn primary_of(&self, lane: usize) -> usize {
-        self.lanes[lane].primary
-    }
-
-    /// Live replica count of lane `i` (≥ 1 by the lane invariant).
-    pub fn live_replicas(&self, lane: usize) -> usize {
-        self.lanes[lane].live_replicas()
-    }
-
-    /// Per-lane load statistics: live input edges, cumulative recourse,
-    /// and replica liveness. This is the signal
+    /// Per-lane load statistics: live input edges and cumulative
+    /// recourse. This is the signal
     /// [`ShardedEngine::rebalance_if_skewed`] acts on. Allocates one
     /// vector (diagnostics path, not the batch path).
     pub fn lane_loads(&self) -> Vec<LaneLoad> {
@@ -935,59 +786,23 @@ impl<S, P: Partitioner> ShardedEngine<S, P> {
             .map(|lane| LaneLoad {
                 live_edges: lane.live.len(),
                 recourse: lane.recourse,
-                live_replicas: lane.live_replicas(),
-                total_replicas: lane.replicas.len(),
             })
             .collect()
     }
 
-    /// The per-lane primary deltas of the most recent batch, in lane
-    /// order — what [`ShardedView::apply`] consumes. Valid until the
-    /// next batch.
+    /// The per-lane deltas of the most recent batch, in lane order —
+    /// what [`ShardedView::apply`] consumes. Valid until the next batch.
     pub fn last_shard_deltas(&self) -> impl Iterator<Item = &DeltaBuf> + '_ {
-        self.lanes.iter().map(|l| l.primary_delta())
+        self.lanes.iter().map(|l| &l.delta)
     }
 
-    /// Drop replica `r` of lane `lane` (simulating a failed node, or
-    /// freeing its memory). If it was the designated primary, the
-    /// designation fails over to the next live replica and the layout
-    /// epoch bumps (mirrors must re-seed: the new primary serves its
-    /// own output stream). Refuses to drop the last live replica of a
-    /// lane.
-    pub fn drop_replica(&mut self, lane: usize, r: usize) -> Result<(), ConfigError> {
-        let l = self.lanes.get_mut(lane).ok_or(ConfigError::InvalidParam {
-            name: "lane",
-            reason: "lane index out of range",
-        })?;
-        let live = l.replicas.iter().filter(|rep| rep.shard.is_some()).count();
-        let rep = l.replicas.get_mut(r).ok_or(ConfigError::InvalidParam {
-            name: "replica",
-            reason: "replica index out of range",
-        })?;
-        if rep.shard.is_none() {
-            return Err(ConfigError::InvalidParam {
-                name: "replica",
-                reason: "replica is already dropped",
-            });
-        }
-        if live <= 1 {
-            return Err(ConfigError::InvalidParam {
-                name: "replica",
-                reason: "cannot drop the last live replica of a lane",
-            });
-        }
-        rep.shard = None;
-        rep.delta.clear();
-        if l.primary == r {
-            l.primary = l
-                .replicas
-                .iter()
-                .position(|rep| rep.shard.is_some())
-                // bds:allow(no-unwrap): structure invariant named in the message; corrupt state must fail fast, not propagate.
-                .expect("a live replica remains");
-            self.layout += 1;
-        }
-        Ok(())
+    /// Whether `e` (canonical) is a live input edge: one partitioner
+    /// route plus one probe of the owning lane's live table. This is
+    /// the membership the serving coalescer checks updates against.
+    pub(crate) fn contains_input(&self, e: Edge) -> bool {
+        self.lanes[self.part.shard_of(e, self.lanes.len())]
+            .live
+            .contains(e.u, e.v)
     }
 
     /// Route `deletions`/`insertions` into the per-lane sub-batches
@@ -1045,61 +860,6 @@ impl<S, P: Partitioner> ShardedEngine<S, P> {
 }
 
 impl<S: FullyDynamic, P: Partitioner> ShardedEngine<S, P> {
-    /// Rebuild a dropped replica through the stored factory. The
-    /// restored replica maintains the same live input edges as its
-    /// siblings; it does not change the primary designation (so served
-    /// outputs are undisturbed), but it is the failover target if the
-    /// current primary later drops.
-    ///
-    /// With [`ShardedEngineBuilder::replica_log`] enabled the rebuild
-    /// replays the lane's recorded input history — base edges through
-    /// the factory, then every sub-batch in application order — so a
-    /// factory deterministic in `(i, edges)` yields a replica
-    /// bit-identical to one that was never dropped (a randomized
-    /// structure re-flips the same coins). Without it the factory sees
-    /// only the *current* live edges: the same graph, but a different
-    /// history, so a randomized structure's output may legitimately
-    /// differ from the primary's.
-    pub fn restore_replica(&mut self, lane: usize, r: usize) -> Result<(), ConfigError> {
-        let l = self.lanes.get(lane).ok_or(ConfigError::InvalidParam {
-            name: "lane",
-            reason: "lane index out of range",
-        })?;
-        let rep = l.replicas.get(r).ok_or(ConfigError::InvalidParam {
-            name: "replica",
-            reason: "replica index out of range",
-        })?;
-        if rep.shard.is_some() {
-            return Err(ConfigError::InvalidParam {
-                name: "replica",
-                reason: "replica is already live",
-            });
-        }
-        let shard = if let Some(h) = &self.lanes[lane].history {
-            let mut shard = (self.factory)(lane, &h.base)?;
-            let mut scratch = DeltaBuf::new();
-            for (op, batch) in &h.ops {
-                match op {
-                    Op::Delete => shard.delete_into(&batch.deletions, &mut scratch),
-                    Op::Insert => shard.insert_into(&batch.insertions, &mut scratch),
-                    Op::Apply => shard.apply_into(batch, &mut scratch),
-                }
-            }
-            shard
-        } else {
-            let edges: Vec<Edge> = self.lanes[lane]
-                .live
-                .iter()
-                .map(|(u, v, _)| Edge { u, v })
-                .collect();
-            (self.factory)(lane, &edges)?
-        };
-        let rep = &mut self.lanes[lane].replicas[r];
-        rep.shard = Some(shard);
-        rep.delta.clear();
-        Ok(())
-    }
-
     /// Change the shard count in place, keeping the maintained graph
     /// identical: every live edge whose route changes under the new
     /// count is deleted from its old lane and inserted into its new one
@@ -1223,7 +983,7 @@ impl<S: FullyDynamic, P: Partitioner> ShardedEngine<S, P> {
         };
         let moved_edges = self
             .reroute(k, new_part)
-            // bds:allow(no-unwrap): documented contract of rebuild_with; the message states it.
+            // bds:allow(no-unwrap): reroute calls the factory only for brand-new lanes, and rebalance keeps the shard count.
             .expect("rebalance keeps the shard count, so the factory is never called");
         RebalanceOutcome::Rebalanced { moved_edges }
     }
@@ -1251,31 +1011,9 @@ impl<S: FullyDynamic, P: Partitioner> ShardedEngine<S, P> {
         // the reshard before any existing shard has been mutated.
         let mut new_lanes: Vec<Lane<S>> = Vec::new();
         for (j, ins) in moved_in.iter().enumerate().skip(old_k) {
-            let mut replicas = Vec::with_capacity(self.replicas);
-            for _ in 0..self.replicas {
-                replicas.push(Replica {
-                    shard: Some((self.factory)(j, ins)?),
-                    delta: DeltaBuf::new(),
-                });
-            }
-            let mut live = EdgeTable::with_capacity(ins.len());
-            for e in ins {
-                live.insert(e.u, e.v, 1);
-            }
-            new_lanes.push(Lane {
-                replicas,
-                primary: 0,
-                sub: UpdateBatch::default(),
-                live,
-                hist: Vec::new(),
-                recourse: 0,
-                history: self.replica_log.then(|| LaneHistory {
-                    base: ins.clone(),
-                    ops: Vec::new(),
-                }),
-            });
+            new_lanes.push(Lane::new((self.factory)(j, ins)?, ins, self.n));
         }
-        // Surviving lanes shed their moved-out edges (every replica).
+        // Surviving lanes shed their moved-out edges.
         let mut scratch = DeltaBuf::new();
         for (i, outs) in moved_out.iter().enumerate().take(new_k.min(old_k)) {
             if outs.is_empty() {
@@ -1289,20 +1027,12 @@ impl<S: FullyDynamic, P: Partitioner> ShardedEngine<S, P> {
                     "rebalance moved an edge that was not live on its source lane"
                 );
             }
-            for rep in &mut lane.replicas {
-                if let Some(shard) = rep.shard.as_mut() {
-                    shard.delete_into(outs, &mut scratch);
-                }
-            }
-            if let Some(h) = lane.history.as_mut() {
-                h.ops
-                    .push((Op::Delete, UpdateBatch::delete_only(outs.clone())));
-            }
+            lane.shard.delete_into(outs, &mut scratch);
         }
         // Merged-away lanes are dropped whole (their edges are all in
         // `moved_in` for the surviving lanes).
         self.lanes.truncate(new_k);
-        // Surviving lanes absorb their moved-in edges (every replica).
+        // Surviving lanes absorb their moved-in edges.
         for (j, ins) in moved_in.iter().enumerate().take(self.lanes.len()) {
             if ins.is_empty() {
                 continue;
@@ -1315,27 +1045,17 @@ impl<S: FullyDynamic, P: Partitioner> ShardedEngine<S, P> {
                     "rebalance moved an edge already live on its target lane"
                 );
             }
-            for rep in &mut lane.replicas {
-                if let Some(shard) = rep.shard.as_mut() {
-                    shard.insert_into(ins, &mut scratch);
-                }
-            }
-            if let Some(h) = lane.history.as_mut() {
-                h.ops
-                    .push((Op::Insert, UpdateBatch::insert_only(ins.clone())));
-            }
+            lane.shard.insert_into(ins, &mut scratch);
         }
         self.lanes.extend(new_lanes);
         // Reshard deltas are internal churn, not served output: clear
-        // every per-replica delta so a stale one can never reach a view
-        // (views are invalidated by the layout bump regardless). The
-        // endpoint histograms recount from the moved live tables — an
-        // O(m) pass the re-route scan above already paid for.
+        // every lane delta so a stale one can never reach a view (views
+        // are invalidated by the layout bump regardless). The endpoint
+        // histograms recount from the moved live tables — an O(m) pass
+        // the re-route scan above already paid for.
         let n = self.n;
         for lane in &mut self.lanes {
-            for rep in &mut lane.replicas {
-                rep.delta.clear();
-            }
+            lane.delta.clear();
             lane.rebuild_hist(n);
         }
         self.part = new_part;
@@ -1345,45 +1065,29 @@ impl<S: FullyDynamic, P: Partitioner> ShardedEngine<S, P> {
 }
 
 impl<S: FullyDynamic + Send, P: Partitioner> ShardedEngine<S, P> {
-    /// Fan one scattered batch out across every lane × live replica in
-    /// parallel and merge the per-lane primary deltas into `out`,
-    /// stamped with the new batch sequence number.
+    /// Fan one scattered batch out across every lane in parallel and
+    /// merge the per-lane deltas into `out`, stamped with the new batch
+    /// sequence number.
     fn fan_out_merge(&mut self, op: Op, out: &mut DeltaBuf) {
-        if self.replica_log {
-            // Record before applying so history order is application
-            // order; empty subs are skipped (they are no-ops on replay
-            // too, so the histories stay minimal).
-            for lane in &mut self.lanes {
-                if let Some(h) = lane.history.as_mut() {
-                    h.record(op, &lane.sub);
-                }
-            }
-        }
         bds_par::par_for_each_task(&mut self.lanes, |lane| {
-            let Lane { replicas, sub, .. } = lane;
-            bds_par::par_for_each_task(replicas, |rep| {
-                // Structures treat an empty batch as a no-op with an
-                // empty delta, so idle shards stay cheap; calling
-                // through keeps that contract observable.
-                let Some(shard) = rep.shard.as_mut() else {
-                    rep.delta.clear();
-                    return;
-                };
-                match op {
-                    Op::Delete => shard.delete_into(&sub.deletions, &mut rep.delta),
-                    Op::Insert => shard.insert_into(&sub.insertions, &mut rep.delta),
-                    Op::Apply => shard.apply_into(sub, &mut rep.delta),
-                }
-            });
+            let Lane {
+                shard, delta, sub, ..
+            } = lane;
+            // Structures treat an empty batch as a no-op with an empty
+            // delta, so idle shards stay cheap; calling through keeps
+            // that contract observable.
+            match op {
+                Op::Delete => shard.delete_into(&sub.deletions, delta),
+                Op::Insert => shard.insert_into(&sub.insertions, delta),
+                Op::Apply => shard.apply_into(sub, delta),
+            }
         });
         self.seq += 1;
         out.clear();
         for lane in &mut self.lanes {
-            let p = lane.primary;
-            let delta = &mut lane.replicas[p].delta;
-            delta.stamp_seq(self.seq);
-            lane.recourse += delta.recourse() as u64;
-            out.merge_from(delta);
+            lane.delta.stamp_seq(self.seq);
+            lane.recourse += lane.delta.recourse() as u64;
+            out.merge_from(&lane.delta);
         }
         // Shards own disjoint edges, so cross-shard cancellation cannot
         // occur — this is pure defense-in-depth, and it exercises the
@@ -1399,13 +1103,10 @@ impl<S: FullyDynamic + Send, P: Partitioner> BatchDynamic for ShardedEngine<S, P
     }
 
     fn num_live_edges(&self) -> usize {
-        self.lanes
-            .iter()
-            .map(|l| l.primary_shard().num_live_edges())
-            .sum()
+        self.lanes.iter().map(|l| l.shard.num_live_edges()).sum()
     }
 
-    /// Materializes the union of primary shard outputs. Unlike the
+    /// Materializes the union of shard outputs. Unlike the
     /// batch path this is a snapshot API: it allocates one temporary
     /// per-shard scratch per call (the `&self` signature precludes
     /// reusing engine-owned scratch) — steady-state readers should
@@ -1414,7 +1115,7 @@ impl<S: FullyDynamic + Send, P: Partitioner> BatchDynamic for ShardedEngine<S, P
         out.clear();
         let mut scratch = DeltaBuf::new();
         for lane in &self.lanes {
-            lane.primary_shard().output_into(&mut scratch);
+            lane.shard.output_into(&mut scratch);
             out.merge_from(&scratch);
         }
     }
@@ -1422,7 +1123,7 @@ impl<S: FullyDynamic + Send, P: Partitioner> BatchDynamic for ShardedEngine<S, P
     fn stats(&self) -> BatchStats {
         let mut agg = BatchStats::default();
         for lane in &self.lanes {
-            let s = lane.primary_shard().stats();
+            let s = lane.shard.stats();
             agg.scan_steps += s.scan_steps;
             agg.vertices_touched += s.vertices_touched;
             agg.cluster_changes += s.cluster_changes;
@@ -1461,7 +1162,7 @@ impl<S: FullyDynamic + Send, P: Partitioner> FullyDynamic for ShardedEngine<S, P
 
 /// Per-shard [`SpannerView`] mirrors composed behind the one-epoch read
 /// API: point queries route through the engine's partitioner to the
-/// owning lane's mirror (which tracks the lane *primary*), aggregate
+/// owning lane's mirror, aggregate
 /// queries union the shards. Advance it exactly once per engine batch
 /// with [`ShardedView::apply`]; cloning pins an epoch, exactly like
 /// [`SpannerView`].
@@ -1469,7 +1170,7 @@ impl<S: FullyDynamic + Send, P: Partitioner> FullyDynamic for ShardedEngine<S, P
 /// A view is bound to the engine it was built from (its identity and
 /// layout epoch) and to the batch sequence it last saw: applying a batch
 /// twice, skipping one, applying against a different engine, or applying
-/// across a reshard / rebalance / failover panics with a clear message
+/// across a reshard or rebalance panics with a clear message
 /// instead of silently corrupting the mirror. After any layout change,
 /// rebuild with [`ShardedView::of`] — or re-seed a long-lived view in
 /// place with [`ShardedView::reseed`], which reuses its allocations.
@@ -1494,7 +1195,7 @@ pub struct ShardedView<P: Partitioner = HashPartitioner> {
 }
 
 impl<P: Partitioner> ShardedView<P> {
-    /// A view mirroring `engine`'s current per-lane primary outputs, at
+    /// A view mirroring `engine`'s current per-lane outputs, at
     /// epoch 0, bound to the engine's identity, layout epoch, and batch
     /// sequence.
     pub fn of<S: FullyDynamic + Send>(engine: &ShardedEngine<S, P>) -> Self {
@@ -1502,7 +1203,7 @@ impl<P: Partitioner> ShardedView<P> {
             .lanes
             .iter()
             .map(|lane| {
-                let mut v = SpannerView::from_output(engine.n, lane.primary_shard());
+                let mut v = SpannerView::from_output(engine.n, &lane.shard);
                 v.resync_seq(engine.seq);
                 v
             })
@@ -1521,9 +1222,9 @@ impl<P: Partitioner> ShardedView<P> {
     /// Re-seed this view in place from `engine`'s current state: the
     /// allocation-reusing equivalent of [`ShardedView::of`] for
     /// long-lived mirrors, and the supported way to recover after a
-    /// layout change (reshard, rebalance, failover) without discarding
-    /// warm table capacity. Lane mirrors are rebuilt from the primary
-    /// outputs through `scratch`; the view re-binds to the engine's
+    /// layout change (reshard, rebalance) without discarding warm
+    /// table capacity. Lane mirrors are rebuilt from the lane outputs
+    /// through `scratch`; the view re-binds to the engine's
     /// identity, layout, and batch sequence, and the epoch restarts
     /// at 0.
     pub fn reseed<S: FullyDynamic + Send>(
@@ -1534,11 +1235,11 @@ impl<P: Partitioner> ShardedView<P> {
         self.views.truncate(engine.lanes.len());
         let kept = self.views.len();
         for (view, lane) in self.views.iter_mut().zip(&engine.lanes) {
-            view.reseed_from_output(lane.primary_shard(), scratch);
+            view.reseed_from_output(&lane.shard, scratch);
             view.resync_seq(engine.seq);
         }
         for lane in engine.lanes.iter().skip(kept) {
-            let mut v = SpannerView::from_output(engine.n, lane.primary_shard());
+            let mut v = SpannerView::from_output(engine.n, &lane.shard);
             v.resync_seq(engine.seq);
             self.views.push(v);
         }
@@ -1565,8 +1266,8 @@ impl<P: Partitioner> ShardedView<P> {
         );
         assert_eq!(
             self.layout, engine.layout,
-            "sharded view is stale: the engine resharded, rebalanced, or failed over a \
-             primary since this view was created; rebuild it with ShardedView::of"
+            "sharded view is stale: the engine resharded or rebalanced since this view \
+             was created; rebuild it with ShardedView::of"
         );
         match engine.seq {
             s if s == self.seq + 1 => {}
@@ -1586,7 +1287,7 @@ impl<P: Partitioner> ShardedView<P> {
             ),
         }
         for (view, lane) in self.views.iter_mut().zip(&engine.lanes) {
-            view.apply(lane.primary_delta());
+            view.apply(&lane.delta);
         }
         self.seq = engine.seq;
         self.epoch += 1;
@@ -1813,15 +1514,6 @@ mod tests {
             Err(ConfigError::InvalidParam { name: "shards", .. })
         ));
         assert!(matches!(
-            ShardedEngineBuilder::new(10)
-                .replicas(0)
-                .build_with(&[], move |_, es| MirrorSpanner::build(10, es)),
-            Err(ConfigError::InvalidParam {
-                name: "replicas",
-                ..
-            })
-        ));
-        assert!(matches!(
             ShardedEngineBuilder::new(3)
                 .shards(2)
                 .build_with(&[Edge::new(0, 9)], move |_, es| MirrorSpanner::build(3, es)),
@@ -1952,9 +1644,6 @@ mod tests {
                 loads.iter().map(|l| l.live_edges).sum::<usize>(),
                 engine.num_live_edges()
             );
-            assert!(loads
-                .iter()
-                .all(|l| l.live_replicas == 1 && l.total_replicas == 1));
         }
     }
 
@@ -2045,70 +1734,6 @@ mod tests {
             stats.moved_edges,
             stats.total_edges
         );
-    }
-
-    #[test]
-    fn replicas_fan_out_and_fail_over() {
-        let n = 60;
-        let init = gen::gnm_connected(n, 180, 7);
-        let mut engine = ShardedEngineBuilder::new(n)
-            .shards(2)
-            .replicas(3)
-            .build_with(&init, move |_, es| MirrorSpanner::build(n, es))
-            .unwrap();
-        assert_eq!(engine.num_replicas(), 3);
-        let mut shadow = shadow_of(&engine);
-        let mut stream = UpdateStream::new(n, &init, 41);
-        let mut buf = DeltaBuf::new();
-        // Writes fan to every replica: all replicas of a lane agree.
-        let batch = stream.next_batch(10, 8);
-        engine.apply_into(&batch, &mut buf);
-        buf.apply_weighted_to(&mut shadow);
-        for lane in 0..2 {
-            let primary_m = engine.shard(lane).num_live_edges();
-            for r in 0..3 {
-                assert_eq!(engine.replica(lane, r).unwrap().num_live_edges(), primary_m);
-            }
-        }
-        // Failover: dropping the designated primary promotes the next
-        // live replica and bumps the layout epoch; reads continue.
-        let layout_before = engine.layout_epoch();
-        engine.drop_replica(0, 0).unwrap();
-        assert_eq!(engine.primary_of(0), 1);
-        assert_eq!(engine.live_replicas(0), 2);
-        assert_eq!(engine.layout_epoch(), layout_before + 1);
-        assert_eq!(shadow_of(&engine), shadow);
-        // Batches keep flowing through the surviving replicas.
-        let batch = stream.next_batch(6, 6);
-        engine.apply_into(&batch, &mut buf);
-        buf.apply_weighted_to(&mut shadow);
-        assert_eq!(shadow_of(&engine), shadow);
-        // Restore rebuilds from the lane's *current* live edges; the
-        // primary designation is undisturbed.
-        engine.restore_replica(0, 0).unwrap();
-        assert_eq!(engine.primary_of(0), 1);
-        assert_eq!(engine.live_replicas(0), 3);
-        assert_eq!(
-            engine.replica(0, 0).unwrap().num_live_edges(),
-            engine.shard(0).num_live_edges()
-        );
-        // The restored replica participates in subsequent batches and
-        // becomes primary if the current primary drops.
-        let batch = stream.next_batch(5, 5);
-        engine.apply_into(&batch, &mut buf);
-        buf.apply_weighted_to(&mut shadow);
-        engine.drop_replica(0, 1).unwrap();
-        assert_eq!(engine.primary_of(0), 0);
-        assert_eq!(shadow_of(&engine), shadow);
-        // Guard rails: the last live replica of a lane is untouchable,
-        // double drops and bad indices are typed errors.
-        engine.drop_replica(0, 2).unwrap();
-        assert!(engine.drop_replica(0, 0).is_err(), "last live replica");
-        assert!(engine.drop_replica(0, 1).is_err(), "already dropped");
-        assert!(engine.drop_replica(9, 0).is_err(), "lane out of range");
-        assert!(engine.restore_replica(0, 0).is_err(), "already live");
-        engine.restore_replica(0, 1).unwrap();
-        assert_eq!(shadow_of(&engine), shadow);
     }
 
     #[test]
@@ -2476,138 +2101,5 @@ mod tests {
         engine.apply_into(&UpdateBatch::delete_only(vec![e]), &mut buf);
         live.apply(&engine);
         assert!(!live.contains(e));
-    }
-
-    /// A [`MirrorSpanner`] wrapper recording every non-empty call it
-    /// receives — build edges, deletes, inserts, applies, in order — so
-    /// tests can check a replayed replica saw the *identical* input
-    /// history, not merely the same final edge set (the distinction
-    /// `replica_log` exists for: a randomized structure's coins depend
-    /// on the history, not the final set).
-    struct Recording {
-        inner: MirrorSpanner,
-        trace: Vec<(u8, Vec<Edge>, Vec<Edge>)>,
-    }
-
-    impl Recording {
-        fn build(n: usize, edges: &[Edge]) -> Result<Self, ConfigError> {
-            Ok(Self {
-                inner: MirrorSpanner::build(n, edges)?,
-                trace: vec![(0, edges.to_vec(), Vec::new())],
-            })
-        }
-    }
-
-    impl BatchDynamic for Recording {
-        fn num_vertices(&self) -> usize {
-            self.inner.num_vertices()
-        }
-        fn num_live_edges(&self) -> usize {
-            self.inner.num_live_edges()
-        }
-        fn output_into(&self, out: &mut DeltaBuf) {
-            self.inner.output_into(out)
-        }
-        fn stats(&self) -> BatchStats {
-            self.inner.stats()
-        }
-    }
-
-    impl Decremental for Recording {
-        fn delete_into(&mut self, deletions: &[Edge], out: &mut DeltaBuf) {
-            if !deletions.is_empty() {
-                self.trace.push((1, Vec::new(), deletions.to_vec()));
-            }
-            self.inner.delete_into(deletions, out);
-        }
-    }
-
-    impl FullyDynamic for Recording {
-        fn insert_into(&mut self, insertions: &[Edge], out: &mut DeltaBuf) {
-            if !insertions.is_empty() {
-                self.trace.push((2, insertions.to_vec(), Vec::new()));
-            }
-            self.inner.insert_into(insertions, out);
-        }
-        fn apply_into(&mut self, batch: &UpdateBatch, out: &mut DeltaBuf) {
-            if !batch.is_empty() {
-                self.trace
-                    .push((3, batch.insertions.clone(), batch.deletions.clone()));
-            }
-            self.inner.apply_into(batch, out);
-        }
-    }
-
-    #[test]
-    fn replica_log_restore_replays_identical_history() {
-        let n = 48;
-        let init = gen::gnm(n, 90, 11);
-        let live: std::collections::HashSet<Edge> = init.iter().copied().collect();
-        let fresh: Vec<Edge> = gen::gnm(n, 220, 12)
-            .into_iter()
-            .filter(|e| !live.contains(e))
-            .collect();
-        assert!(fresh.len() >= 110);
-        let mut engine = ShardedEngineBuilder::new(n)
-            .shards(3)
-            .replicas(2)
-            .replica_log(true)
-            .build_with(&init, move |_, es| Recording::build(n, es))
-            .unwrap();
-        assert!(engine.replica_log_enabled());
-        let mut buf = DeltaBuf::new();
-        engine.apply_into(&UpdateBatch::insert_only(fresh[0..30].to_vec()), &mut buf);
-        engine.apply_into(
-            &UpdateBatch {
-                insertions: fresh[30..60].to_vec(),
-                deletions: init[0..20].to_vec(),
-            },
-            &mut buf,
-        );
-        // A reshard's shed/absorb churn must land in the histories too.
-        engine.reshard(4).unwrap();
-        engine.apply_into(&UpdateBatch::delete_only(init[20..40].to_vec()), &mut buf);
-        engine.drop_replica(0, 1).unwrap();
-        // Batches the dropped replica never sees — but the lane history does.
-        engine.apply_into(&UpdateBatch::insert_only(fresh[60..90].to_vec()), &mut buf);
-        engine.apply_into(
-            &UpdateBatch {
-                insertions: fresh[90..110].to_vec(),
-                deletions: fresh[0..10].to_vec(),
-            },
-            &mut buf,
-        );
-        engine.restore_replica(0, 1).unwrap();
-        let primary = engine.shard(0);
-        let restored = engine.replica(0, 1).unwrap();
-        assert_eq!(
-            restored.trace, primary.trace,
-            "replayed replica must see the bit-identical input history"
-        );
-        assert_eq!(shadow_of(restored), shadow_of(primary));
-    }
-
-    #[test]
-    fn restore_without_replica_log_matches_live_edges_only() {
-        // Default path (no history): the restored replica maintains the
-        // same live set, rebuilt from the *current* edges.
-        let n = 30;
-        let init = gen::gnm(n, 60, 5);
-        let mut engine = ShardedEngineBuilder::new(n)
-            .shards(2)
-            .replicas(2)
-            .build_with(&init, move |_, es| Recording::build(n, es))
-            .unwrap();
-        assert!(!engine.replica_log_enabled());
-        let mut buf = DeltaBuf::new();
-        engine.drop_replica(1, 1).unwrap();
-        engine.apply_into(&UpdateBatch::delete_only(init[0..10].to_vec()), &mut buf);
-        engine.restore_replica(1, 1).unwrap();
-        let primary = engine.shard(1);
-        let restored = engine.replica(1, 1).unwrap();
-        // Same final edge set...
-        assert_eq!(shadow_of(restored), shadow_of(primary));
-        // ...but a one-shot build trace, not the primary's history.
-        assert_eq!(restored.trace.len(), 1);
     }
 }

@@ -1022,7 +1022,7 @@ pub enum RecoverError {
     /// Snapshot and log were cut from different engines.
     EngineMismatch { snapshot: u64, log: u64 },
     /// Snapshot and log disagree on the layout epoch (a reshard or
-    /// failover happened between them; their sequences describe
+    /// rebalance happened between them; their sequences describe
     /// different shard layouts).
     LayoutMismatch { snapshot: u64, log: u64 },
     /// `Batch` records are not contiguous past the snapshot — the log

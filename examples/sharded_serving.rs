@@ -1,12 +1,11 @@
 //! Scenario: an elastic serving tier. One process owns N spanner shards
-//! (with a hot standby replica per lane) behind a single `FullyDynamic`
-//! surface: update batches are routed by a consistent edge→shard hash,
-//! each lane × replica absorbs its sub-batch independently (in parallel
-//! on multicore hosts), and the merged delta feeds a `ShardedView` read
-//! mirror that answers point queries for concurrent readers at a stable
-//! epoch. Mid-run the tier is resharded 4 → 5 (only the re-routed edges
-//! move) and a lane's primary replica is failed over, without ever
-//! taking the engine offline.
+//! behind a single `FullyDynamic` surface: update batches are routed by
+//! a consistent edge→shard hash, each lane absorbs its sub-batch
+//! independently (in parallel on multicore hosts), and the merged delta
+//! feeds a `ShardedView` read mirror that answers point queries for
+//! concurrent readers at a stable epoch. Mid-run the tier is resharded
+//! 4 → 5 (only the re-routed edges move) without ever taking the engine
+//! offline.
 //!
 //! Run with: `cargo run --example sharded_serving --release`
 
@@ -19,18 +18,16 @@ fn main() {
     let shards = 4;
     let edges = gen::gnm_connected(n, 6 * n, 11);
     println!(
-        "serving tier: n = {n}, m = {}, {shards} spanner shards x 2 replicas (threads: {})",
+        "serving tier: n = {n}, m = {}, {shards} spanner shards (threads: {})",
         edges.len(),
         bds_par::threads_available()
     );
 
-    // Each lane holds two independently built Theorem 1.1 structures
-    // over the edges the consistent-hash partitioner routes to it; the
-    // factory seeds deterministically per lane, so the replicas of a
-    // lane are interchangeable.
+    // Each lane holds one Theorem 1.1 structure over the edges the
+    // consistent-hash partitioner routes to it; the factory seeds
+    // deterministically per lane.
     let mut engine = ShardedEngineBuilder::new(n)
         .shards(shards)
-        .replicas(2)
         .partitioner(JumpPartitioner::new())
         .build_with(&edges, move |i, shard_edges| {
             FullyDynamicSpanner::builder(n)
@@ -41,11 +38,9 @@ fn main() {
         .expect("valid configuration");
     for (i, load) in engine.lane_loads().iter().enumerate() {
         println!(
-            "  lane {i}: {} live edges, {} spanner edges, {}/{} replicas",
+            "  lane {i}: {} live edges, {} spanner edges",
             load.live_edges,
-            engine.shard(i).spanner_size(),
-            load.live_replicas,
-            load.total_replicas
+            engine.shard(i).spanner_size()
         );
     }
     assert_eq!(engine.num_live_edges(), edges.len());
@@ -116,30 +111,6 @@ fn main() {
     assert_eq!(view.num_shards(), 5);
     // A hash layout over a G(n, m) graph is already even.
     assert_eq!(engine.rebalance_if_skewed(), RebalanceOutcome::Balanced);
-
-    // Failover drill: drop lane 0's primary replica. Reads fail over to
-    // its standby, writes keep fanning to the survivors, and a restored
-    // replica is rebuilt from the lane's live edges.
-    engine.drop_replica(0, 0).expect("standby exists");
-    assert_eq!(engine.primary_of(0), 1);
-    view = ShardedView::of(&engine); // failover bumps the layout epoch
-    for _ in 0..5 {
-        let batch = stream.next_batch(40, 40);
-        engine.apply_into(&batch, &mut delta);
-        view.apply(&engine);
-    }
-    assert_eq!(engine.num_live_edges(), stream.live_edges().len());
-    engine.restore_replica(0, 0).expect("slot is free");
-    assert_eq!(engine.live_replicas(0), 2);
-    assert_eq!(
-        engine.replica(0, 0).unwrap().num_live_edges(),
-        engine.shard(0).num_live_edges()
-    );
-    println!(
-        "failover drill: primary of lane 0 -> replica {}, restored standby carries {} live edges",
-        engine.primary_of(0),
-        engine.shard(0).num_live_edges()
-    );
 
     // A traversal snapshot of the union, independent of later batches.
     let csr = view.to_csr();

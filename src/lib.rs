@@ -242,14 +242,15 @@
 //! assert!(recovered.engine.seq() >= 1);
 //! ```
 //!
-//! Two related robustness levers live next to the WAL. A
-//! [`FollowerView`] tails the log file to keep a read-only mirror on
-//! another thread (or process) trailing the primary. And
-//! [`ShardedEngineBuilder::replica_log`] makes
-//! [`ShardedEngine::restore_replica`] replay a dropped replica's exact
-//! input history, so a restored replica of a *randomized* structure
-//! (e.g. [`FullyDynamicSpanner`]) answers identically to its primary —
-//! rebuilds from the current edge set cannot promise that.
+//! The WAL is the stack's only redundancy: the engine keeps one copy
+//! of each shard. [`wal::recover`] rebuilds the shards from the
+//! snapshot through the same factory and replays the logged batches
+//! after it. Recovered from the initial snapshot, a *randomized*
+//! structure (e.g. [`FullyDynamicSpanner`]) sees the same input history,
+//! makes the same coin flips, and answers identically to the engine
+//! that crashed. A [`FollowerView`] tails the log file to keep a
+//! read-only mirror on another thread (or process) trailing the
+//! primary.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 

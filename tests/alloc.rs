@@ -148,83 +148,49 @@ fn delta_path_is_allocation_free_after_warmup() {
 
     // --- 4. ShardedEngine: the merged delta path — scatter into
     //        per-shard sub-batches, per-shard apply, merge_from + net
-    //        into the caller's buffer — is exactly zero once warm.
+    //        into the caller's buffer — is exactly zero once warm,
+    //        under both hash and consistent-hash routing.
     //        MirrorSpanner shards keep the per-shard apply itself
     //        allocation-free, so the assertion isolates the dispatcher;
     //        one pinned thread keeps the fan-out on this thread (scoped
     //        worker spawns are scheduling, not the delta path).
-    bds_par::run_with_threads(1, || {
-        let n = 96;
-        let init = gen::gnm(n, 384, 17);
-        let (core, churn) = init.split_at(256);
-        let mut engine = ShardedEngineBuilder::new(n)
-            .shards(4)
-            .build_with(core, move |_, shard_edges| {
-                MirrorSpanner::build(n, shard_edges)
-            })
-            .unwrap();
-        let mut buf = DeltaBuf::new();
-        let ins = UpdateBatch::insert_only(churn.to_vec());
-        let del = UpdateBatch::delete_only(churn.to_vec());
-        for _ in 0..2 {
-            engine.apply_into(&ins, &mut buf);
-            engine.apply_into(&del, &mut buf);
-        }
-        let before = allocs();
-        for _ in 0..10 {
-            engine.apply_into(&ins, &mut buf);
-            assert_eq!(buf.recourse(), churn.len());
-            engine.apply_into(&del, &mut buf);
-            assert_eq!(buf.recourse(), churn.len());
-        }
-        assert_eq!(
-            allocs() - before,
-            0,
-            "sharded merged-delta path allocated after warm-up"
-        );
-    });
+    fn assert_sharded_path_allocation_free<P: Partitioner + 'static>(part: P) {
+        bds_par::run_with_threads(1, || {
+            let n = 96;
+            let init = gen::gnm(n, 384, 17);
+            let (core, churn) = init.split_at(256);
+            let mut engine = ShardedEngineBuilder::new(n)
+                .shards(4)
+                .partitioner(part)
+                .build_with(core, move |_, shard_edges| {
+                    MirrorSpanner::build(n, shard_edges)
+                })
+                .unwrap();
+            let mut buf = DeltaBuf::new();
+            let ins = UpdateBatch::insert_only(churn.to_vec());
+            let del = UpdateBatch::delete_only(churn.to_vec());
+            for _ in 0..2 {
+                engine.apply_into(&ins, &mut buf);
+                engine.apply_into(&del, &mut buf);
+            }
+            let before = allocs();
+            for _ in 0..10 {
+                engine.apply_into(&ins, &mut buf);
+                assert_eq!(buf.recourse(), churn.len());
+                engine.apply_into(&del, &mut buf);
+                assert_eq!(buf.recourse(), churn.len());
+            }
+            assert_eq!(
+                allocs() - before,
+                0,
+                "sharded merged-delta path allocated after warm-up"
+            );
+        });
+    }
+    assert_sharded_path_allocation_free(HashPartitioner);
+    assert_sharded_path_allocation_free(JumpPartitioner::new());
 
-    // --- 5. Replicated ShardedEngine: the steady-state lane × replica
-    //        fan-out (every write applied to every live replica, engine
-    //        live-edge tracking, sequence stamping, primary-delta merge)
-    //        is also exactly zero once warm — replication multiplies the
-    //        work, not the allocations. One replica is dropped so the
-    //        dead-replica skip path is exercised too.
-    bds_par::run_with_threads(1, || {
-        let n = 96;
-        let init = gen::gnm(n, 384, 19);
-        let (core, churn) = init.split_at(256);
-        let mut engine = ShardedEngineBuilder::new(n)
-            .shards(2)
-            .replicas(3)
-            .partitioner(JumpPartitioner::new())
-            .build_with(core, move |_, shard_edges| {
-                MirrorSpanner::build(n, shard_edges)
-            })
-            .unwrap();
-        engine.drop_replica(0, 2).unwrap();
-        let mut buf = DeltaBuf::new();
-        let ins = UpdateBatch::insert_only(churn.to_vec());
-        let del = UpdateBatch::delete_only(churn.to_vec());
-        for _ in 0..2 {
-            engine.apply_into(&ins, &mut buf);
-            engine.apply_into(&del, &mut buf);
-        }
-        let before = allocs();
-        for _ in 0..10 {
-            engine.apply_into(&ins, &mut buf);
-            assert_eq!(buf.recourse(), churn.len());
-            engine.apply_into(&del, &mut buf);
-            assert_eq!(buf.recourse(), churn.len());
-        }
-        assert_eq!(
-            allocs() - before,
-            0,
-            "replicated sharded fan-out allocated after warm-up"
-        );
-    });
-
-    // --- 6. Bentley–Saxe wrappers under E₀-resident churn: with the
+    // --- 5. Bentley–Saxe wrappers under E₀-resident churn: with the
     //        position-indexed E₀ and reused per-batch scratch, a warm
     //        `apply_into` whose batches stay within E₀ (no slot rebuild,
     //        no slot deletion) is exactly zero — at 1 and at 2 threads.

@@ -292,16 +292,13 @@ fn conformance_sharded_engine() {
 }
 
 #[test]
-fn conformance_sharded_engine_replicated_jump() {
-    // The elastic configuration: consistent-hash routing and two
-    // replicas per lane must satisfy exactly the same contract as a
-    // single structure (writes fan to every replica, the served deltas
-    // follow the primaries).
+fn conformance_sharded_engine_jump() {
+    // The elastic configuration: consistent-hash routing must satisfy
+    // exactly the same contract as a single structure.
     let n = 60;
     let edges = gen::gnm_connected(n, 220, 103);
     let s = ShardedEngineBuilder::new(n)
         .shards(3)
-        .replicas(2)
         .partitioner(JumpPartitioner::new())
         .build_with(&edges, move |i, shard_edges| {
             FullyDynamicSpanner::builder(n)
@@ -310,7 +307,7 @@ fn conformance_sharded_engine_replicated_jump() {
                 .build(shard_edges)
         })
         .unwrap();
-    conform_fully_dynamic(s, &edges, 6, "ShardedEngine[3x2 jump]");
+    conform_fully_dynamic(s, &edges, 6, "ShardedEngine[3 jump]");
 }
 
 #[test]

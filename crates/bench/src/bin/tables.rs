@@ -5,7 +5,6 @@
 //! Usage: `cargo run -p bds_bench --bin tables --release -- [e1 e2 … | all]`
 
 use bds_baseline::{baswana_sen, RecomputeBaseline};
-use bds_bench::standard_workload;
 use bds_bundle::{BundleSpanner, MonotoneSpanner};
 use bds_contract::SparseSpanner;
 use bds_core::FullyDynamicSpanner;
@@ -14,10 +13,18 @@ use bds_graph::csr::edge_stretch;
 use bds_graph::cuts::sparsifier_error;
 use bds_graph::gen;
 use bds_graph::stream::UpdateStream;
-use bds_graph::types::V;
+use bds_graph::types::{Edge, V};
 use bds_sparsify::DecrementalSparsifier;
 use bds_ultra::{UltraParams, UltraSparseSpanner};
 use std::time::Instant;
+
+/// The standard workload of the experiment suite: a connected G(n, 8n)
+/// with a seeded update stream.
+fn standard_workload(n: usize, seed: u64) -> (Vec<Edge>, UpdateStream) {
+    let edges = gen::gnm_connected(n, 8 * n, seed);
+    let stream = UpdateStream::new(n, &edges, seed ^ 0x5eed_cafe);
+    (edges, stream)
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();

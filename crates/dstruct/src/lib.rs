@@ -15,8 +15,7 @@
 //!   substitute for the \[AABD19\] parallel batch-dynamic connectivity
 //!   used by Theorem 1.4. De-treaped in PR 8: tours live in block lists
 //!   (the `flat_list` idiom applied to sequences), every read query is
-//!   `&self`, and the last treap left the workspace (the frozen copy
-//!   lives in `bds_bench` as a benchmark baseline).
+//!   `&self`, and the last treap left the workspace.
 //! * [`edge_table`] — the flat batch-parallel edge table (\[GMV91\]-style)
 //!   behind every `(u, v) → u64` hot path: packed single-word keys,
 //!   power-of-two linear probing, O(1) tombstone removals purged by

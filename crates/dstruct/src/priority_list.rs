@@ -26,14 +26,11 @@
 //!   inner loop of every level-synchronous phase of Algorithm 1 and of
 //!   `DecrementalSpanner`, which is why the representation matters.
 //! * `Find`/`bound_rank` are one `partition_point` over the dense key
-//!   array plus a popcount prefix over the bitmap (the "small sparse
-//!   rank index": one `u64` word indexes 64 entries). Rank navigation is
-//!   therefore Θ(len/64) *sequential word* reads rather than the treap's
-//!   O(log len) *dependent node* reads — asymptotically worse, but the
-//!   words are prefetchable and 128× denser than treap nodes, so it wins
-//!   on every degree this workspace produces (`bench_pr2` measures both
-//!   ends; a popcount superblock index would restore O(log) if a
-//!   workload ever makes huge single lists rank-query-bound).
+//!   array plus a rank walk over the live bitmap: one O(log) Fenwick
+//!   walk over superblock counts, then at most 8 word popcounts (the
+//!   rank index of [`crate::flat_list`]). Those words are prefetchable
+//!   and 128× denser than treap nodes (`servebench` measures the list
+//!   inside the Theorem 1.1 engine as `engine.apply_us_per_update.t1`).
 //! * Removals — the only mutation the decremental structures perform in
 //!   their hot phase — clear a bit in O(log n); compaction runs when
 //!   dead entries outnumber live ones and is charged to those removals.

@@ -45,7 +45,8 @@
 //! next cycle, after queue collection: readers pinned to the old front
 //! get a whole collection interval to finish before the writer waits
 //! on their pins, which is why steady-state reader load adds only
-//! noise to writer batch latency (measured by `bench_pr6`; the wait is
+//! noise to writer batch latency (`servebench` measures it as
+//! `serve.pin_wait_ms` beside `serve.apply_ms_max`; the wait is
 //! accounted in [`ServeReport::pin_wait_ns`]).
 //!
 //! # Why `DeltaBuf::seq` makes the double-buffer safe
@@ -69,7 +70,8 @@
 //! updates/s is within [`KNEE_FRACTION`] of the best observed. That
 //! keeps latency low when throughput has plateaued instead of chasing
 //! the largest batch. The measured curve is returned in
-//! [`ServeReport::tune_curve`] (and plotted by `bench_pr6`).
+//! [`ServeReport::tune_curve`] (the `serving_pipeline` example prints
+//! it).
 
 use crate::api::{BatchDynamic, DeltaBuf, FullyDynamic};
 use crate::shard::{Partitioner, ShardedEngine, ShardedView};
@@ -484,8 +486,8 @@ pub struct ServeLoop<S: FullyDynamic + Send, P: Partitioner> {
 /// [`ServeLoopBuilder::durability`]).
 struct WalState {
     writer: WalWriter,
-    snapshot_path: Option<std::path::PathBuf>,
-    snapshot_every: u64,
+    /// Snapshot path and cadence (0 = initial snapshot only).
+    snapshot: Option<(std::path::PathBuf, u64)>,
     since_snapshot: u64,
     snapshots: u64,
     ns_total: u64,
@@ -559,7 +561,7 @@ impl<S: FullyDynamic + Send, P: Partitioner> ServeLoopBuilder<S, P> {
             Some(config) => {
                 // The initial snapshot anchors recovery at base_seq;
                 // the seed record anchors followers at the same point.
-                if let Some(path) = &config.snapshot_path {
+                if let Some((path, _)) = &config.snapshot {
                     Snapshot::of(&self.engine).write_to(path)?;
                 }
                 let mut writer = WalWriter::create(
@@ -574,8 +576,7 @@ impl<S: FullyDynamic + Send, P: Partitioner> ServeLoopBuilder<S, P> {
                 writer.sync()?;
                 Some(WalState {
                     writer,
-                    snapshot_path: config.snapshot_path,
-                    snapshot_every: config.snapshot_every,
+                    snapshot: config.snapshot,
                     since_snapshot: 0,
                     snapshots: 0,
                     ns_total: 0,
@@ -686,14 +687,9 @@ impl<S: FullyDynamic + Send, P: Partitioner> ServeLoop<S, P> {
                     .append_delta(&delta)
                     // bds:allow(no-unwrap): durability contract: never publish an unlogged view delta.
                     .expect("WAL delta append failed");
-                if w.snapshot_every > 0 {
+                if let Some((path, every @ 1..)) = &w.snapshot {
                     w.since_snapshot += 1;
-                    if w.since_snapshot >= w.snapshot_every {
-                        let path = w
-                            .snapshot_path
-                            .as_ref()
-                            // bds:allow(no-unwrap): configuration contradiction caught at first snapshot; crash beats silently skipping durability.
-                            .expect("snapshot_every > 0 requires a snapshot path");
+                    if w.since_snapshot >= *every {
                         Snapshot::of(&self.engine)
                             .write_to(path)
                             // bds:allow(no-unwrap): durability contract: a failed snapshot must not be mistaken for one.

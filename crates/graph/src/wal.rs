@@ -544,19 +544,27 @@ pub enum FsyncPolicy {
 /// Durability configuration for
 /// [`crate::serve::ServeLoopBuilder::durability`]: where the log lives,
 /// when it syncs, and how often a full snapshot is cut.
+///
+/// Built only through its methods, so a snapshot cadence always comes
+/// with the path it writes to:
+///
+/// ```compile_fail
+/// use bds_graph::wal::{FsyncPolicy, WalConfig};
+/// let _ = WalConfig {
+///     log_path: "spanner.wal".into(),
+///     fsync: FsyncPolicy::EveryBatch,
+///     snapshot_path: None,
+///     snapshot_every: 3,
+/// };
+/// ```
 #[derive(Debug, Clone)]
 pub struct WalConfig {
     /// Log file path (created/truncated at build).
-    pub log_path: PathBuf,
+    pub(crate) log_path: PathBuf,
     /// Sync policy for batch appends (default [`FsyncPolicy::EveryBatch`]).
-    pub fsync: FsyncPolicy,
-    /// Snapshot file path; required if `snapshot_every > 0`. The
-    /// initial snapshot is written here at build regardless, when set.
-    pub snapshot_path: Option<PathBuf>,
-    /// Cut a fresh snapshot every this many batches (0 = only the
-    /// initial one). Snapshots are written to a temp file and renamed
-    /// into place, so a crash mid-snapshot never destroys the old one.
-    pub snapshot_every: u64,
+    pub(crate) fsync: FsyncPolicy,
+    /// Snapshot file path and cadence; see [`WalConfig::snapshot`].
+    pub(crate) snapshot: Option<(PathBuf, u64)>,
 }
 
 impl WalConfig {
@@ -564,8 +572,7 @@ impl WalConfig {
         WalConfig {
             log_path: log_path.into(),
             fsync: FsyncPolicy::EveryBatch,
-            snapshot_path: None,
-            snapshot_every: 0,
+            snapshot: None,
         }
     }
 
@@ -574,9 +581,12 @@ impl WalConfig {
         self
     }
 
+    /// Write an initial snapshot to `path` at build, then cut a fresh
+    /// one every `every` batches (0 = only the initial one). Snapshots
+    /// are written to a temp file and renamed into place, so a crash
+    /// mid-snapshot never destroys the old one.
     pub fn snapshot(mut self, path: impl Into<PathBuf>, every: u64) -> Self {
-        self.snapshot_path = Some(path.into());
-        self.snapshot_every = every;
+        self.snapshot = Some((path.into(), every));
         self
     }
 }

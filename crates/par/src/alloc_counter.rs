@@ -1,8 +1,7 @@
-//! A counting [`GlobalAlloc`] wrapper over the system allocator, shared
-//! by the zero-alloc delta-path test (`tests/alloc.rs` in the facade)
-//! and the `bench_pr3` snapshot so both count with identical rules
-//! (every `alloc`/`alloc_zeroed`/`realloc` call is one event; `dealloc`
-//! is free).
+//! A counting [`GlobalAlloc`] wrapper over the system allocator, used by
+//! the zero-alloc delta-path test (`tests/alloc.rs` in the facade):
+//! every `alloc`/`alloc_zeroed`/`realloc` call is one event; `dealloc`
+//! is free.
 //!
 //! Each binary still declares its own registration:
 //!
@@ -11,18 +10,11 @@
 //! static GLOBAL: bds_par::CountingAlloc = bds_par::CountingAlloc;
 //! ```
 
-// bds:allow-file(facade-bypass): the counting allocator runs *inside*
-// alloc; its static must be const-initialized and its accesses must
-// never touch instrumented model state (which allocates), so it stays
-// on raw std atomics in every build.
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Counting allocator; register as `#[global_allocator]`.
 pub struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
 // Const-initialized and `Drop`-free, so accessing it inside the
 // allocator can never itself allocate or recurse.
@@ -30,28 +22,18 @@ thread_local! {
     static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Total allocation events since process start (monotone), all threads.
-pub fn allocations() -> u64 {
-    // ordering: monotone event counter read for diagnostics only; no
-    // other memory is published through it, so Relaxed suffices.
-    ALLOCS.load(Ordering::Relaxed)
-}
-
 /// Allocation events performed by the *calling thread* (monotone).
 ///
-/// Zero-alloc assertions should diff this counter, not
-/// [`allocations`]: the process-wide count picks up whatever other
-/// threads happen to allocate inside the measured window (the libtest
-/// harness thread is enough to trip an `== 0` assertion sporadically).
+/// Per-thread on purpose: a process-wide count would pick up whatever
+/// other threads happen to allocate inside the measured window (the
+/// libtest harness thread is enough to trip an `== 0` assertion
+/// sporadically).
 pub fn thread_allocations() -> u64 {
     THREAD_ALLOCS.with(|c| c.get())
 }
 
 #[inline]
 fn count() {
-    // ordering: pure event count; nothing synchronizes-with it, and
-    // fetch_add keeps it exact under contention either way.
-    ALLOCS.fetch_add(1, Ordering::Relaxed);
     THREAD_ALLOCS.with(|c| c.set(c.get() + 1));
 }
 

@@ -12,8 +12,13 @@
 //! a fixed query set + the full degree vector) for every prefix and
 //! require each pinned read to hit one of them, with per-reader
 //! publish sequence numbers monotone.
+//!
+//! The same prefix argument audits the spanner guarantee where it is
+//! served: behind the loop, Theorem 1.1 shards must publish only views
+//! that are a (2k − 1)-spanner of some prefix's live edge set.
 
 use batch_spanners::gen;
+use batch_spanners::graph::csr;
 use batch_spanners::prelude::*;
 use bds_dstruct::FxHashSet;
 use proptest::prelude::*;
@@ -36,6 +41,36 @@ fn apply_op(live: &mut FxHashSet<Edge>, deg: &mut [u32], e: Edge, insert: bool) 
     }
 }
 
+/// The raw triples as ops on `n` vertices (self-loops dropped).
+fn ops_on(n: usize, raw: &[(u64, u64, u64)]) -> Vec<(Edge, bool)> {
+    raw.iter()
+        .filter_map(|&(a, b, ins)| {
+            Edge::try_new((a % n as u64) as V, (b % n as u64) as V).map(|e| (e, ins == 1))
+        })
+        .collect()
+}
+
+/// Feed `ops` to the loop in order, then hang up.
+fn send_all(ingest: IngestHandle, ops: &[(Edge, bool)]) {
+    for &(e, ins) in ops {
+        if ins {
+            ingest.insert(e.u, e.v).unwrap();
+        } else {
+            ingest.delete(e.u, e.v).unwrap();
+        }
+    }
+}
+
+/// `view ⊆ live`, and `view` stretches no edge of `live` past
+/// 2k − 1 = 3 (every source sampled).
+fn is_3_spanner_of(n: usize, live: &FxHashSet<Edge>, view: &[Edge]) -> bool {
+    if !view.iter().all(|e| live.contains(e)) {
+        return false;
+    }
+    let live: Vec<Edge> = live.iter().copied().collect();
+    csr::edge_stretch(n, &live, view, n, 0) <= 3.0
+}
+
 /// The observable signature of a graph state for a fixed query set:
 /// membership bits then the whole degree vector.
 fn signature(queries: &[Edge], live: &FxHashSet<Edge>, deg: &[u32]) -> Vec<u32> {
@@ -55,13 +90,7 @@ proptest! {
     ) {
         let init = gen::gnm(n, 2 * n, seed);
         // Materialize the op sequence and every prefix's signature.
-        let ops: Vec<(Edge, bool)> = raw
-            .iter()
-            .filter_map(|&(a, b, ins)| {
-                Edge::try_new((a % n as u64) as V, (b % n as u64) as V)
-                    .map(|e| (e, ins == 1))
-            })
-            .collect();
+        let ops = ops_on(n, &raw);
         let queries: Vec<Edge> = init
             .iter()
             .copied()
@@ -139,14 +168,7 @@ proptest! {
             })
             .collect();
 
-        for &(e, ins) in &ops {
-            if ins {
-                ingest.insert(e.u, e.v).unwrap();
-            } else {
-                ingest.delete(e.u, e.v).unwrap();
-            }
-        }
-        drop(ingest);
+        send_all(ingest, &ops);
         let report = writer.join().unwrap();
         stop.store(true, SeqCst);
         let mut total_checks = 0;
@@ -168,5 +190,93 @@ proptest! {
         sig.extend_from_slice(&degs);
         prop_assert_eq!(sig, final_sig, "final view != sequential oracle");
         prop_assert_eq!(g.len(), live.len());
+    }
+
+    /// Theorem 1.1 shards (k = 2) behind the loop: every view a reader
+    /// pins during the flood must be a subgraph of the live set `L_c`
+    /// after some prefix c with stretch ≤ 3 on it. The true prefix
+    /// satisfies both, so a correct run always passes.
+    #[test]
+    fn pinned_spanner_views_are_3_spanners_of_a_prefix(
+        n in 24usize..48,
+        shards in 2usize..4,
+        seed in 0u64..1_000_000,
+        raw in prop::collection::vec((0u64..10_000, 0u64..10_000, 0u64..2), 60..220),
+    ) {
+        let init = gen::gnm(n, 2 * n, seed);
+        let ops = ops_on(n, &raw);
+        let mut live: FxHashSet<Edge> = init.iter().copied().collect();
+        let mut prefixes = vec![live.clone()];
+        for &(e, ins) in &ops {
+            if ins {
+                live.insert(e);
+            } else {
+                live.remove(&e);
+            }
+            prefixes.push(live.clone());
+        }
+
+        let engine = ShardedEngineBuilder::new(n)
+            .shards(shards)
+            .build_with(&init, move |i, es| {
+                FullyDynamicSpanner::builder(n)
+                    .stretch(2)
+                    .seed(seed ^ i as u64)
+                    .build(es)
+            })
+            .unwrap();
+        let (serve, ingest) = ServeLoopBuilder::new(engine)
+            .queue_capacity(24)
+            .batch_policy(BatchPolicy::Fixed(16))
+            .build();
+        let reads = serve.read_handle();
+        let writer = serve.spawn();
+
+        // Readers copy each newly published view they pin; the audit
+        // runs after the flood, off the serving threads.
+        let stop = Arc::new(AtomicBool::new(false));
+        let readers: Vec<_> = (0..2)
+            .map(|_| {
+                let r = reads.clone();
+                let stop = Arc::clone(&stop);
+                std::thread::spawn(move || {
+                    let (mut views, mut last_seq) = (Vec::new(), None);
+                    while !stop.load(SeqCst) {
+                        let g = r.pin();
+                        if last_seq != Some(g.seq()) {
+                            last_seq = Some(g.seq());
+                            views.push(g.edges());
+                        }
+                        drop(g);
+                        std::thread::yield_now();
+                    }
+                    views
+                })
+            })
+            .collect();
+
+        send_all(ingest, &ops);
+        let report = writer.join().unwrap();
+        stop.store(true, SeqCst);
+        let mut views: HashSet<Vec<Edge>> = HashSet::new();
+        for h in readers {
+            for mut v in h.join().unwrap() {
+                v.sort_unstable();
+                views.insert(v);
+            }
+        }
+        prop_assert!(!views.is_empty(), "readers never pinned a view");
+        for v in &views {
+            prop_assert!(
+                prefixes.iter().any(|l| is_3_spanner_of(n, l, v)),
+                "a pinned view of {} edges is a 3-spanner of no prefix",
+                v.len()
+            );
+        }
+        let g = reads.pin_at_least(report.final_seq);
+        prop_assert!(
+            is_3_spanner_of(n, &live, &g.edges()),
+            "final view is not a 3-spanner of the final live set"
+        );
     }
 }

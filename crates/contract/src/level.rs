@@ -3,12 +3,13 @@
 //! Vertices of V_{i+1} ⊆ V_i are sampled once at construction (the
 //! sampling is independent of the edges, so the oblivious-adversary
 //! argument composes across levels). Each vertex's adjacency lives in a
-//! treap ordered by `(unmark, rand, neighbor)` where `unmark = 1` iff the
-//! neighbor is *not* sampled and `rand` is a fresh 64-bit draw per entry:
-//! `Head(v)` is the sampled neighbor of minimum rand (the treap minimum,
-//! when marked), `v` itself if sampled, and ⊥ otherwise. A head changes
-//! only when the treap minimum changes — expected O(1) incident-edge work
-//! per update, exactly the paper's analysis.
+//! sorted `FlatList<(u8, u64, V), ()>` keyed `(unmark, rand, neighbor)`,
+//! where `unmark = 1` iff the neighbor is *not* sampled and `rand` is a
+//! fresh 64-bit draw per entry: `Head(v)` is the sampled neighbor of
+//! minimum rand (the list's first entry, when marked), `v` itself if
+//! sampled, and ⊥ otherwise. A head changes only when the first entry
+//! changes — expected O(1) incident-edge work per update, exactly the
+//! paper's analysis.
 //!
 //! The level exposes: the H_i edge set (edges with a ⊥ endpoint plus the
 //! (v, Head(v)) star edges) as a refcounted [`SpannerSet`]; the

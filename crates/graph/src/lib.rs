@@ -31,7 +31,6 @@ pub use serve::{
 };
 pub use shard::{
     HashPartitioner, MirrorSpanner, Partitioner, ShardedEngine, ShardedEngineBuilder, ShardedView,
-    VertexRangePartitioner,
 };
 pub use types::{Edge, SpannerDelta, UpdateBatch, V};
 pub use union_find::UnionFind;

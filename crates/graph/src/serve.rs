@@ -56,10 +56,9 @@
 //! engine is exactly one batch ahead of the view (same engine id, same
 //! layout epoch). The two slots alternate between one and two batches
 //! behind, and both catch-up paths replay the *same* stamped delta the
-//! engine still holds — so a skipped or double-applied batch, a view
-//! from a different engine, or a layout change without re-seed is an
-//! immediate panic on the writer thread, not silent drift served to
-//! readers.
+//! engine still holds — so a skipped or double-applied batch, or a view
+//! from a different engine or layout epoch, is an immediate panic on
+//! the writer thread, not silent drift served to readers.
 //!
 //! # Batch-size auto-tuning
 //!
@@ -266,12 +265,17 @@ impl IngestHandle {
 /// published view for the lifetime of the returned guard.
 pub struct ReadHandle<P: Partitioner> {
     pair: Arc<DoubleBuf<ShardedView<P>>>,
+    /// The loop's writer-death flag (see [`IngestHandle`]): lets
+    /// [`ReadHandle::pin_at_least`] stop waiting for a seq a dead
+    /// writer will never publish.
+    gone: Arc<AtomicBool>,
 }
 
 impl<P: Partitioner> Clone for ReadHandle<P> {
     fn clone(&self) -> Self {
         ReadHandle {
             pair: Arc::clone(&self.pair),
+            gone: Arc::clone(&self.gone),
         }
     }
 }
@@ -291,12 +295,28 @@ impl<P: Partitioner> ReadHandle<P> {
     /// Spin until the published view has mirrored at least `seq`
     /// engine batches, then return the pin. Handy for tests and for
     /// read-your-writes handoffs.
+    ///
+    /// Panics if the writer thread died before publishing `seq`: the
+    /// wait could never end. The message names the reached and the
+    /// requested seq.
     pub fn pin_at_least(&self, seq: u64) -> ReadGuard<P> {
         loop {
+            // ordering: SeqCst — pairs with the sentinel's SeqCst store
+            // in `WriterGoneSentinel::drop`, which follows the writer's
+            // last publish. Loading the flag *before* pinning means a
+            // pin taken after the flag was seen up already holds that
+            // final publish, so a short seq then is final too.
+            let gone = self.gone.load(SeqCst);
             let g = self.pin();
-            if g.with(|v| v.seq()) >= seq {
+            let reached = g.with(|v| v.seq());
+            if reached >= seq {
                 return g;
             }
+            assert!(
+                !gone,
+                "pin_at_least: the serve writer died at seq {reached}; \
+                 requested seq {seq} will never be published"
+            );
             drop(g);
             std::thread::yield_now();
         }
@@ -606,6 +626,7 @@ impl<S: FullyDynamic + Send, P: Partitioner> ServeLoop<S, P> {
     pub fn read_handle(&self) -> ReadHandle<P> {
         ReadHandle {
             pair: self.writer.reader(),
+            gone: Arc::clone(&self.gone),
         }
     }
 
@@ -1311,6 +1332,39 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "requested seq 18446744073709551615 will never be published")]
+    fn pin_at_least_panics_once_the_writer_is_gone() {
+        // Regression: `pin_at_least` spun on `pin()` forever once the
+        // writer had panicked, since the requested seq never arrives.
+        let n = 64;
+        let engine = ShardedEngineBuilder::new(n)
+            .shards(2)
+            .build_with(&[], move |_, es| {
+                Ok::<_, crate::api::ConfigError>(Poisoned {
+                    inner: MirrorSpanner::build(n, es)?,
+                    applies_left: std::cell::Cell::new(2),
+                })
+            })
+            .unwrap();
+        let (serve, ingest) = ServeLoopBuilder::new(engine)
+            .queue_capacity(4)
+            .batch_policy(BatchPolicy::Fixed(4))
+            .build();
+        let reads = serve.read_handle();
+        let writer = serve.spawn();
+        for i in 0..n as V - 1 {
+            if ingest.insert(i, i + 1).is_err() {
+                break;
+            }
+        }
+        drop(ingest);
+        assert!(writer.join().is_err(), "writer must have panicked");
+        // Published batches stay readable; only an unreachable seq panics.
+        assert!(reads.pin_at_least(1).seq() >= 1);
+        let _ = reads.pin_at_least(u64::MAX);
+    }
+
+    #[test]
     fn clean_receiver_drop_still_reports_closed() {
         // The gone flag is raised only by a *panicking* writer: a loop
         // torn down without running (receiver dropped) is `Closed`.
@@ -1443,8 +1497,8 @@ mod model_tests {
                     );
                 })
             };
-            // Batch 1 at layout 0, then a re-seed bumps the layout
-            // epoch — the writer-side sequence `ServeLoop` performs.
+            // Batch 1 at layout 0, then batch 2 at a bumped layout
+            // epoch: each published triple must be seen whole.
             w.with_back(|t| *t = (id, 0, 1));
             w.publish();
             w.with_back(|t| *t = (id, 1, 2));

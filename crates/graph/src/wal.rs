@@ -108,7 +108,7 @@
 //! ```
 
 use crate::api::{AuxTag, BatchDynamic, ConfigError, DeltaBuf, FullyDynamic, SpannerView};
-use crate::shard::{Partitioner, ShardedEngine, ShardedEngineBuilder};
+use crate::shard::{HashPartitioner, Partitioner, ShardedEngine, ShardedEngineBuilder};
 use crate::types::{Edge, UpdateBatch};
 use bds_dstruct::FxHashSet;
 use std::fs::{self, File, OpenOptions};
@@ -1031,9 +1031,9 @@ pub enum RecoverError {
     Corrupt { seq: u64, offset: u64 },
     /// Snapshot and log were cut from different engines.
     EngineMismatch { snapshot: u64, log: u64 },
-    /// Snapshot and log disagree on the layout epoch (a reshard or
-    /// rebalance happened between them; their sequences describe
-    /// different shard layouts).
+    /// Snapshot and log disagree on the layout epoch: they were not
+    /// cut from the same engine run, so their sequences need not
+    /// describe the same shard layout.
     LayoutMismatch { snapshot: u64, log: u64 },
     /// `Batch` records are not contiguous past the snapshot — the log
     /// is missing batches the snapshot does not cover.
@@ -1090,7 +1090,7 @@ impl From<ConfigError> for RecoverError {
 }
 
 /// A successfully recovered engine plus what recovery observed.
-pub struct Recovered<S, P: Partitioner> {
+pub struct Recovered<S, P: Partitioner = HashPartitioner> {
     /// The rebuilt engine, carrying the *logged* identity, layout
     /// epoch, and batch sequence — views and new logs bind to it as the
     /// same logical engine.
@@ -1117,20 +1117,21 @@ pub struct Corruption {
 
 /// Strict recovery: rebuild the engine from `snapshot_path` and replay
 /// the log's `Batch` records, failing on any mismatch, gap, or
-/// corruption (see [`RecoverError`]). The builder must describe the
-/// same configuration (vertex count, shards, partitioner, factory
-/// determinism) the crashed engine ran with — the shard count and
-/// partitioner are not serialized, so this is the caller's contract.
-pub fn recover<S, P, F, E>(
+/// corruption (see [`RecoverError`]). The vertex count is checked
+/// against the log; the shard count is not serialized, so the builder
+/// carrying the crashed engine's shard count — and a factory that is
+/// deterministic in `(lane, edges)` — is the caller's contract. Routing
+/// is always [`HashPartitioner`], so there is no partitioner to
+/// mismatch. The factory is called once per lane and then dropped.
+pub fn recover<S, F, E>(
     snapshot_path: &Path,
     log_path: &Path,
-    builder: ShardedEngineBuilder<P>,
+    builder: ShardedEngineBuilder,
     factory: F,
-) -> Result<Recovered<S, P>, RecoverError>
+) -> Result<Recovered<S>, RecoverError>
 where
     S: FullyDynamic + Send,
-    P: Partitioner,
-    F: FnMut(usize, &[Edge]) -> Result<S, E> + Send + 'static,
+    F: FnMut(usize, &[Edge]) -> Result<S, E>,
     ConfigError: From<E>,
 {
     let (recovered, corruption) = recover_inner(snapshot_path, log_path, builder, factory, true)?;
@@ -1145,33 +1146,33 @@ where
 /// replay at the last checksum-valid prefix and reports the
 /// [`Corruption`] instead of failing. Identity and contiguity
 /// violations (and unreadable header/snapshot) still fail — those mean
-/// the artifacts do not belong together, not that bytes rotted.
-pub fn recover_prefix<S, P, F, E>(
+/// the artifacts do not belong together, not that bytes rotted. The
+/// same caller contract applies: only the shard count (and factory
+/// determinism) is left to the builder.
+pub fn recover_prefix<S, F, E>(
     snapshot_path: &Path,
     log_path: &Path,
-    builder: ShardedEngineBuilder<P>,
+    builder: ShardedEngineBuilder,
     factory: F,
-) -> Result<(Recovered<S, P>, Option<Corruption>), RecoverError>
+) -> Result<(Recovered<S>, Option<Corruption>), RecoverError>
 where
     S: FullyDynamic + Send,
-    P: Partitioner,
-    F: FnMut(usize, &[Edge]) -> Result<S, E> + Send + 'static,
+    F: FnMut(usize, &[Edge]) -> Result<S, E>,
     ConfigError: From<E>,
 {
     recover_inner(snapshot_path, log_path, builder, factory, false)
 }
 
-fn recover_inner<S, P, F, E>(
+fn recover_inner<S, F, E>(
     snapshot_path: &Path,
     log_path: &Path,
-    builder: ShardedEngineBuilder<P>,
+    builder: ShardedEngineBuilder,
     factory: F,
     strict: bool,
-) -> Result<(Recovered<S, P>, Option<Corruption>), RecoverError>
+) -> Result<(Recovered<S>, Option<Corruption>), RecoverError>
 where
     S: FullyDynamic + Send,
-    P: Partitioner,
-    F: FnMut(usize, &[Edge]) -> Result<S, E> + Send + 'static,
+    F: FnMut(usize, &[Edge]) -> Result<S, E>,
     ConfigError: From<E>,
 {
     let snap = Snapshot::read_from(snapshot_path)?;

@@ -1,11 +1,10 @@
-//! Scenario: an elastic serving tier. One process owns N spanner shards
-//! behind a single `FullyDynamic` surface: update batches are routed by
-//! a consistent edge→shard hash, each lane absorbs its sub-batch
-//! independently (in parallel on multicore hosts), and the merged delta
-//! feeds a `ShardedView` read mirror that answers point queries for
-//! concurrent readers at a stable epoch. Mid-run the tier is resharded
-//! 4 → 5 (only the re-routed edges move) without ever taking the engine
-//! offline.
+//! Scenario: a fixed-layout serving tier. One process owns N spanner
+//! shards behind a single `FullyDynamic` surface: update batches are
+//! routed by the edge→shard hash chosen at build time, each lane absorbs
+//! its sub-batch independently (in parallel on multicore hosts), and the
+//! merged delta feeds a `ShardedView` read mirror that answers point
+//! queries for concurrent readers at a stable epoch. The union of the
+//! per-lane (2k−1)-spanners is a (2k−1)-spanner of the whole graph.
 //!
 //! Run with: `cargo run --example sharded_serving --release`
 
@@ -24,11 +23,10 @@ fn main() {
     );
 
     // Each lane holds one Theorem 1.1 structure over the edges the
-    // consistent-hash partitioner routes to it; the factory seeds
-    // deterministically per lane.
+    // hash partitioner routes to it; the factory seeds deterministically
+    // per lane.
     let mut engine = ShardedEngineBuilder::new(n)
         .shards(shards)
-        .partitioner(JumpPartitioner::new())
         .build_with(&edges, move |i, shard_edges| {
             FullyDynamicSpanner::builder(n)
                 .stretch(2)
@@ -86,31 +84,15 @@ fn main() {
         view.len()
     );
 
-    // Elastic scale-out: add a fifth shard in place. The jump
-    // partitioner re-routes only ~1/5 of the edges; everything else
-    // stays on its lane, and the maintained graph is untouched.
-    let m_before = engine.num_live_edges();
-    let stats = engine.reshard(5).expect("valid reshard");
-    assert_eq!(engine.num_shards(), 5);
-    assert_eq!(engine.num_live_edges(), m_before);
+    // Lane balance: a hash layout over a G(n, m) graph is even.
+    let loads = engine.lane_loads();
+    let max = loads.iter().map(|l| l.live_edges).max().unwrap_or(0);
+    let mean = engine.num_live_edges() as f64 / shards as f64;
     println!(
-        "reshard 4 -> 5: moved {} of {} edges ({:.1}%)",
-        stats.moved_edges,
-        stats.total_edges,
-        100.0 * stats.moved_edges as f64 / stats.total_edges as f64
+        "lane skew (max / mean live edges): {:.3}",
+        max as f64 / mean
     );
-    assert!(
-        stats.moved_edges * 2 < stats.total_edges,
-        "consistent hashing must move a minority of edges"
-    );
-    // The old view is bound to the old layout; rebuild and keep serving.
-    view = ShardedView::of(&engine);
-    let batch = stream.next_batch(40, 40);
-    engine.apply_into(&batch, &mut delta);
-    view.apply(&engine);
-    assert_eq!(view.num_shards(), 5);
-    // A hash layout over a G(n, m) graph is already even.
-    assert_eq!(engine.rebalance_if_skewed(), RebalanceOutcome::Balanced);
+    assert!((max as f64) < 1.5 * mean, "hash lanes must stay balanced");
 
     // A traversal snapshot of the union, independent of later batches.
     let csr = view.to_csr();

@@ -139,6 +139,11 @@
 //! union of per-shard spanning forests preserves the connectivity of
 //! the union graph (see the `social_components` example).
 //!
+//! A [`ShardedEngine`]'s layout is fixed when it is built: the shard
+//! count comes from [`ShardedEngineBuilder::shards`] and edges route by
+//! [`HashPartitioner`]. Any edge partition works, since the union of
+//! per-part (2k−1)-spanners is a (2k−1)-spanner of the whole graph.
+//!
 //! ## Serving concurrent traffic
 //!
 //! For sustained read/write load, wrap a [`ShardedEngine`] in a
@@ -284,9 +289,8 @@ pub mod prelude {
         ServeReport, TunePoint, Update,
     };
     pub use bds_graph::shard::{
-        HashPartitioner, JumpPartitioner, LaneLoad, MirrorSpanner, Partitioner, RebalanceOutcome,
-        ReshardStats, ShardedEngine, ShardedEngineBuilder, ShardedView, VertexRangePartitioner,
-        DEFAULT_SKEW_THRESHOLD,
+        HashPartitioner, LaneLoad, MirrorSpanner, Partitioner, ShardedEngine, ShardedEngineBuilder,
+        ShardedView,
     };
     pub use bds_graph::types::{Edge, SpannerDelta, UpdateBatch, V};
     pub use bds_graph::wal::{

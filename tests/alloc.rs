@@ -148,47 +148,41 @@ fn delta_path_is_allocation_free_after_warmup() {
 
     // --- 4. ShardedEngine: the merged delta path — scatter into
     //        per-shard sub-batches, per-shard apply, merge_from + net
-    //        into the caller's buffer — is exactly zero once warm,
-    //        under both hash and consistent-hash routing.
+    //        into the caller's buffer — is exactly zero once warm.
     //        MirrorSpanner shards keep the per-shard apply itself
     //        allocation-free, so the assertion isolates the dispatcher;
     //        one pinned thread keeps the fan-out on this thread (scoped
     //        worker spawns are scheduling, not the delta path).
-    fn assert_sharded_path_allocation_free<P: Partitioner + 'static>(part: P) {
-        bds_par::run_with_threads(1, || {
-            let n = 96;
-            let init = gen::gnm(n, 384, 17);
-            let (core, churn) = init.split_at(256);
-            let mut engine = ShardedEngineBuilder::new(n)
-                .shards(4)
-                .partitioner(part)
-                .build_with(core, move |_, shard_edges| {
-                    MirrorSpanner::build(n, shard_edges)
-                })
-                .unwrap();
-            let mut buf = DeltaBuf::new();
-            let ins = UpdateBatch::insert_only(churn.to_vec());
-            let del = UpdateBatch::delete_only(churn.to_vec());
-            for _ in 0..2 {
-                engine.apply_into(&ins, &mut buf);
-                engine.apply_into(&del, &mut buf);
-            }
-            let before = allocs();
-            for _ in 0..10 {
-                engine.apply_into(&ins, &mut buf);
-                assert_eq!(buf.recourse(), churn.len());
-                engine.apply_into(&del, &mut buf);
-                assert_eq!(buf.recourse(), churn.len());
-            }
-            assert_eq!(
-                allocs() - before,
-                0,
-                "sharded merged-delta path allocated after warm-up"
-            );
-        });
-    }
-    assert_sharded_path_allocation_free(HashPartitioner);
-    assert_sharded_path_allocation_free(JumpPartitioner::new());
+    bds_par::run_with_threads(1, || {
+        let n = 96;
+        let init = gen::gnm(n, 384, 17);
+        let (core, churn) = init.split_at(256);
+        let mut engine = ShardedEngineBuilder::new(n)
+            .shards(4)
+            .build_with(core, move |_, shard_edges| {
+                MirrorSpanner::build(n, shard_edges)
+            })
+            .unwrap();
+        let mut buf = DeltaBuf::new();
+        let ins = UpdateBatch::insert_only(churn.to_vec());
+        let del = UpdateBatch::delete_only(churn.to_vec());
+        for _ in 0..2 {
+            engine.apply_into(&ins, &mut buf);
+            engine.apply_into(&del, &mut buf);
+        }
+        let before = allocs();
+        for _ in 0..10 {
+            engine.apply_into(&ins, &mut buf);
+            assert_eq!(buf.recourse(), churn.len());
+            engine.apply_into(&del, &mut buf);
+            assert_eq!(buf.recourse(), churn.len());
+        }
+        assert_eq!(
+            allocs() - before,
+            0,
+            "sharded merged-delta path allocated after warm-up"
+        );
+    });
 
     // --- 5. Bentley–Saxe wrappers under E₀-resident churn: with the
     //        position-indexed E₀ and reused per-batch scratch, a warm

@@ -293,13 +293,13 @@ fn conformance_sharded_engine() {
 
 #[test]
 fn conformance_sharded_engine_jump() {
-    // The elastic configuration: consistent-hash routing must satisfy
-    // exactly the same contract as a single structure.
+    // An odd, non-power-of-two shard count on its own graph and seeds:
+    // hash routing over 3 lanes must satisfy exactly the same contract
+    // as a single structure.
     let n = 60;
     let edges = gen::gnm_connected(n, 220, 103);
     let s = ShardedEngineBuilder::new(n)
         .shards(3)
-        .partitioner(JumpPartitioner::new())
         .build_with(&edges, move |i, shard_edges| {
             FullyDynamicSpanner::builder(n)
                 .stretch(2)
@@ -307,7 +307,7 @@ fn conformance_sharded_engine_jump() {
                 .build(shard_edges)
         })
         .unwrap();
-    conform_fully_dynamic(s, &edges, 6, "ShardedEngine[3 jump]");
+    conform_fully_dynamic(s, &edges, 6, "ShardedEngine[3]");
 }
 
 #[test]

@@ -322,7 +322,8 @@ proptest! {
     /// maintained output a deterministic function of the live graph (a
     /// 1-spanner is the graph itself), so the union of shard outputs
     /// must equal the monolith's output exactly — any routing, merge, or
-    /// netting bug in the dispatcher shows up as a divergence.
+    /// netting bug in the dispatcher shows up as a divergence. A
+    /// `ShardedView` advanced once per batch must track the oracle too.
     #[test]
     fn sharded_engine_matches_monolith((n, edges, seed) in graph_strategy()) {
         use bds_graph::stream::UpdateStream;
@@ -349,6 +350,7 @@ proptest! {
             sharded.output_into(&mut buf);
             buf.apply_weighted_to(&mut shadow_sharded);
             prop_assert_eq!(&shadow_mono, &shadow_sharded, "initial outputs diverge");
+            let mut view = ShardedView::of(&sharded);
 
             // Identical schedules: twin streams with one seed.
             let mut stream_m = UpdateStream::new(n, &edges, seed ^ 0xbeef);
@@ -375,56 +377,65 @@ proptest! {
                     "round {}: live-edge counts diverge",
                     round
                 );
+                view.apply(&sharded);
+                prop_assert_eq!(view.len(), shadow_mono.len(), "round {}: view size", round);
+                for (&e, _) in shadow_mono.iter().take(20) {
+                    prop_assert!(view.contains(e), "round {}: view missing {:?}", round, e);
+                }
             }
         }
     }
 
-    /// Elastic equivalence: a sharded engine driven through a random
-    /// schedule with `reshard` transitions (k ∈ {1, 2, 3, 7}) and a
-    /// rebalance attempt interleaved mid-schedule materializes the same
-    /// edge set as the monolith oracle after every round (stretch 1
-    /// makes the output a deterministic function of the live graph, so
-    /// resharded lanes must agree exactly). The read mirror is rebuilt
-    /// after every layout change — exactly what the sequence / layout
-    /// discipline enforces — and must track the oracle too.
+    /// Layout changes by rebuild: the shard count is fixed per engine,
+    /// so a sharded engine driven through a random schedule is rebuilt
+    /// from its live input edges at k ∈ {3, 7, 1} mid-schedule, and must
+    /// materialize the same edge set as the monolith oracle after every
+    /// round (stretch 1 makes the output a deterministic function of the
+    /// live graph). The read mirror is re-bound to each rebuilt engine
+    /// with `reseed`, advanced with `apply` otherwise, and must track
+    /// the oracle too.
     #[test]
     fn elastic_sharded_engine_matches_monolith((n, edges, seed) in graph_strategy()) {
         use bds_graph::stream::UpdateStream;
+        let build = |shards: usize, edges: &[Edge]| {
+            ShardedEngineBuilder::new(n)
+                .shards(shards)
+                .build_with(edges, move |i, shard_edges| {
+                    FullyDynamicSpanner::builder(n)
+                        .stretch(1)
+                        .seed(0xca11 ^ i as u64)
+                        .build(shard_edges)
+                })
+                .unwrap()
+        };
         let mut mono = FullyDynamicSpanner::builder(n)
             .stretch(1)
             .seed(seed ^ 0x51ed)
             .build(&edges)
             .unwrap();
-        let mut sharded = ShardedEngineBuilder::new(n)
-            .shards(2)
-            .partitioner(JumpPartitioner::new())
-            .build_with(&edges, move |i, shard_edges| {
-                FullyDynamicSpanner::builder(n)
-                    .stretch(1)
-                    .seed(0xca11 ^ i as u64)
-                    .build(shard_edges)
-            })
-            .unwrap();
+        let mut sharded = build(2, &edges);
         let mut buf = DeltaBuf::new();
         let mut shadow_mono: FxHashMap<Edge, u64> = Default::default();
         mono.output_into(&mut buf);
         buf.apply_weighted_to(&mut shadow_mono);
         let mut view = ShardedView::of(&sharded);
-        let mut view_layout = sharded.layout_epoch();
 
         let mut stream_m = UpdateStream::new(n, &edges, seed ^ 0xe1a5);
         let mut stream_s = UpdateStream::new(n, &edges, seed ^ 0xe1a5);
         for round in 0..10 {
-            // Layout events between batches.
-            match round {
-                2 => {
-                    let stats = sharded.reshard(3).unwrap();
-                    prop_assert!(stats.moved_edges <= stats.total_edges);
-                }
-                6 => { sharded.reshard(7).unwrap(); }
-                7 => { let _ = sharded.rebalance_if_skewed(); }
-                8 => { sharded.reshard(1).unwrap(); }
-                _ => {}
+            // Layout events between batches: rebuild at a new count.
+            let shards = match round {
+                2 => Some(3),
+                6 => Some(7),
+                8 => Some(1),
+                _ => None,
+            };
+            if let Some(k) = shards {
+                let live: Vec<Edge> = sharded.live_input_edges().collect();
+                prop_assert_eq!(live.len(), mono.num_live_edges());
+                sharded = build(k, &live);
+                prop_assert_eq!(sharded.num_shards(), k);
+                view.reseed(&sharded, &mut buf);
             }
             let bm = stream_m.next_batch(6, 5);
             let bs = stream_s.next_batch(6, 5);
@@ -440,7 +451,7 @@ proptest! {
             prop_assert_eq!(
                 &shadow_mono,
                 &shadow_sharded,
-                "round {}: elastic sharded output diverged from monolith",
+                "round {}: rebuilt sharded output diverged from monolith",
                 round
             );
             prop_assert_eq!(
@@ -449,14 +460,8 @@ proptest! {
                 "round {}: live-edge counts diverge",
                 round
             );
-            // Mirror maintenance: re-seed after layout changes, apply
-            // otherwise — and it must always match the oracle.
-            if sharded.layout_epoch() != view_layout {
-                view = ShardedView::of(&sharded);
-                view_layout = sharded.layout_epoch();
-            } else {
-                view.apply(&sharded);
-            }
+            view.apply(&sharded);
+            prop_assert_eq!(view.num_shards(), sharded.num_shards());
             prop_assert_eq!(view.len(), shadow_mono.len(), "round {}: view size", round);
             for (&e, _) in shadow_mono.iter().take(20) {
                 prop_assert!(view.contains(e), "round {}: view missing {:?}", round, e);

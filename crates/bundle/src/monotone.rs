@@ -16,7 +16,6 @@ use bds_graph::api::{
     ConfigError, Decremental, DeltaBuf,
 };
 use bds_graph::types::{Edge, SpannerDelta, V};
-use rayon::prelude::*;
 
 /// Default β: empirically ≤ ½ edge-cut probability (experiment E11 of
 /// `bds_bench`'s `tables` binary sweeps this and prints the measured
@@ -105,19 +104,17 @@ impl MonotoneSpanner {
     /// bound), shift rate `beta`.
     pub fn with_params(n: usize, edges: &[Edge], copies: usize, beta: f64, seed: u64) -> Self {
         assert!(n >= 1 && copies >= 1);
-        let instances: Vec<Instance> = (0..copies)
-            .into_par_iter()
-            .map(|i| {
-                let sg = ShiftedGraph::sample(n, beta, None, seed ^ (0xabcd + i as u64 * 7919));
-                let es = EsTree::new(
-                    sg.total_vertices(),
-                    sg.source(),
-                    sg.t,
-                    &sg.static_edges(edges),
-                );
-                Instance { sg, es }
-            })
-            .collect();
+        let ids: Vec<u64> = (0..copies as u64).collect();
+        let instances: Vec<Instance> = bds_par::par_map_grain(&ids, 1, |&i| {
+            let sg = ShiftedGraph::sample(n, beta, None, seed ^ (0xabcd + i * 7919));
+            let es = EsTree::new(
+                sg.total_vertices(),
+                sg.source(),
+                sg.t,
+                &sg.static_edges(edges),
+            );
+            Instance { sg, es }
+        });
         let mut spanner = SpannerSet::new();
         for inst in &instances {
             for e in inst.forest_edges(n) {
@@ -187,27 +184,24 @@ impl MonotoneSpanner {
             .iter()
             .flat_map(|e| [(e.u, e.v), (e.v, e.u)])
             .collect();
-        let change_sets: Vec<Vec<(Edge, bool)>> = self
-            .instances
-            .par_iter_mut()
-            .map(|inst| {
-                let (changes, _stats) = inst.es.delete_batch(&dirs);
-                let mut out = Vec::with_capacity(changes.len() * 2);
-                for c in changes {
-                    if c.vertex as usize >= n {
-                        continue; // p-node bookkeeping (never happens)
-                    }
-                    if c.old_parent != NO_VERTEX && !inst.sg.is_p(c.old_parent) {
-                        out.push((Edge::new(c.old_parent, c.vertex), false));
-                    }
-                    if c.new_parent != NO_VERTEX && !inst.sg.is_p(c.new_parent) {
-                        out.push((Edge::new(c.new_parent, c.vertex), true));
-                    }
+        let mut change_sets: Vec<(&mut Instance, Vec<(Edge, bool)>)> =
+            self.instances.iter_mut().map(|i| (i, Vec::new())).collect();
+        bds_par::par_for_each_task(&mut change_sets, |(inst, out)| {
+            let (changes, _stats) = inst.es.delete_batch(&dirs);
+            out.reserve(changes.len() * 2);
+            for c in changes {
+                if c.vertex as usize >= n {
+                    continue; // p-node bookkeeping (never happens)
                 }
-                out
-            })
-            .collect();
-        for set in change_sets {
+                if c.old_parent != NO_VERTEX && !inst.sg.is_p(c.old_parent) {
+                    out.push((Edge::new(c.old_parent, c.vertex), false));
+                }
+                if c.new_parent != NO_VERTEX && !inst.sg.is_p(c.new_parent) {
+                    out.push((Edge::new(c.new_parent, c.vertex), true));
+                }
+            }
+        });
+        for (_, set) in change_sets {
             for (e, add) in set {
                 if add {
                     self.spanner.add(e);

@@ -26,7 +26,6 @@ use bds_graph::api::{
     validate_edges, BatchDynamic, BatchStats, ConfigError, Decremental, DeltaBuf,
 };
 use bds_graph::types::{Edge, SpannerDelta, V};
-use rayon::prelude::*;
 use std::cmp::Reverse;
 use std::collections::BTreeSet;
 
@@ -59,6 +58,8 @@ pub struct DecrementalSpanner {
     /// scratch: per-vertex slot index, valid while `mark[v] == epoch`
     slot: Vec<u32>,
     epoch: u32,
+    /// Rescan levels at least this large scan in parallel.
+    par_rescan_min: usize,
     stats: BatchStats,
 }
 
@@ -255,6 +256,7 @@ impl DecrementalSpanner {
             mark: vec![0; total],
             slot: vec![0; total],
             epoch: 0,
+            par_rescan_min: 64,
             stats: BatchStats::default(),
         };
 
@@ -463,33 +465,24 @@ impl DecrementalSpanner {
                 let dist = &self.dist;
                 let ins = &self.ins;
                 let want = i - 1;
-                let scan_results: Vec<(V, Option<(u64, V)>)> = if level.len() >= 64 {
-                    level
-                        .par_iter()
-                        .map(|&(v, ceil)| {
-                            let resume = ins[v as usize].bound_rank(ceil);
-                            let mut w = 0u64;
-                            let hit = ins[v as usize]
-                                .next_with(resume, |_, rec| dist[rec.src as usize] == want, &mut w)
-                                .map(|(_, p, rec)| (p, rec.src));
-                            (v, hit)
-                        })
-                        .collect()
-                } else {
-                    let mut out = Vec::with_capacity(level.len());
+                // Each scan returns its step count with its result, so
+                // both branches tally the same work.
+                let scan = |&(v, ceil): &(V, u64)| {
+                    let resume = ins[v as usize].bound_rank(ceil);
                     let mut w = 0u64;
-                    for &(v, ceil) in &level {
-                        let resume = ins[v as usize].bound_rank(ceil);
-                        let hit = ins[v as usize]
-                            .next_with(resume, |_, rec| dist[rec.src as usize] == want, &mut w)
-                            .map(|(_, p, rec)| (p, rec.src));
-                        out.push((v, hit));
-                    }
-                    self.stats.scan_steps += w;
-                    out
+                    let hit = ins[v as usize]
+                        .next_with(resume, |_, rec| dist[rec.src as usize] == want, &mut w)
+                        .map(|(_, p, rec)| (p, rec.src));
+                    (v, hit, w)
                 };
+                let scan_results = if level.len() >= self.par_rescan_min {
+                    bds_par::par_map_grain(&level, 16, scan)
+                } else {
+                    level.iter().map(scan).collect::<Vec<_>>()
+                };
+                self.stats.scan_steps += scan_results.iter().map(|r| r.2).sum::<u64>();
 
-                for (v, hit) in scan_results {
+                for (v, hit, _) in scan_results {
                     match hit {
                         Some((p, src)) => {
                             let old = self.parent[v as usize];
@@ -806,6 +799,36 @@ mod tests {
                 "stretch {st} exceeds {} (n={n}, k={k})",
                 2 * k - 1
             );
+        }
+    }
+
+    #[test]
+    fn parallel_rescans_count_their_scan_steps() {
+        // Eight hubs share 300 leaves. With this seed hub 0 starts a
+        // level early and parents most leaves, so deleting its edges
+        // puts them all into one rescan level — far more than
+        // `par_rescan_min`. The parallel branch must tally the same
+        // scan work as the sequential one.
+        let (hubs, n, seed) = (8u32, 308usize, 9u64);
+        let edges: Vec<Edge> = (hubs..n as u32)
+            .flat_map(|v| (0..hubs).map(move |h| Edge::new(h, v)))
+            .collect();
+        let batch: Vec<Edge> = (hubs..n as u32).map(|v| Edge::new(0, v)).collect();
+        for threads in [1, 2] {
+            let steps = |par_rescan_min: usize| {
+                bds_par::run_with_threads(threads, || {
+                    let mut s = DecrementalSpanner::new(n, 2, &edges, seed);
+                    let orphans = s.parent.iter().filter(|&&p| p == 0).count();
+                    assert!(orphans >= 64, "hub 0 parents only {orphans} leaves");
+                    s.par_rescan_min = par_rescan_min;
+                    s.delete_batch(&batch);
+                    s.validate();
+                    s.stats().scan_steps
+                })
+            };
+            let sequential = steps(usize::MAX);
+            assert!(sequential > 0);
+            assert_eq!(steps(64), sequential, "threads = {threads}");
         }
     }
 

@@ -32,7 +32,6 @@
 //! indices, refcounts, or `f64::to_bits` weights in it directly.
 
 use bds_par::GRAIN;
-use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 
 use crate::fx::mix64;
@@ -306,7 +305,7 @@ impl EdgeTable {
     /// [`GRAIN`]). Callers guarantee the load factor stays below 1.
     fn scatter(&mut self, packed: &[(u64, u64)]) {
         let mask = self.mask;
-        if packed.len() < GRAIN || rayon::current_num_threads() <= 1 {
+        if packed.len() < GRAIN || bds_par::threads_available() <= 1 {
             // Double-buffered write-flavored pipeline: hash + prefetch
             // block k + 1 while block k's free-slot writes execute.
             let mut buf_a = [(0u64, 0usize, 0u8, 0u64); PREFETCH_DEPTH];
@@ -346,10 +345,10 @@ impl EdgeTable {
         let (words, tag_bytes) = atomic_view(&mut self.slots, &mut self.tags);
         let chunk = packed
             .len()
-            .div_ceil(rayon::current_num_threads() * 2)
+            .div_ceil(bds_par::threads_available() * 2)
             .max(1);
-        packed.par_chunks(chunk).for_each(|c| {
-            for &(key, val) in c {
+        bds_par::par_for(0..packed.len(), chunk, |r| {
+            for &(key, val) in &packed[r] {
                 let (mut i, tag) = hash_pair(key, mask);
                 loop {
                     // Slot i's key word sits at index 2i (repr(C) pairs).
@@ -357,7 +356,7 @@ impl EdgeTable {
                     // published after the claim and only read afterwards.
                     // ordering: Relaxed CAS/stores — claiming a slot
                     // only races with other builders for *distinct*
-                    // keys; readers start after the rayon join
+                    // keys; readers start after the pool's join
                     // barrier, which is the happens-before edge.
                     match words[2 * i].compare_exchange(
                         EMPTY,
@@ -479,23 +478,22 @@ impl EdgeTable {
     /// loop — or a tuple-keyed hash map — pays serially; the dense tag
     /// array resolves most absent keys without touching the slots.
     pub fn get_batch(&self, queries: &[(u32, u32)]) -> Vec<Option<u64>> {
-        if queries.len() < GRAIN || rayon::current_num_threads() <= 1 {
+        if queries.len() < GRAIN || bds_par::threads_available() <= 1 {
             let mut out = Vec::with_capacity(queries.len());
             self.get_pipelined(queries, &mut out);
             return out;
         }
         let chunk = queries
             .len()
-            .div_ceil(rayon::current_num_threads() * 2)
+            .div_ceil(bds_par::threads_available() * 2)
             .max(1);
-        queries
-            .par_chunks(chunk)
-            .flat_map_iter(|c| {
-                let mut out = Vec::with_capacity(c.len());
-                self.get_pipelined(c, &mut out);
-                out
-            })
-            .collect()
+        let blocks: Vec<&[(u32, u32)]> = queries.chunks(chunk).collect();
+        bds_par::par_map_grain(&blocks, 1, |c| {
+            let mut out = Vec::with_capacity(c.len());
+            self.get_pipelined(c, &mut out);
+            out
+        })
+        .concat()
     }
 
     /// Hash a query block into `buf` and prefetch every home slot.
@@ -582,7 +580,7 @@ impl EdgeTable {
     /// across the batch. Small batches keep the tight sequential loop
     /// (each removal an O(1) tombstone).
     pub fn remove_batch(&mut self, queries: &[(u32, u32)]) -> usize {
-        let nparts = rayon::current_num_threads();
+        let nparts = bds_par::threads_available();
         if queries.len() < GRAIN || nparts <= 1 || self.slots.len() < nparts * 64 {
             let mut removed = 0;
             for &(u, v) in queries {
@@ -607,6 +605,8 @@ impl EdgeTable {
             slots: &'a mut [Slot],
             tags: &'a mut [u8],
             queries: &'a [(usize, u64)],
+            removed: usize,
+            deferred: Vec<u64>,
         }
         let mut regions: Vec<Region> = Vec::with_capacity(nparts);
         {
@@ -626,6 +626,8 @@ impl EdgeTable {
                     slots: s,
                     tags: t,
                     queries: q,
+                    removed: 0,
+                    deferred: Vec::new(),
                 });
                 slots_rest = srest;
                 tags_rest = trest;
@@ -633,56 +635,40 @@ impl EdgeTable {
                 lo = hi;
             }
         }
-        // (removed, deferred keys) per region.
-        let outcomes: Vec<(usize, Vec<u64>)> = regions
-            .into_par_iter()
-            .map(|region| {
-                let Region {
-                    lo,
-                    hi,
-                    slots,
-                    tags,
-                    queries,
-                } = region;
-                let mut removed = 0usize;
-                let mut deferred: Vec<u64> = Vec::new();
-                for &(home, key) in queries {
-                    let mut i = home;
-                    loop {
-                        if i >= hi {
-                            // Chain leaves the region (possibly wrapping):
-                            // leave it to the sequential fix-up.
-                            deferred.push(key);
-                            break;
-                        }
-                        let s = slots[i - lo];
-                        if s.key == key {
-                            slots[i - lo].key = TOMB_KEY;
-                            tags[i - lo] = TAG_TOMB;
-                            removed += 1;
-                            break;
-                        }
-                        if s.key == EMPTY {
-                            break; // definitively absent
-                        }
-                        i += 1;
+        // Each region tallies its removals and defers boundary chains.
+        bds_par::par_for_each_task(&mut regions, |region| {
+            let (lo, hi) = (region.lo, region.hi);
+            for &(home, key) in region.queries {
+                let mut i = home;
+                loop {
+                    if i >= hi {
+                        // Chain leaves the region (possibly wrapping):
+                        // leave it to the sequential fix-up.
+                        region.deferred.push(key);
+                        break;
                     }
+                    let s = region.slots[i - lo];
+                    if s.key == key {
+                        region.slots[i - lo].key = TOMB_KEY;
+                        region.tags[i - lo] = TAG_TOMB;
+                        region.removed += 1;
+                        break;
+                    }
+                    if s.key == EMPTY {
+                        break; // definitively absent
+                    }
+                    i += 1;
                 }
-                (removed, deferred)
-            })
-            .collect();
-        let mut removed = 0usize;
-        for (r, _) in &outcomes {
-            removed += r;
-        }
+            }
+        });
+        let mut removed: usize = regions.iter().map(|r| r.removed).sum();
+        let deferred: Vec<u64> = regions.into_iter().flat_map(|r| r.deferred).collect();
         self.len -= removed;
         self.dead += removed;
         // Sequential boundary fix-up: the few chains that crossed a
         // region edge, with full wrap-around probing.
-        for (_, deferred) in outcomes {
-            for key in deferred {
-                removed += usize::from(self.remove_key(key).is_some());
-            }
+        for key in deferred {
+            removed += usize::from(self.remove_key(key).is_some());
         }
         if self.dead * 4 >= self.slots.len() {
             self.rebuild(capacity_for(self.len));

@@ -18,7 +18,6 @@ use bds_dstruct::{EdgeTable, PriorityList};
 use bds_graph::api::{BatchDynamic, BatchStats, ConfigError, Decremental, DeltaBuf};
 use bds_graph::types::{Edge, V};
 use bds_par::{WorkCounter, GRAIN};
-use rayon::prelude::*;
 use std::cmp::Reverse;
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -211,7 +210,7 @@ impl EsTree {
         let mut d = 0;
         while !frontier.is_empty() && d < l_max {
             d += 1;
-            frontier = if frontier.len() < GRAIN || rayon::current_num_threads() <= 1 {
+            frontier = if frontier.len() < GRAIN || bds_par::threads_available() <= 1 {
                 let mut next = Vec::new();
                 for &u in &frontier {
                     for &w in &outs[u as usize] {
@@ -224,30 +223,22 @@ impl EsTree {
                 next
             } else {
                 let adist = atomic_u32_view(&mut dist);
-                frontier
-                    .par_iter()
-                    .flat_map_iter(|&u| {
-                        let mut local = Vec::new();
-                        for &w in &outs[u as usize] {
-                            if adist[w as usize]
-                                // ordering: Relaxed — first-writer-wins
-                                // distance claim; levels are separated
-                                // by a rayon join barrier, so no data
-                                // is published through this cell.
-                                .compare_exchange(
-                                    UNREACHED,
-                                    d,
-                                    Ordering::Relaxed,
-                                    Ordering::Relaxed,
-                                )
-                                .is_ok()
-                            {
-                                local.push(w);
-                            }
+                bds_par::par_flat_map(&frontier, |&u| {
+                    let mut local = Vec::new();
+                    for &w in &outs[u as usize] {
+                        if adist[w as usize]
+                            // ordering: Relaxed — first-writer-wins
+                            // distance claim; levels are separated by
+                            // the pool's join barrier, so no data is
+                            // published through this cell.
+                            .compare_exchange(UNREACHED, d, Ordering::Relaxed, Ordering::Relaxed)
+                            .is_ok()
+                        {
+                            local.push(w);
                         }
-                        local
-                    })
-                    .collect()
+                    }
+                    local
+                })
             };
         }
 
@@ -272,18 +263,17 @@ impl EsTree {
         let dist = &tree.dist;
         // (vertex, matched (rank, priority, src)) per reachable vertex
         type ParentHit = (V, Option<(usize, u64, V)>);
-        let found: Vec<ParentHit> = (0..n as V)
-            .into_par_iter()
-            .filter(|&v| dist[v as usize] >= 1 && dist[v as usize] != UNREACHED)
-            .map(|v| {
-                let want = dist[v as usize] - 1;
-                let mut w = 0u64;
-                let hit = tree.ins[v as usize]
-                    .next_with(0, |_, rec| dist[rec.src as usize] == want, &mut w)
-                    .map(|(r, p, rec)| (r, p, rec.src));
-                (v, hit)
-            })
-            .collect();
+        let found: Vec<ParentHit> = bds_par::par_filter_map(&ids, |&v| {
+            if dist[v as usize] < 1 || dist[v as usize] == UNREACHED {
+                return None;
+            }
+            let want = dist[v as usize] - 1;
+            let mut w = 0u64;
+            let hit = tree.ins[v as usize]
+                .next_with(0, |_, rec| dist[rec.src as usize] == want, &mut w)
+                .map(|(r, p, rec)| (r, p, rec.src));
+            Some((v, hit))
+        });
         for (v, hit) in found {
             // bds:allow(no-unwrap): structure invariant named in the message; corrupt state must fail fast, not propagate.
             let (_, p, src) = hit.expect("reachable vertex must have a parent");
@@ -446,17 +436,14 @@ impl EsTree {
             let ins = &self.ins;
             let want = i - 1;
             let results: Vec<(V, Option<(u64, V)>)> = if level.len() >= 64 {
-                level
-                    .par_iter()
-                    .map(|&(v, resume)| {
-                        let mut w = 0u64;
-                        let hit = ins[v as usize]
-                            .next_with(resume, |_, rec| dist[rec.src as usize] == want, &mut w)
-                            .map(|(_, p, rec)| (p, rec.src));
-                        self.scan_work.add(w);
-                        (v, hit)
-                    })
-                    .collect()
+                bds_par::par_map_grain(&level, 16, |&(v, resume)| {
+                    let mut w = 0u64;
+                    let hit = ins[v as usize]
+                        .next_with(resume, |_, rec| dist[rec.src as usize] == want, &mut w)
+                        .map(|(_, p, rec)| (p, rec.src));
+                    self.scan_work.add(w);
+                    (v, hit)
+                })
             } else {
                 let mut out = Vec::with_capacity(level.len());
                 let mut w = 0u64;

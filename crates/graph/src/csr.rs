@@ -3,7 +3,6 @@
 
 use crate::types::{Edge, V};
 use bds_par::prefix_sums;
-use rayon::prelude::*;
 
 /// Distance sentinel for "unreached".
 pub const UNREACHED: u32 = u32::MAX;
@@ -100,7 +99,7 @@ impl CsrGraph {
         // the model-check tier (facade-bypass lint enforces this).
         use bds_par::sync::atomic::{AtomicU32, Ordering};
         let dist: Vec<AtomicU32> = (0..self.n).map(|_| AtomicU32::new(UNREACHED)).collect();
-        // ordering: Relaxed throughout the BFS — the per-level rayon
+        // ordering: Relaxed throughout the BFS — the per-level pool
         // join barrier is the happens-before edge between frontier
         // expansions; the atomics only arbitrate first-writer-wins.
         dist[src as usize].store(0, Ordering::Relaxed);
@@ -108,22 +107,19 @@ impl CsrGraph {
         let mut d = 0;
         while !frontier.is_empty() && d < max_dist {
             d += 1;
-            frontier = frontier
-                .par_iter()
-                .flat_map_iter(|&u| {
-                    let mut local = Vec::new();
-                    for &w in self.neighbors(u) {
-                        if dist[w as usize]
-                            // ordering: Relaxed — see BFS note above.
-                            .compare_exchange(UNREACHED, d, Ordering::Relaxed, Ordering::Relaxed)
-                            .is_ok()
-                        {
-                            local.push(w);
-                        }
+            frontier = bds_par::par_flat_map(&frontier, |&u| {
+                let mut local = Vec::new();
+                for &w in self.neighbors(u) {
+                    if dist[w as usize]
+                        // ordering: Relaxed — see BFS note above.
+                        .compare_exchange(UNREACHED, d, Ordering::Relaxed, Ordering::Relaxed)
+                        .is_ok()
+                    {
+                        local.push(w);
                     }
-                    local
-                })
-                .collect();
+                }
+                local
+            });
         }
         dist.into_iter().map(AtomicU32::into_inner).collect()
     }
@@ -175,22 +171,22 @@ pub fn edge_stretch(
         sources.shuffle(&mut rng);
         sources.truncate(samples);
     }
-    let max = sources
-        .par_iter()
-        .map(|&s| {
-            let dh = h.bfs(s, UNREACHED - 1);
-            let mut worst = 0u32;
-            for &w in g.neighbors(s) {
-                let d = dh[w as usize];
-                if d == UNREACHED {
-                    return u32::MAX;
-                }
-                worst = worst.max(d);
+    // One BFS per source: coarse tasks, spread one at a time.
+    let max = bds_par::par_map_grain(&sources, 1, |&s| {
+        let dh = h.bfs(s, UNREACHED - 1);
+        let mut worst = 0u32;
+        for &w in g.neighbors(s) {
+            let d = dh[w as usize];
+            if d == UNREACHED {
+                return u32::MAX;
             }
-            worst
-        })
-        .max()
-        .unwrap_or(0);
+            worst = worst.max(d);
+        }
+        worst
+    })
+    .into_iter()
+    .max()
+    .unwrap_or(0);
     if max == u32::MAX {
         f64::INFINITY
     } else {

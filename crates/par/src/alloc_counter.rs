@@ -10,6 +10,7 @@
 //! static GLOBAL: bds_par::CountingAlloc = bds_par::CountingAlloc;
 //! ```
 
+use crate::sync::atomic::{AtomicU64, Ordering};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -30,6 +31,23 @@ thread_local! {
 /// sporadically).
 pub fn thread_allocations() -> u64 {
     THREAD_ALLOCS.with(|c| c.get())
+}
+
+/// Allocation events of every participant a `bds_par` call made here
+/// would use — this thread and the pool workers at the current width —
+/// summed (monotone). Work a primitive hands to a pool worker is
+/// invisible to [`thread_allocations`] on the caller; this counts it.
+/// Allocation-free itself: the per-participant shares are zero-sized.
+pub fn pool_allocations() -> u64 {
+    let total = AtomicU64::new(0);
+    // Task i runs on participant i (see `par_for_each_task`).
+    let mut shares = vec![(); crate::threads_available()];
+    crate::par_for_each_task(&mut shares, |_| {
+        // ordering: Relaxed — a tally read after the pool's join.
+        total.fetch_add(thread_allocations(), Ordering::Relaxed);
+    });
+    // ordering: Relaxed — the join above ordered every add before this.
+    total.load(Ordering::Relaxed)
 }
 
 #[inline]

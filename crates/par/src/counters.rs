@@ -68,12 +68,13 @@ impl Clone for WorkCounter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rayon::prelude::*;
 
     #[test]
     fn counts_across_threads() {
         let c = WorkCounter::new();
-        (0..10_000u64).into_par_iter().for_each(|_| c.incr());
+        crate::run_with_threads(2, || {
+            crate::par_for(0..10_000, 64, |r| r.for_each(|_| c.incr()))
+        });
         assert_eq!(c.get(), 10_000);
         assert_eq!(c.reset(), 10_000);
         assert_eq!(c.get(), 0);

@@ -3,17 +3,87 @@
 //! assumes in its preliminaries (§2): a parallel sort stands in for the
 //! \[PP01\] batch BST operations and sort-based grouping stands in for the
 //! \[GMV91\] parallel hash table batch interface.
+//!
+//! All of them run on the worker pool ([`crate::pool`]) and keep the
+//! sequential semantics: maps and filters preserve input order,
+//! [`par_sort_by`] and [`group_pairs`] are stable, and
+//! [`par_max_by_key`] returns the last of equal maxima.
 
-use crate::GRAIN;
-use rayon::prelude::*;
+use crate::pool::{par_for, SharedMut};
+use crate::{threads_available, GRAIN};
+use std::cmp::Ordering;
+
+/// Chunk length for a [`GRAIN`]-gated primitive over `n` items: about
+/// four chunks per participant.
+fn chunk_len(n: usize) -> usize {
+    n.div_ceil(4 * threads_available()).max(1)
+}
+
+/// Parallel for-each over disjoint chunks: `f(start, chunk)` with
+/// `chunk = items[start..start + chunk.len()]`, chunks of at most
+/// `grain` elements (one chunk of everything at width 1).
+fn par_chunks_mut<T: Send>(items: &mut [T], grain: usize, f: impl Fn(usize, &mut [T]) + Sync) {
+    let len = items.len();
+    let base = SharedMut::new(items);
+    par_for(0..len, grain, |r| {
+        let start = r.start;
+        // SAFETY: `par_for` hands out disjoint sub-ranges of `0..len`,
+        // and `items` stays mutably borrowed until it returns.
+        f(start, unsafe { base.slice(r) })
+    });
+}
+
+/// `[f(0), …, f(n − 1)]`, computed in chunks of `grain` indices.
+fn collect_indexed<R: Send>(n: usize, grain: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
+    let mut out = Vec::with_capacity(n);
+    // INVARIANT: the spare capacity is at least n, reserved above.
+    par_chunks_mut(&mut out.spare_capacity_mut()[..n], grain, |lo, chunk| {
+        for (j, slot) in chunk.iter_mut().enumerate() {
+            slot.write(f(lo + j));
+        }
+    });
+    // SAFETY: the chunks cover `0..n` and each was fully written before
+    // `par_chunks_mut` returned; a panic in `f` unwinds past this line
+    // and merely leaks the written prefix.
+    unsafe { out.set_len(n) };
+    out
+}
+
+/// `f` over about four contiguous blocks per participant, outputs
+/// concatenated in order; one block of everything below [`GRAIN`].
+fn par_blocks<T: Sync, R: Send>(items: &[T], f: impl Fn(&[T]) -> Vec<R> + Sync) -> Vec<R> {
+    if items.len() < GRAIN {
+        return f(items);
+    }
+    let blocks: Vec<&[T]> = items.chunks(chunk_len(items.len())).collect();
+    let parts = par_map_grain(&blocks, 1, |b| f(b));
+    let mut out = Vec::with_capacity(parts.iter().map(Vec::len).sum());
+    for mut p in parts {
+        out.append(&mut p);
+    }
+    out
+}
 
 /// Parallel `map` over a slice; sequential below [`GRAIN`].
 pub fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync + Send) -> Vec<R> {
     if items.len() < GRAIN {
         items.iter().map(f).collect()
     } else {
-        items.par_iter().map(f).collect()
+        par_map_grain(items, chunk_len(items.len()), f)
     }
+}
+
+/// Parallel `map` without the [`GRAIN`] cutoff: participants claim
+/// chunks of `grain` items. For coarse items — a BFS, a whole
+/// structure's build — where even a handful is worth spreading
+/// (`grain = 1`).
+pub fn par_map_grain<T: Sync, R: Send>(
+    items: &[T],
+    grain: usize,
+    f: impl Fn(&T) -> R + Sync + Send,
+) -> Vec<R> {
+    // INVARIANT: collect_indexed passes i < items.len().
+    collect_indexed(items.len(), grain, |i| f(&items[i]))
 }
 
 /// Parallel indexed map: `f(i, &items[i])`.
@@ -24,7 +94,8 @@ pub fn par_map_idx<T: Sync, R: Send>(
     if items.len() < GRAIN {
         items.iter().enumerate().map(|(i, t)| f(i, t)).collect()
     } else {
-        items.par_iter().enumerate().map(|(i, t)| f(i, t)).collect()
+        // INVARIANT: collect_indexed passes i < items.len().
+        collect_indexed(items.len(), chunk_len(items.len()), |i| f(i, &items[i]))
     }
 }
 
@@ -33,11 +104,7 @@ pub fn par_filter_map<T: Sync, R: Send>(
     items: &[T],
     f: impl Fn(&T) -> Option<R> + Sync + Send,
 ) -> Vec<R> {
-    if items.len() < GRAIN {
-        items.iter().filter_map(f).collect()
-    } else {
-        items.par_iter().filter_map(f).collect()
-    }
+    par_blocks(items, |b| b.iter().filter_map(&f).collect())
 }
 
 /// Parallel flat-map preserving input order.
@@ -45,11 +112,7 @@ pub fn par_flat_map<T: Sync, R: Send>(
     items: &[T],
     f: impl Fn(&T) -> Vec<R> + Sync + Send,
 ) -> Vec<R> {
-    if items.len() < GRAIN {
-        items.iter().flat_map(f).collect()
-    } else {
-        items.par_iter().flat_map_iter(f).collect()
-    }
+    par_blocks(items, |b| b.iter().flat_map(&f).collect())
 }
 
 /// Parallel map into a caller-owned output slice: `out[i] = f(&items[i])`.
@@ -73,9 +136,12 @@ pub fn par_map_slice<T: Sync, R: Send>(
             *o = f(t);
         }
     } else {
-        out.par_iter_mut()
-            .zip(items.par_iter())
-            .for_each(|(o, t)| *o = f(t));
+        par_chunks_mut(out, chunk_len(items.len()), |lo, dst| {
+            // INVARIANT: lo < out.len() == items.len().
+            for (o, t) in dst.iter_mut().zip(&items[lo..]) {
+                *o = f(t);
+            }
+        });
     }
 }
 
@@ -85,22 +151,9 @@ pub fn par_for_each_mut<T: Send>(items: &mut [T], f: impl Fn(&mut T) + Sync + Se
     if items.len() < GRAIN {
         items.iter_mut().for_each(f);
     } else {
-        items.par_iter_mut().for_each(f);
-    }
-}
-
-/// Task-parallel for-each: like [`par_for_each_mut`] but *without* the
-/// [`GRAIN`] cutoff — every element is treated as a coarse task worth a
-/// worker of its own. This is the fan-out primitive for dispatchers that
-/// drive a handful of heavyweight structures (e.g. one batch-dynamic
-/// shard per element): the element count is tiny, the per-element work
-/// is not. Runs sequentially when the effective thread count is 1 or
-/// there is at most one task.
-pub fn par_for_each_task<T: Send>(items: &mut [T], f: impl Fn(&mut T) + Sync + Send) {
-    if rayon::current_num_threads() <= 1 || items.len() <= 1 {
-        items.iter_mut().for_each(f);
-    } else {
-        items.par_iter_mut().for_each(f);
+        par_chunks_mut(items, chunk_len(items.len()), |_, c| {
+            c.iter_mut().for_each(&f)
+        });
     }
 }
 
@@ -119,12 +172,9 @@ pub fn prefix_sums(items: &[usize]) -> Vec<usize> {
         return out;
     }
     // Block-wise two-pass scan.
-    let nblocks = rayon::current_num_threads().max(1) * 4;
-    let block = n.div_ceil(nblocks);
-    let block_sums: Vec<usize> = items
-        .par_chunks(block)
-        .map(|c| c.iter().sum::<usize>())
-        .collect();
+    let block = chunk_len(n);
+    let blocks: Vec<&[usize]> = items.chunks(block).collect();
+    let block_sums = par_map_grain(&blocks, 1, |c| c.iter().sum::<usize>());
     let mut block_offsets = Vec::with_capacity(block_sums.len() + 1);
     let mut acc = 0usize;
     block_offsets.push(0);
@@ -133,29 +183,43 @@ pub fn prefix_sums(items: &[usize]) -> Vec<usize> {
         block_offsets.push(acc);
     }
     out.resize(n + 1, 0);
+    // INVARIANT: out.len() == n + 1 after the resize.
     out[n] = acc;
-    let out_slices: Vec<&mut [usize]> = out[..n].chunks_mut(block).collect();
-    out_slices
-        .into_par_iter()
-        .zip(items.par_chunks(block))
-        .enumerate()
-        .for_each(|(b, (dst, src))| {
-            let mut acc = block_offsets[b];
-            for (d, &s) in dst.iter_mut().zip(src) {
-                *d = acc;
-                acc += s;
-            }
-        });
+    // Chunks of `block` start on block boundaries (a width-1 run sees
+    // one chunk from 0), so each chunk's offset is its block's.
+    // INVARIANT: n < out.len().
+    par_chunks_mut(&mut out[..n], block, |lo, dst| {
+        // INVARIANT: block >= 1 (chunk_len), and lo / block indexes a
+        // block start, < block_offsets.len(); lo < n == items.len().
+        let mut acc = block_offsets[lo / block];
+        for (d, &s) in dst.iter_mut().zip(&items[lo..]) {
+            *d = acc;
+            acc += s;
+        }
+    });
     out
+}
+
+/// Parallel sort: below [`GRAIN`] (or at width 1) `sort_run` sorts
+/// everything; otherwise it sorts one contiguous run per participant in
+/// parallel, and `merge` — std's stable sort, which detects the sorted
+/// runs — merges them in O(n log runs).
+fn par_sort_with<T: Send>(
+    items: &mut [T],
+    sort_run: impl Fn(&mut [T]) + Sync,
+    merge: impl FnOnce(&mut [T]),
+) {
+    let width = threads_available();
+    if items.len() < GRAIN || width <= 1 {
+        return sort_run(items);
+    }
+    par_chunks_mut(items, items.len().div_ceil(width), |_, run| sort_run(run));
+    merge(items);
 }
 
 /// Parallel (unstable) sort.
 pub fn par_sort<T: Ord + Send>(items: &mut [T]) {
-    if items.len() < GRAIN {
-        items.sort_unstable();
-    } else {
-        items.par_sort_unstable();
-    }
+    par_sort_with(items, <[T]>::sort_unstable, <[T]>::sort);
 }
 
 /// Parallel sort by key.
@@ -163,11 +227,14 @@ pub fn par_sort_by_key<T: Send, K: Ord + Send>(
     items: &mut [T],
     key: impl Fn(&T) -> K + Sync + Send,
 ) {
-    if items.len() < GRAIN {
-        items.sort_unstable_by_key(key);
-    } else {
-        items.par_sort_unstable_by_key(key);
-    }
+    let merge = |all: &mut [T]| all.sort_by_key(&key);
+    par_sort_with(items, |r| r.sort_unstable_by_key(&key), merge);
+}
+
+/// Parallel stable sort by comparator: equal elements keep their input
+/// order, exactly as `slice::sort_by`.
+pub fn par_sort_by<T: Send>(items: &mut [T], cmp: impl Fn(&T, &T) -> Ordering + Sync) {
+    par_sort_with(items, |r| r.sort_by(&cmp), |all| all.sort_by(&cmp));
 }
 
 /// Sort + dedup: returns the distinct elements in ascending order.
@@ -178,15 +245,11 @@ pub fn sort_dedup<T: Ord + Send + Clone>(mut items: Vec<T>) -> Vec<T> {
 }
 
 /// Sort-based group-by ("semisort"): groups `(key, value)` pairs by key
-/// and returns `(key, values)` groups in ascending key order. This is the
-/// batch-friendly replacement for iterating a parallel hash table.
-/// Work O(n log n), depth O(log² n).
+/// and returns `(key, values)` groups in ascending key order, values in
+/// input order. This is the batch-friendly replacement for iterating a
+/// parallel hash table. Work O(n log n), depth O(log² n).
 pub fn group_pairs<K: Ord + Send + Clone, V: Send>(mut items: Vec<(K, V)>) -> Vec<(K, Vec<V>)> {
-    if items.len() < GRAIN {
-        items.sort_by(|a, b| a.0.cmp(&b.0));
-    } else {
-        items.par_sort_by(|a, b| a.0.cmp(&b.0));
-    }
+    par_sort_by(&mut items, |a, b| a.0.cmp(&b.0));
     let mut out: Vec<(K, Vec<V>)> = Vec::new();
     for (k, v) in items {
         match out.last_mut() {
@@ -197,25 +260,32 @@ pub fn group_pairs<K: Ord + Send + Clone, V: Send>(mut items: Vec<(K, V)>) -> Ve
     out
 }
 
-/// Parallel maximum by key; `None` on empty input.
+/// Parallel maximum by key: the index of the *last* maximal item, as
+/// `Iterator::max_by_key`; `None` on empty input.
 pub fn par_max_by_key<T: Sync, K: Ord + Send>(
     items: &[T],
     key: impl Fn(&T) -> K + Sync + Send,
 ) -> Option<usize> {
-    if items.is_empty() {
-        return None;
+    let n = items.len();
+    // INVARIANT: every index below ranges over 0..n.
+    let best_in =
+        |r: std::ops::Range<usize>| r.map(|i| (key(&items[i]), i)).max_by(|a, b| a.0.cmp(&b.0));
+    if n < GRAIN {
+        return best_in(0..n).map(|(_, i)| i);
     }
-    if items.len() < GRAIN {
-        return (0..items.len()).max_by_key(|&i| key(&items[i]));
-    }
-    (0..items.len())
-        .into_par_iter()
-        .max_by_key(|&i| key(&items[i]))
+    let chunk = chunk_len(n);
+    let starts: Vec<usize> = (0..n).step_by(chunk).collect();
+    par_map_grain(&starts, 1, |&lo| best_in(lo..(lo + chunk).min(n)))
+        .into_iter()
+        .flatten()
+        .max_by(|a, b| a.0.cmp(&b.0))
+        .map(|(_, i)| i)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::par_for_each_task;
 
     #[test]
     fn map_small_and_large() {
@@ -310,5 +380,42 @@ mod tests {
         let out = par_flat_map(&xs, |&x| vec![x, x]);
         assert_eq!(out.len(), 6000);
         assert_eq!(&out[0..4], &[0, 0, 1, 1]);
+    }
+
+    #[test]
+    fn run_with_threads_bounds_concurrency() {
+        // Four coarse tasks at width 2, each making a nested parallel
+        // map above GRAIN: at most 2 threads may run bds_par work at
+        // once, at every nesting depth. Some items sleep while counted,
+        // so any extra thread would be caught overlapping them.
+        use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
+        let (live, peak) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        let xs: Vec<u32> = (0..2 * GRAIN as u32).collect();
+        let mut tasks = [(); 4];
+        crate::run_with_threads(2, || {
+            par_for_each_task(&mut tasks, |_| {
+                par_map(&xs, |&x| {
+                    peak.fetch_max(live.fetch_add(1, SeqCst) + 1, SeqCst);
+                    if x % 256 == 0 {
+                        std::thread::sleep(std::time::Duration::from_micros(200));
+                    }
+                    live.fetch_sub(1, SeqCst);
+                });
+            });
+        });
+        let peak = peak.into_inner();
+        assert!(
+            peak <= 2,
+            "{peak} threads ran bds_par work under run_with_threads(2)"
+        );
+    }
+
+    #[test]
+    fn par_map_grain_spreads_coarse_items() {
+        let xs: Vec<u64> = (0..7).collect();
+        for t in [1, 2, 3] {
+            let got = crate::run_with_threads(t, || par_map_grain(&xs, 1, |&x| x * x));
+            assert_eq!(got, vec![0, 1, 4, 9, 16, 25, 36], "threads = {t}");
+        }
     }
 }

@@ -29,10 +29,10 @@
 //!    default run fails on any drift in either direction.
 //! 2. **Model check** (`RUSTFLAGS="--cfg bds_model" cargo test -p
 //!    bds_par -p bds_graph --lib model_`): the pin/publish,
-//!    buffer-swap, and writer-crash protocols run under the vendored
-//!    mini-loom ([`loom`]), which *enumerates* every interleaving up
-//!    to a preemption bound and every weak-memory read, with
-//!    vector-clock data-race detection. Exhaustive, but only for the
+//!    buffer-swap, writer-crash and worker-pool handoff/completion
+//!    protocols run under the vendored mini-loom ([`loom`]), which
+//!    *enumerates* every interleaving up to a preemption bound and
+//!    every weak-memory read, with vector-clock data-race detection. Exhaustive, but only for the
 //!    protocol cores ported onto this facade.
 //! 3. **Interleaving proptest** (`cargo test --test serve_interleave`):
 //!    real threads, randomized schedules, the full `ServeLoop` — every
@@ -50,10 +50,11 @@
 //!
 //! Tier teeth are themselves verified: CI's mutation corpus
 //! (`scripts/mutation_corpus.sh`) applies a set of seeded protocol
-//! weakenings — ordering downgrades in [`dbuf`], a dropped WAL
-//! `stamp_seq`, a skipped `EveryBatch` fsync, a swapped record tag, an
-//! off-by-one in the coalescer's index fixup — each in a scratch tree,
-//! and requires some tier to fail on every one of them.
+//! weakenings — ordering downgrades in [`dbuf`] and in the worker
+//! pool's completion count, a dropped WAL `stamp_seq`, a skipped
+//! `EveryBatch` fsync, a swapped record tag, an off-by-one in the
+//! coalescer's index fixup — each in a scratch tree, and requires some
+//! tier to fail on every one of them.
 
 pub mod dbuf;
 
@@ -87,13 +88,33 @@ pub mod global {
 
 /// Thread helpers with a model-aware `yield_now` (under the model,
 /// yielding deprioritizes the caller so spin-wait loops stay finite
-/// during exploration).
+/// during exploration) and the wait primitive the worker pool parks
+/// on.
 pub mod thread {
     #[cfg(not(bds_model))]
-    pub use std::thread::yield_now;
+    pub use std::thread::{park, yield_now, Thread as Unparker};
 
     #[cfg(bds_model)]
     pub use loom::thread::yield_now;
+
+    /// Block until woken. Under the model this is a yield: a parked
+    /// thread is simply one that re-checks its wake condition, so a
+    /// lost wakeup shows up as a livelock the explorer reports.
+    #[cfg(bds_model)]
+    pub fn park() {
+        loom::thread::yield_now();
+    }
+
+    /// Wake handle for a thread blocked in [`park`]; a no-op under the
+    /// model, where [`park`] never blocks.
+    #[cfg(bds_model)]
+    #[derive(Clone, Debug, Default)]
+    pub struct Unparker;
+
+    #[cfg(bds_model)]
+    impl Unparker {
+        pub fn unpark(&self) {}
+    }
 }
 
 /// `UnsafeCell` with loom's closure-based access API. In normal builds

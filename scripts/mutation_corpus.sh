@@ -20,6 +20,7 @@
 #   d  FsyncPolicy::EveryBatch stops syncing     caught by: recovery suite (tier 4)
 #   e  WAL append_batch stamps the delta tag     caught by: bds_lint wal-drift (tier 1)
 #   f  coalescer swap-remove index off by one    caught by: model check (bds_graph)
+#   g  pool completion decrement AcqRel -> Relaxed  caught by: model check (bds_par)
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
@@ -34,6 +35,7 @@ describe() {
     d) echo "FsyncPolicy::EveryBatch silently stops syncing (durability contract broken)" ;;
     e) echo "WAL append_batch stamps KIND_DELTA (encode/decode tag drift)" ;;
     f) echo "coalescer cancel swap-remove reindexes off by one (pending map corrupt)" ;;
+    g) echo "pool completion decrement AcqRel -> Relaxed (caller returns before a share's writes are visible)" ;;
     *) echo "unknown mutant '$1'" >&2; exit 2 ;;
   esac
 }
@@ -84,6 +86,13 @@ plan() {
       to='map.insert(moved, i + 1);'
       catcher='RUSTFLAGS="--cfg bds_model" cargo test -q -p bds_graph --lib model_'
       ;;
+    g)
+      file="crates/par/src/pool.rs"
+      needle='task.pending.fetch_sub(1, Ordering::AcqRel);'
+      from='Ordering::AcqRel'
+      to='Ordering::Relaxed'
+      catcher='RUSTFLAGS="--cfg bds_model" cargo test -q -p bds_par --lib model_pool'
+      ;;
     *) echo "unknown mutant '$1'" >&2; exit 2 ;;
   esac
 }
@@ -131,7 +140,7 @@ run_mutant() {
 }
 
 main() {
-  local all=(a b c d e f)
+  local all=(a b c d e f g)
   if [ "${1:-}" = "--list" ]; then
     for id in "${all[@]}"; do
       echo "$id  $(describe "$id")"

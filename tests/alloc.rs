@@ -6,13 +6,17 @@
 //! heap allocations at all, and the buffer-reporting batch loop
 //! allocates strictly less than the legacy materializing loop.
 //!
-//! All assertions live in ONE test function and diff the *per-thread*
-//! allocation counter: the process-global counter picks up stray
+//! All assertions live in ONE test function and diff *per-thread*
+//! allocation counters: the process-global counter picks up stray
 //! allocations from the libtest harness thread (it runs concurrently
 //! with the test even at `--test-threads=1`), which made the `== 0`
-//! assertions sporadically fail with off-by-one-or-two counts.
+//! assertions sporadically fail with off-by-one-or-two counts. Paths
+//! that run on the worker pool sum the counters of every pool
+//! participant instead (`pool_allocations`).
 
-use batch_spanners::par::alloc_counter::{thread_allocations as allocs, CountingAlloc};
+use batch_spanners::par::alloc_counter::{
+    pool_allocations as pool_allocs, thread_allocations as allocs, CountingAlloc,
+};
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -146,43 +150,56 @@ fn delta_path_is_allocation_free_after_warmup() {
         "buffer path must allocate strictly less: {buffered} vs {legacy}"
     );
 
+    // The pool-wide count has teeth: of two tasks that each allocate
+    // once, the caller's own counter sees only the one it ran itself.
+    bds_par::run_with_threads(2, || {
+        let mut lens = [0usize; 2];
+        let all = pool_allocs(); // first: starts the pool
+        let own = allocs();
+        bds_par::par_for_each_task(&mut lens, |l| *l = std::hint::black_box(vec![7u8; 8]).len());
+        assert_eq!(lens, [8, 8]);
+        assert_eq!((allocs() - own, pool_allocs() - all), (1, 2));
+    });
+
     // --- 4. ShardedEngine: the merged delta path — scatter into
     //        per-shard sub-batches, per-shard apply, merge_from + net
-    //        into the caller's buffer — is exactly zero once warm.
-    //        MirrorSpanner shards keep the per-shard apply itself
-    //        allocation-free, so the assertion isolates the dispatcher;
-    //        one pinned thread keeps the fan-out on this thread (scoped
-    //        worker spawns are scheduling, not the delta path).
-    bds_par::run_with_threads(1, || {
-        let n = 96;
-        let init = gen::gnm(n, 384, 17);
-        let (core, churn) = init.split_at(256);
-        let mut engine = ShardedEngineBuilder::new(n)
-            .shards(4)
-            .build_with(core, move |_, shard_edges| {
-                MirrorSpanner::build(n, shard_edges)
-            })
-            .unwrap();
-        let mut buf = DeltaBuf::new();
-        let ins = UpdateBatch::insert_only(churn.to_vec());
-        let del = UpdateBatch::delete_only(churn.to_vec());
-        for _ in 0..2 {
-            engine.apply_into(&ins, &mut buf);
-            engine.apply_into(&del, &mut buf);
-        }
-        let before = allocs();
-        for _ in 0..10 {
-            engine.apply_into(&ins, &mut buf);
-            assert_eq!(buf.recourse(), churn.len());
-            engine.apply_into(&del, &mut buf);
-            assert_eq!(buf.recourse(), churn.len());
-        }
-        assert_eq!(
-            allocs() - before,
-            0,
-            "sharded merged-delta path allocated after warm-up"
-        );
-    });
+    //        into the caller's buffer — is exactly zero once warm, at 1
+    //        and at 2 threads. MirrorSpanner shards keep the per-shard
+    //        apply itself allocation-free, so the assertion isolates the
+    //        dispatcher; at 2 threads the lanes run on pool workers, so
+    //        the count sums every participant's allocations.
+    for threads in [1, 2] {
+        bds_par::run_with_threads(threads, || {
+            let n = 96;
+            let init = gen::gnm(n, 384, 17);
+            let (core, churn) = init.split_at(256);
+            let mut engine = ShardedEngineBuilder::new(n)
+                .shards(4)
+                .build_with(core, move |_, shard_edges| {
+                    MirrorSpanner::build(n, shard_edges)
+                })
+                .unwrap();
+            let mut buf = DeltaBuf::new();
+            let ins = UpdateBatch::insert_only(churn.to_vec());
+            let del = UpdateBatch::delete_only(churn.to_vec());
+            for _ in 0..2 {
+                engine.apply_into(&ins, &mut buf);
+                engine.apply_into(&del, &mut buf);
+            }
+            let before = pool_allocs();
+            for _ in 0..10 {
+                engine.apply_into(&ins, &mut buf);
+                assert_eq!(buf.recourse(), churn.len());
+                engine.apply_into(&del, &mut buf);
+                assert_eq!(buf.recourse(), churn.len());
+            }
+            assert_eq!(
+                pool_allocs() - before,
+                0,
+                "sharded merged-delta path allocated after warm-up at {threads} threads"
+            );
+        });
+    }
 
     // --- 5. Bentley–Saxe wrappers under E₀-resident churn: with the
     //        position-indexed E₀ and reused per-batch scratch, a warm
@@ -227,7 +244,7 @@ fn delta_path_is_allocation_free_after_warmup() {
                 }
             }
             let rebuilds = (spanner.num_rebuilds(), sparsifier.num_rebuilds());
-            let before = allocs();
+            let before = pool_allocs();
             for _ in 0..10 {
                 spanner.apply_into(&swap_ab, &mut buf);
                 assert_eq!(buf.recourse(), churn.len());
@@ -239,7 +256,7 @@ fn delta_path_is_allocation_free_after_warmup() {
                 assert_eq!(buf.recourse(), churn.len());
             }
             assert_eq!(
-                allocs() - before,
+                pool_allocs() - before,
                 0,
                 "E₀-resident apply_into allocated after warm-up at {threads} threads"
             );

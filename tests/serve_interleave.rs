@@ -24,7 +24,7 @@ use bds_dstruct::FxHashSet;
 use proptest::prelude::*;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 /// Sequential set semantics of one raw op (insert-live and
 /// delete-absent are no-ops, exactly as the coalescer nets them).
@@ -125,19 +125,26 @@ proptest! {
         let writer = serve.spawn();
 
         let stop = Arc::new(AtomicBool::new(false));
+        // Readers are running when the flood starts, and each checks at
+        // least once: a flood this small can otherwise finish before
+        // freshly spawned threads are first scheduled.
+        let start = Arc::new(Barrier::new(3));
         let verts: Vec<V> = (0..n as V).collect();
         let readers: Vec<_> = (0..2)
             .map(|_| {
                 let r = reads.clone();
                 let stop = Arc::clone(&stop);
+                let start = Arc::clone(&start);
                 let queries = queries.clone();
                 let verts = verts.clone();
                 let valid = valid.clone();
                 std::thread::spawn(move || -> Result<u64, String> {
+                    start.wait();
                     let mut last_seq = 0u64;
                     let mut checks = 0u64;
                     let (mut hits, mut degs) = (Vec::new(), Vec::new());
-                    while !stop.load(SeqCst) {
+                    // At least one check per reader once the flood starts.
+                    loop {
                         // One pin covers both batch queries: they must
                         // answer from the same committed prefix.
                         let g = r.pin();
@@ -161,6 +168,9 @@ proptest! {
                             ));
                         }
                         checks += 1;
+                        if stop.load(SeqCst) {
+                            break;
+                        }
                         std::thread::yield_now();
                     }
                     Ok(checks)
@@ -168,6 +178,7 @@ proptest! {
             })
             .collect();
 
+        start.wait();
         send_all(ingest, &ops);
         let report = writer.join().unwrap();
         stop.store(true, SeqCst);
@@ -235,19 +246,26 @@ proptest! {
         // Readers copy each newly published view they pin; the audit
         // runs after the flood, off the serving threads.
         let stop = Arc::new(AtomicBool::new(false));
+        // As above: readers are running when the flood starts.
+        let start = Arc::new(Barrier::new(3));
         let readers: Vec<_> = (0..2)
             .map(|_| {
                 let r = reads.clone();
                 let stop = Arc::clone(&stop);
+                let start = Arc::clone(&start);
                 std::thread::spawn(move || {
+                    start.wait();
                     let (mut views, mut last_seq) = (Vec::new(), None);
-                    while !stop.load(SeqCst) {
+                    loop {
                         let g = r.pin();
                         if last_seq != Some(g.seq()) {
                             last_seq = Some(g.seq());
                             views.push(g.edges());
                         }
                         drop(g);
+                        if stop.load(SeqCst) {
+                            break;
+                        }
                         std::thread::yield_now();
                     }
                     views
@@ -255,6 +273,7 @@ proptest! {
             })
             .collect();
 
+        start.wait();
         send_all(ingest, &ops);
         let report = writer.join().unwrap();
         stop.store(true, SeqCst);

@@ -9,6 +9,7 @@ use bds_bundle::{BundleSpanner, MonotoneSpanner};
 use bds_contract::SparseSpanner;
 use bds_core::FullyDynamicSpanner;
 use bds_estree::EsTree;
+use bds_graph::api::{Decremental, DeltaBuf, FullyDynamic};
 use bds_graph::csr::edge_stretch;
 use bds_graph::cuts::sparsifier_error;
 use bds_graph::gen;
@@ -96,9 +97,10 @@ fn e2_stretch() {
         let (edges, mut stream) = standard_workload(n, 7 + k as u64);
         let mut s = FullyDynamicSpanner::new(n, k, &edges, 11);
         let st0 = edge_stretch(n, &edges, &s.spanner_edges(), 200, 5);
+        let mut d = DeltaBuf::new();
         for _ in 0..20 {
             let b = stream.next_batch(64, 64);
-            s.process_batch(&b);
+            s.apply_into(&b, &mut d);
         }
         let st1 = edge_stretch(n, stream.live_edges(), &s.spanner_edges(), 200, 6);
         println!("| {n} | {k} | {} | {st0} | {st1} |", 2 * k - 1);
@@ -115,12 +117,13 @@ fn e3_amortized_work() {
         let mut s = FullyDynamicSpanner::new(n, 3, &edges, 17);
         let rounds = (8192 / b).clamp(4, 64);
         let mut updated = 0usize;
+        let mut d = DeltaBuf::new();
         let t0 = Instant::now();
         let pre = s.stats().scan_steps;
         for _ in 0..rounds {
             let batch = stream.next_batch(b / 2 + 1, b / 2);
             updated += batch.len();
-            s.process_batch(&batch);
+            s.apply_into(&batch, &mut d);
         }
         let dyn_us = t0.elapsed().as_micros() as f64 / updated as f64;
         let steps = (s.stats().scan_steps - pre) as f64 / updated as f64;
@@ -230,11 +233,12 @@ fn e8_bundle() {
         let mut stream = UpdateStream::new(n, &edges, 13);
         let mut rec = 0usize;
         let mut dels = 0usize;
+        let mut d = DeltaBuf::new();
         for _ in 0..40 {
             let batch = stream.next_deletions(64);
             dels += batch.len();
-            let d = b.delete_batch(&batch);
-            rec += d.inserted.len() + d.deleted.len();
+            b.delete_into(&batch, &mut d);
+            rec += d.recourse();
         }
         println!(
             "| {n} | {t} | {init_size} | {:.2} | {dels} | {:.2} |",
@@ -260,10 +264,11 @@ fn e9_sparsifier() {
         let mut stream = UpdateStream::new(n, &edges, 51);
         let mut rec = 0usize;
         let mut dels = 0usize;
+        let mut d = DeltaBuf::new();
         for _ in 0..20 {
             let batch = stream.next_deletions(64);
             dels += batch.len();
-            let d = s.delete_batch(&batch);
+            s.delete_into(&batch, &mut d);
             rec += d.recourse();
         }
         println!(
@@ -285,11 +290,12 @@ fn e10_recourse() {
         let mut s = FullyDynamicSpanner::new(n, k, &edges, 21);
         let mut rec = 0usize;
         let mut ups = 0usize;
+        let mut d = DeltaBuf::new();
         let pre = s.stats().cluster_changes;
         for _ in 0..30 {
             let b = stream.next_batch(32, 32);
             ups += b.len();
-            let d = s.process_batch(&b);
+            s.apply_into(&b, &mut d);
             rec += d.recourse();
         }
         let cc = (s.stats().cluster_changes - pre) as f64 / ups as f64;

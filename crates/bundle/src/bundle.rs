@@ -32,20 +32,6 @@ enum Home {
     Residual,
 }
 
-/// Result of one deletion batch on the bundle — the materialized
-/// counterpart of the [`DeltaBuf`] report ([`DeltaBuf::aux`] carries
-/// `residual_deleted`).
-#[derive(Debug, Default, Clone)]
-pub struct BundleDelta {
-    /// Edges that entered B = ∪H_i (promoted from the residual).
-    pub inserted: Vec<Edge>,
-    /// Edges that left B (all were deleted from the graph).
-    pub deleted: Vec<Edge>,
-    /// Edges that left the residual G \ B: graph-deleted residual edges
-    /// plus the promotions (`inserted`). Drives Lemma 6.6 sampling.
-    pub residual_deleted: Vec<Edge>,
-}
-
 struct Level {
     d: MonotoneSpanner,
     j: FxHashSet<Edge>,
@@ -232,102 +218,6 @@ impl BundleSpanner {
         }
     }
 
-    /// Delete a batch of graph edges (must be live). Cascades through the
-    /// levels and reports bundle and residual deltas.
-    pub fn delete_batch(&mut self, batch: &[Edge]) -> BundleDelta {
-        let mut buf = DeltaBuf::new();
-        self.delete_batch_into(batch, &mut buf);
-        BundleDelta {
-            inserted: buf.inserted().to_vec(),
-            deleted: buf.deleted().to_vec(),
-            residual_deleted: buf.aux_edges(AuxTag::ResidualDeleted).collect(),
-        }
-    }
-
-    /// [`BundleSpanner::delete_batch`] reporting into a caller-owned
-    /// buffer: insertions/deletions are the bundle-membership delta, the
-    /// [`DeltaBuf::aux`] lane carries the residual deletions that drive
-    /// the Lemma 6.6 sampling chain.
-    pub fn delete_batch_into(&mut self, batch: &[Edge], out: &mut DeltaBuf) {
-        out.clear();
-        let mut pending: Vec<Vec<Edge>> = vec![Vec::new(); self.t as usize + 1];
-        let mut pending_set: Vec<FxHashSet<Edge>> = vec![FxHashSet::default(); self.t as usize + 1];
-        for &e in batch {
-            let h = self
-                .home
-                .remove(&e)
-                .unwrap_or_else(|| panic!("delete of absent edge {e:?}"));
-            match h {
-                Home::Spanner(_) => out.push_del(e),
-                Home::J(j) => {
-                    self.levels[j as usize - 1].j.remove(&e);
-                    out.push_del(e);
-                }
-                Home::Residual => out.push_aux(AuxTag::ResidualDeleted, e),
-            }
-            for l in 1..=self.reach(h) {
-                pending[l as usize].push(e);
-                pending_set[l as usize].insert(e);
-            }
-        }
-        for i in 1..=self.t {
-            let xi = std::mem::take(&mut pending[i as usize]);
-            if xi.is_empty() {
-                continue;
-            }
-            let xset = std::mem::take(&mut pending_set[i as usize]);
-            let mut scratch = std::mem::take(&mut self.level_scratch);
-            self.levels[i as usize - 1]
-                .d
-                .delete_batch_into(&xi, &mut scratch);
-            // Spanner(D_i) drops a live edge -> park it in J_i (stays in
-            // H_i; monotonicity).
-            for &e in scratch.deleted() {
-                if xset.contains(&e) {
-                    continue; // removed from D_i's graph: handled already
-                }
-                debug_assert_eq!(self.home.get(&e), Some(&Home::Spanner(i)));
-                self.home.insert(e, Home::J(i));
-                self.levels[i as usize - 1].j.insert(e);
-            }
-            // Spanner(D_i) gains a live edge -> it leaves G_{i+1}…: cascade
-            // the deletion to every deeper level that holds it.
-            for &e in scratch.inserted() {
-                // bds:allow(no-unwrap): structure invariant named in the message; corrupt state must fail fast, not propagate.
-                let old = *self.home.get(&e).expect("promoted edge is live");
-                match old {
-                    Home::Spanner(j) => {
-                        debug_assert!(j > i, "promotion from level {j} to {i}");
-                        delta_noop();
-                    }
-                    Home::J(j) => {
-                        debug_assert!(j >= i);
-                        if j == i {
-                            // A J_i edge re-entered spanner(D_i): H_i
-                            // unchanged, just re-home it.
-                            self.levels[i as usize - 1].j.remove(&e);
-                            self.home.insert(e, Home::Spanner(i));
-                            continue;
-                        }
-                        self.levels[j as usize - 1].j.remove(&e);
-                    }
-                    Home::Residual => {
-                        out.push_ins(e);
-                        out.push_aux(AuxTag::ResidualDeleted, e);
-                    }
-                }
-                let old_reach = self.reach(old);
-                for l in (i + 1)..=old_reach {
-                    pending[l as usize].push(e);
-                    pending_set[l as usize].insert(e);
-                }
-                self.home.insert(e, Home::Spanner(i));
-            }
-            self.level_scratch = scratch;
-        }
-        self.recourse += out.recourse() as u64;
-    }
-
     /// Test oracle: every level's monotone spanner validates; the home map
     /// is consistent with the level spanners and the bundle definition.
     pub fn validate(&self) {
@@ -407,13 +297,88 @@ impl BatchDynamic for BundleSpanner {
 }
 
 impl Decremental for BundleSpanner {
-    fn delete_into(&mut self, deletions: &[Edge], out: &mut DeltaBuf) {
-        self.delete_batch_into(deletions, out);
+    /// Delete a batch of graph edges (must be live), cascading through
+    /// the levels. Insertions/deletions in `out` are the bundle-membership
+    /// delta; the [`DeltaBuf::aux`] lane carries the residual deletions
+    /// ([`AuxTag::ResidualDeleted`]: graph-deleted residual edges plus the
+    /// promotions) that drive the Lemma 6.6 sampling chain.
+    fn delete_into(&mut self, batch: &[Edge], out: &mut DeltaBuf) {
+        out.clear();
+        let mut pending: Vec<Vec<Edge>> = vec![Vec::new(); self.t as usize + 1];
+        let mut pending_set: Vec<FxHashSet<Edge>> = vec![FxHashSet::default(); self.t as usize + 1];
+        for &e in batch {
+            let h = self
+                .home
+                .remove(&e)
+                .unwrap_or_else(|| panic!("delete of absent edge {e:?}"));
+            match h {
+                Home::Spanner(_) => out.push_del(e),
+                Home::J(j) => {
+                    self.levels[j as usize - 1].j.remove(&e);
+                    out.push_del(e);
+                }
+                Home::Residual => out.push_aux(AuxTag::ResidualDeleted, e),
+            }
+            for l in 1..=self.reach(h) {
+                pending[l as usize].push(e);
+                pending_set[l as usize].insert(e);
+            }
+        }
+        for i in 1..=self.t {
+            let xi = std::mem::take(&mut pending[i as usize]);
+            if xi.is_empty() {
+                continue;
+            }
+            let xset = std::mem::take(&mut pending_set[i as usize]);
+            let mut scratch = std::mem::take(&mut self.level_scratch);
+            self.levels[i as usize - 1].d.delete_into(&xi, &mut scratch);
+            // Spanner(D_i) drops a live edge -> park it in J_i (stays in
+            // H_i; monotonicity).
+            for &e in scratch.deleted() {
+                if xset.contains(&e) {
+                    continue; // removed from D_i's graph: handled already
+                }
+                debug_assert_eq!(self.home.get(&e), Some(&Home::Spanner(i)));
+                self.home.insert(e, Home::J(i));
+                self.levels[i as usize - 1].j.insert(e);
+            }
+            // Spanner(D_i) gains a live edge -> it leaves G_{i+1}…: cascade
+            // the deletion to every deeper level that holds it.
+            for &e in scratch.inserted() {
+                // bds:allow(no-unwrap): structure invariant named in the message; corrupt state must fail fast, not propagate.
+                let old = *self.home.get(&e).expect("promoted edge is live");
+                match old {
+                    Home::Spanner(j) => {
+                        debug_assert!(j > i, "promotion from level {j} to {i}");
+                    }
+                    Home::J(j) => {
+                        debug_assert!(j >= i);
+                        if j == i {
+                            // A J_i edge re-entered spanner(D_i): H_i
+                            // unchanged, just re-home it.
+                            self.levels[i as usize - 1].j.remove(&e);
+                            self.home.insert(e, Home::Spanner(i));
+                            continue;
+                        }
+                        self.levels[j as usize - 1].j.remove(&e);
+                    }
+                    Home::Residual => {
+                        out.push_ins(e);
+                        out.push_aux(AuxTag::ResidualDeleted, e);
+                    }
+                }
+                let old_reach = self.reach(old);
+                for l in (i + 1)..=old_reach {
+                    pending[l as usize].push(e);
+                    pending_set[l as usize].insert(e);
+                }
+                self.home.insert(e, Home::Spanner(i));
+            }
+            self.level_scratch = scratch;
+        }
+        self.recourse += out.recourse() as u64;
     }
 }
-
-#[inline]
-fn delta_noop() {}
 
 #[cfg(test)]
 mod tests {
@@ -458,14 +423,15 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(29);
         live.shuffle(&mut rng);
         let mut bundle_shadow: FxHashSet<Edge> = b.bundle_edges().into_iter().collect();
+        let mut d = DeltaBuf::new();
         while live.len() > 30 {
             let k = rng.gen_range(1..=12.min(live.len()));
             let batch: Vec<Edge> = live.split_off(live.len() - k);
-            let d = b.delete_batch(&batch);
-            for e in &d.deleted {
+            b.delete_into(&batch, &mut d);
+            for e in d.deleted() {
                 assert!(bundle_shadow.remove(e), "deleted {e:?} not in shadow");
             }
-            for e in &d.inserted {
+            for e in d.inserted() {
                 assert!(bundle_shadow.insert(*e), "inserted {e:?} already present");
             }
             b.validate();
@@ -490,11 +456,12 @@ mod tests {
         let mut live = edges.clone();
         let mut rng = StdRng::seed_from_u64(41);
         live.shuffle(&mut rng);
+        let mut d = DeltaBuf::new();
         while !live.is_empty() {
             let k = rng.gen_range(1..=8.min(live.len()));
             let batch: Vec<Edge> = live.split_off(live.len() - k);
-            let d = b.delete_batch(&batch);
-            for e in d.inserted {
+            b.delete_into(&batch, &mut d);
+            for &e in d.inserted() {
                 *enter_count.entry(e).or_insert(0) += 1;
             }
         }
@@ -513,12 +480,13 @@ mod tests {
         let mut live = edges.clone();
         let mut rng = StdRng::seed_from_u64(53);
         live.shuffle(&mut rng);
+        let mut d = DeltaBuf::new();
         for _ in 0..20 {
             let k = rng.gen_range(1..=6.min(live.len()));
             let batch: Vec<Edge> = live.split_off(live.len() - k);
-            let d = b.delete_batch(&batch);
-            for e in &d.residual_deleted {
-                assert!(residual_shadow.remove(e), "{e:?} not in residual shadow");
+            b.delete_into(&batch, &mut d);
+            for e in d.aux_edges(AuxTag::ResidualDeleted) {
+                assert!(residual_shadow.remove(&e), "{e:?} not in residual shadow");
             }
             let mut got = b.residual_edges();
             let mut want: Vec<Edge> = residual_shadow.iter().copied().collect();

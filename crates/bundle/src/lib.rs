@@ -8,11 +8,17 @@
 //! * [`bundle`] — **Theorem 1.5**: the decremental t-bundle spanner
 //!   B = H₁ ∪ … ∪ H_t with the J_i monotonicity lists and cascaded
 //!   deletions, the engine behind the spectral sparsifier.
+//!
+//! Both take batches through [`bds_graph::api::Decremental::delete_into`].
+//! The bundle reports B's membership delta in the `DeltaBuf`'s edge
+//! sections and the residual deletions that drive the sparsifier's
+//! sampling chain in its aux lane, tagged
+//! [`bds_graph::api::AuxTag::ResidualDeleted`].
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod bundle;
 pub mod monotone;
 
-pub use bundle::{BundleDelta, BundleSpanner, BundleSpannerBuilder};
+pub use bundle::{BundleSpanner, BundleSpannerBuilder};
 pub use monotone::{MonotoneSpanner, MonotoneSpannerBuilder};

@@ -15,7 +15,7 @@ use bds_graph::api::{
     default_copies, validate_beta, validate_copies, validate_edges, BatchDynamic, BatchStats,
     ConfigError, Decremental, DeltaBuf,
 };
-use bds_graph::types::{Edge, SpannerDelta, V};
+use bds_graph::types::{Edge, V};
 
 /// Default β: empirically ≤ ½ edge-cut probability (experiment E11 of
 /// `bds_bench`'s `tables` binary sweeps this and prints the measured
@@ -121,7 +121,7 @@ impl MonotoneSpanner {
                 spanner.add(e);
             }
         }
-        let _ = spanner.take_delta();
+        spanner.take_delta_into(&mut DeltaBuf::new());
         Self {
             n,
             instances,
@@ -158,24 +158,6 @@ impl MonotoneSpanner {
 
     pub fn contains_edge(&self, e: Edge) -> bool {
         self.instances[0].es.has_edge(e.u, e.v)
-    }
-
-    /// Delete a batch of edges; all instances process it in parallel
-    /// (independent random copies — this is where the poly(log n) depth
-    /// per batch comes from). Returns the spanner delta.
-    pub fn delete_batch(&mut self, batch: &[Edge]) -> SpannerDelta {
-        self.delete_inner(batch);
-        let delta = self.spanner.take_delta();
-        self.recourse += delta.recourse() as u64;
-        delta
-    }
-
-    /// [`MonotoneSpanner::delete_batch`] reporting into a caller-owned
-    /// buffer.
-    pub fn delete_batch_into(&mut self, batch: &[Edge], out: &mut DeltaBuf) {
-        self.delete_inner(batch);
-        self.spanner.take_delta_into(out);
-        self.recourse += out.recourse() as u64;
     }
 
     fn delete_inner(&mut self, batch: &[Edge]) {
@@ -287,8 +269,13 @@ impl BatchDynamic for MonotoneSpanner {
 }
 
 impl Decremental for MonotoneSpanner {
+    /// Delete a batch of edges; all instances process it in parallel
+    /// (independent random copies — this is where the poly(log n) depth
+    /// per batch comes from).
     fn delete_into(&mut self, deletions: &[Edge], out: &mut DeltaBuf) {
-        self.delete_batch_into(deletions, out);
+        self.delete_inner(deletions);
+        self.spanner.take_delta_into(out);
+        self.recourse += out.recourse() as u64;
     }
 }
 
@@ -323,10 +310,11 @@ mod tests {
         let mut live = edges.clone();
         let mut rng = StdRng::seed_from_u64(23);
         live.shuffle(&mut rng);
+        let mut d = DeltaBuf::new();
         while live.len() > 40 {
             let b = rng.gen_range(1..=15.min(live.len()));
             let batch: Vec<Edge> = live.split_off(live.len() - b);
-            let d = s.delete_batch(&batch);
+            s.delete_into(&batch, &mut d);
             d.apply_to(&mut shadow);
             s.validate();
         }
@@ -347,8 +335,9 @@ mod tests {
         let n = 40;
         let edges = gen::gnm(n, 100, 11);
         let mut s = MonotoneSpanner::with_params(n, &edges, 4, 0.3, 13);
+        let mut d = DeltaBuf::new();
         for chunk in edges.chunks(9) {
-            s.delete_batch(chunk);
+            s.delete_into(chunk, &mut d);
             s.validate();
         }
         assert_eq!(s.spanner_size(), 0);

@@ -20,7 +20,8 @@
 
 use bds_core::SpannerSet;
 use bds_dstruct::{EdgeTable, FlatList, FxHashMap, FxHashSet};
-use bds_graph::types::{Edge, SpannerDelta, V};
+use bds_graph::api::DeltaBuf;
+use bds_graph::types::{Edge, V};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::collections::BTreeSet;
 
@@ -38,7 +39,7 @@ pub struct LevelBatchResult {
     /// Net E_{i+1} deletions.
     pub next_del: Vec<Edge>,
     /// Net H_i membership changes.
-    pub h_delta: SpannerDelta,
+    pub h_delta: DeltaBuf,
     /// Chronological representative changes of surviving contracted edges.
     pub rep_events: Vec<RepEvent>,
 }
@@ -341,7 +342,7 @@ impl ContractLevel {
 
         out.next_ins.extend(born);
         out.next_del.extend(died.into_keys());
-        out.h_delta.merge(self.h_set.take_delta());
+        self.h_set.take_delta_into(&mut out.h_delta);
     }
 
     /// Test oracle: recompute heads, H reasons, and buckets from scratch

@@ -17,7 +17,7 @@ use bds_dstruct::FxHashMap;
 use bds_graph::api::{
     validate_edges, BatchDynamic, BatchStats, ConfigError, Decremental, DeltaBuf, FullyDynamic,
 };
-use bds_graph::types::{Edge, SpannerDelta, UpdateBatch};
+use bds_graph::types::{Edge, UpdateBatch};
 
 /// Batch-dynamic sparse spanner (Theorem 1.3).
 pub struct SparseSpanner {
@@ -30,7 +30,8 @@ pub struct SparseSpanner {
     /// counted in Active_i on its behalf.
     counted_rep: Vec<FxHashMap<Edge, Edge>>,
     recourse: u64,
-    /// Reusable buffer for the top instance's deltas.
+    /// Reusable buffer for the top instance's and each level's upward
+    /// deltas.
     scratch: DeltaBuf,
 }
 
@@ -141,7 +142,7 @@ impl SparseSpanner {
             }
         }
         for a in &mut active {
-            let _ = a.take_delta();
+            a.take_delta_into(&mut DeltaBuf::new());
         }
         Self {
             n,
@@ -187,33 +188,6 @@ impl SparseSpanner {
         self.top.spanner_size()
     }
 
-    /// Insert a batch of absent edges.
-    pub fn insert_batch(&mut self, edges: &[Edge]) -> SpannerDelta {
-        self.process_batch(&UpdateBatch::insert_only(edges.to_vec()))
-    }
-
-    /// Delete a batch of present edges.
-    pub fn delete_batch(&mut self, edges: &[Edge]) -> SpannerDelta {
-        self.process_batch(&UpdateBatch::delete_only(edges.to_vec()))
-    }
-
-    /// Apply one mixed batch atomically; returns the exact level-0
-    /// spanner delta.
-    pub fn process_batch(&mut self, batch: &UpdateBatch) -> SpannerDelta {
-        self.process_inner(batch);
-        let delta = self.active[0].take_delta();
-        self.recourse += delta.recourse() as u64;
-        delta
-    }
-
-    /// [`SparseSpanner::process_batch`] reporting into a caller-owned
-    /// buffer.
-    pub fn process_batch_into(&mut self, batch: &UpdateBatch, out: &mut DeltaBuf) {
-        self.process_inner(batch);
-        self.active[0].take_delta_into(out);
-        self.recourse += out.recourse() as u64;
-    }
-
     fn process_inner(&mut self, batch: &UpdateBatch) {
         let l = self.levels.len();
         // --- Phase A: upward through the contraction levels. ---
@@ -229,7 +203,7 @@ impl SparseSpanner {
         }
         // --- Top instance (delta into the reusable scratch buffer). ---
         let mut scratch = std::mem::take(&mut self.scratch);
-        self.top.process_batch_into(
+        self.top.apply_into(
             &UpdateBatch {
                 insertions: ins,
                 deletions: del,
@@ -242,7 +216,6 @@ impl SparseSpanner {
         for &e in scratch.inserted() {
             self.active[l].add(e);
         }
-        self.scratch = scratch;
 
         // --- Phase B: downward membership propagation. ---
         for i in (0..l).rev() {
@@ -257,14 +230,14 @@ impl SparseSpanner {
                 }
             }
             // 2. Net membership transitions one level up.
-            let up_delta = self.active[i + 1].take_delta();
-            for e_up in up_delta.deleted {
+            self.active[i + 1].take_delta_into(&mut scratch);
+            for &e_up in scratch.deleted() {
                 let rep = self.counted_rep[i]
                     .remove(&e_up)
                     .unwrap_or_else(|| panic!("no counted rep for {e_up:?}"));
                 self.active[i].remove(rep);
             }
-            for e_up in up_delta.inserted {
+            for &e_up in scratch.inserted() {
                 // bds:allow(no-unwrap): structure invariant named in the message; corrupt state must fail fast, not propagate.
                 let rep = self.levels[i].rep_of(e_up).expect("live contracted edge");
                 self.active[i].add(rep);
@@ -272,13 +245,14 @@ impl SparseSpanner {
                 debug_assert!(dup.is_none());
             }
             // 3. H_i membership changes.
-            for e in &results[i].h_delta.deleted {
-                self.active[i].remove(*e);
+            for &e in results[i].h_delta.deleted() {
+                self.active[i].remove(e);
             }
-            for e in &results[i].h_delta.inserted {
-                self.active[i].add(*e);
+            for &e in results[i].h_delta.inserted() {
+                self.active[i].add(e);
             }
         }
+        self.scratch = scratch;
     }
 
     /// The maintained sparse spanner (level-0 edges).
@@ -376,17 +350,21 @@ impl BatchDynamic for SparseSpanner {
 
 impl Decremental for SparseSpanner {
     fn delete_into(&mut self, deletions: &[Edge], out: &mut DeltaBuf) {
-        self.process_batch_into(&UpdateBatch::delete_only(deletions.to_vec()), out);
+        self.apply_into(&UpdateBatch::delete_only(deletions.to_vec()), out);
     }
 }
 
 impl FullyDynamic for SparseSpanner {
     fn insert_into(&mut self, insertions: &[Edge], out: &mut DeltaBuf) {
-        self.process_batch_into(&UpdateBatch::insert_only(insertions.to_vec()), out);
+        self.apply_into(&UpdateBatch::insert_only(insertions.to_vec()), out);
     }
 
+    /// Apply one mixed batch atomically, writing the exact level-0
+    /// spanner delta into `out`.
     fn apply_into(&mut self, batch: &UpdateBatch, out: &mut DeltaBuf) {
-        self.process_batch_into(batch, out);
+        self.process_inner(batch);
+        self.active[0].take_delta_into(out);
+        self.recourse += out.recourse() as u64;
     }
 }
 
@@ -429,9 +407,10 @@ mod tests {
         let mut s = SparseSpanner::with_rates(n, &init, &[3.0], 17);
         let mut stream = UpdateStream::new(n, &init, 19);
         let mut shadow: FxHashSet<Edge> = s.spanner_edges().into_iter().collect();
+        let mut d = DeltaBuf::new();
         for round in 0..30 {
             let b = stream.next_batch(6, 5);
-            let d = s.process_batch(&b);
+            s.apply_into(&b, &mut d);
             d.apply_to(&mut shadow);
             s.validate();
             let mut got = s.spanner_edges();
@@ -451,9 +430,10 @@ mod tests {
         let mut s = SparseSpanner::with_rates(n, &init, &[3.0, 2.5], 29);
         let mut stream = UpdateStream::new(n, &init, 31);
         let mut shadow: FxHashSet<Edge> = s.spanner_edges().into_iter().collect();
+        let mut d = DeltaBuf::new();
         for _ in 0..20 {
             let b = stream.next_batch(5, 5);
-            let d = s.process_batch(&b);
+            s.apply_into(&b, &mut d);
             d.apply_to(&mut shadow);
             s.validate();
         }
@@ -468,10 +448,11 @@ mod tests {
         use rand::{rngs::StdRng, seq::SliceRandom, Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(41);
         live.shuffle(&mut rng);
+        let mut d = DeltaBuf::new();
         while !live.is_empty() {
             let k = rng.gen_range(1..=10.min(live.len()));
             let batch: Vec<Edge> = live.split_off(live.len() - k);
-            s.delete_batch(&batch);
+            s.delete_into(&batch, &mut d);
             s.validate();
         }
         assert_eq!(s.spanner_size(), 0);

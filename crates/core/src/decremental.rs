@@ -25,7 +25,7 @@ use bds_estree::ShiftedGraph;
 use bds_graph::api::{
     validate_edges, BatchDynamic, BatchStats, ConfigError, Decremental, DeltaBuf,
 };
-use bds_graph::types::{Edge, SpannerDelta, V};
+use bds_graph::types::{Edge, V};
 use std::cmp::Reverse;
 use std::collections::BTreeSet;
 
@@ -283,7 +283,7 @@ impl DecrementalSpanner {
                 this.spanner.add(e);
             }
         }
-        let _ = this.spanner.take_delta();
+        this.spanner.take_delta_into(&mut DeltaBuf::new());
         this
     }
 
@@ -371,24 +371,7 @@ impl DecrementalSpanner {
         self.epoch
     }
 
-    /// Delete a batch of edges; returns the spanner delta. Panics if an
-    /// edge is absent (deletions must reference live edges).
-    pub fn delete_batch(&mut self, batch: &[Edge]) -> SpannerDelta {
-        self.delete_batch_inner(batch);
-        let delta = self.spanner.take_delta();
-        self.stats.recourse += delta.recourse() as u64;
-        delta
-    }
-
-    /// Delete a batch, writing the exact (δH_ins, δH_del) into the
-    /// caller-owned `out` — the allocation-free delta path.
-    pub fn delete_batch_into(&mut self, batch: &[Edge], out: &mut DeltaBuf) {
-        self.delete_batch_inner(batch);
-        self.spanner.take_delta_into(out);
-        self.stats.recourse += out.recourse() as u64;
-    }
-
-    fn delete_batch_inner(&mut self, batch: &[Edge]) {
+    fn delete_inner(&mut self, batch: &[Edge]) {
         let t = self.sg.t;
         let nl = t as usize + 2;
         // (vertex, scan ceiling priority) per level for parent fixing.
@@ -775,8 +758,13 @@ impl BatchDynamic for DecrementalSpanner {
 }
 
 impl Decremental for DecrementalSpanner {
+    /// Delete a batch of edges, writing the exact (δH_ins, δH_del) into
+    /// `out`. Panics if an edge is absent (deletions must reference live
+    /// edges).
     fn delete_into(&mut self, deletions: &[Edge], out: &mut DeltaBuf) {
-        self.delete_batch_into(deletions, out);
+        self.delete_inner(deletions);
+        self.spanner.take_delta_into(out);
+        self.stats.recourse += out.recourse() as u64;
     }
 }
 
@@ -821,7 +809,7 @@ mod tests {
                     let orphans = s.parent.iter().filter(|&&p| p == 0).count();
                     assert!(orphans >= 64, "hub 0 parents only {orphans} leaves");
                     s.par_rescan_min = par_rescan_min;
-                    s.delete_batch(&batch);
+                    s.delete_into(&batch, &mut DeltaBuf::new());
                     s.validate();
                     s.stats().scan_steps
                 })
@@ -852,9 +840,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         live.shuffle(&mut rng);
         let mut shadow: FxHashSet<Edge> = s.spanner_edges().into_iter().collect();
+        let mut delta = DeltaBuf::new();
         for _ in 0..90 {
             let Some(e) = live.pop() else { break };
-            let delta = s.delete_batch(&[e]);
+            s.delete_into(&[e], &mut delta);
             delta.apply_to(&mut shadow);
             s.validate();
             let mut got = s.spanner_edges();
@@ -874,10 +863,11 @@ mod tests {
         let mut live = edges.clone();
         let mut rng = StdRng::seed_from_u64(31);
         live.shuffle(&mut rng);
+        let mut delta = DeltaBuf::new();
         while live.len() > 60 {
             let b = rng.gen_range(1..=25.min(live.len()));
             let batch: Vec<Edge> = live.split_off(live.len() - b);
-            s.delete_batch(&batch);
+            s.delete_into(&batch, &mut delta);
             s.validate();
             let st = edge_stretch(n, &live, &s.spanner_edges(), n, 3);
             assert!(st <= (2 * k - 1) as f64, "stretch {st} after deletions");
@@ -892,10 +882,11 @@ mod tests {
         let mut live = edges;
         let mut rng = StdRng::seed_from_u64(1);
         live.shuffle(&mut rng);
+        let mut delta = DeltaBuf::new();
         while !live.is_empty() {
             let b = rng.gen_range(1..=10.min(live.len()));
             let batch: Vec<Edge> = live.split_off(live.len() - b);
-            s.delete_batch(&batch);
+            s.delete_into(&batch, &mut delta);
         }
         s.validate();
         assert!(s.spanner_edges().is_empty());
@@ -933,6 +924,6 @@ mod tests {
                 }
             }
         }
-        s.delete_batch(&[missing.unwrap()]);
+        s.delete_into(&[missing.unwrap()], &mut DeltaBuf::new());
     }
 }

@@ -24,7 +24,7 @@ use crate::spanner_set::SpannerSet;
 use bds_graph::api::{
     validate_edges, BatchDynamic, BatchStats, ConfigError, Decremental, DeltaBuf, FullyDynamic,
 };
-use bds_graph::types::{Edge, SpannerDelta, UpdateBatch};
+use bds_graph::types::{Edge, UpdateBatch};
 
 /// Slots ≥ 1 hold decremental instances; E₀ is the unstructured buffer.
 enum Slot {
@@ -45,6 +45,9 @@ pub struct FullyDynamicSpanner {
     seed: u64,
     rebuilds: u64,
     recourse: u64,
+    /// Work counters of the slot instances rebuilds have torn down, so
+    /// [`FullyDynamicSpanner::stats`] never goes backwards.
+    retired: BatchStats,
     /// Reusable buffer for slot-level deltas (keeps the steady-state
     /// delta path allocation-free).
     scratch: DeltaBuf,
@@ -113,6 +116,7 @@ impl FullyDynamicSpanner {
             seed,
             rebuilds: 0,
             recourse: 0,
+            retired: BatchStats::default(),
             scratch: DeltaBuf::new(),
             batch: Vec::new(),
         };
@@ -124,7 +128,7 @@ impl FullyDynamicSpanner {
             }
             s.build_slot(j, edges.to_vec());
         }
-        let _ = s.spanner.take_delta();
+        s.spanner.take_delta_into(&mut DeltaBuf::new());
         s
     }
 
@@ -174,8 +178,9 @@ impl FullyDynamicSpanner {
         self.slots[j as usize - 1] = Slot::Instance(Box::new(inst));
     }
 
-    /// Tear down slot `j`, removing its spanner contribution; returns its
-    /// live edges (index entries are overwritten by the caller's rebuild).
+    /// Tear down slot `j`, removing its spanner contribution and keeping
+    /// its work counters; returns its live edges (index entries are
+    /// overwritten by the caller's rebuild).
     fn drain_slot(&mut self, j: u32) -> Vec<Edge> {
         if j as usize > self.slots.len() {
             return Vec::new();
@@ -184,28 +189,13 @@ impl FullyDynamicSpanner {
         match slot {
             Slot::Empty => Vec::new(),
             Slot::Instance(d) => {
+                add_work(&mut self.retired, &d);
                 for e in d.spanner_edges() {
                     self.spanner.remove(e);
                 }
                 d.live_edges()
             }
         }
-    }
-
-    /// Insert a batch of edges (must be absent; panics otherwise).
-    pub fn insert_batch(&mut self, inserted: &[Edge]) -> SpannerDelta {
-        self.insert_inner(inserted);
-        let delta = self.spanner.take_delta();
-        self.recourse += delta.recourse() as u64;
-        delta
-    }
-
-    /// [`FullyDynamicSpanner::insert_batch`] reporting into a
-    /// caller-owned buffer.
-    pub fn insert_batch_into(&mut self, inserted: &[Edge], out: &mut DeltaBuf) {
-        self.insert_inner(inserted);
-        self.spanner.take_delta_into(out);
-        self.recourse += out.recourse() as u64;
     }
 
     fn insert_inner(&mut self, inserted: &[Edge]) {
@@ -273,22 +263,6 @@ impl FullyDynamicSpanner {
         self.batch = u;
     }
 
-    /// Delete a batch of edges (must be present; panics otherwise).
-    pub fn delete_batch(&mut self, deleted: &[Edge]) -> SpannerDelta {
-        self.delete_inner(deleted);
-        let delta = self.spanner.take_delta();
-        self.recourse += delta.recourse() as u64;
-        delta
-    }
-
-    /// [`FullyDynamicSpanner::delete_batch`] reporting into a
-    /// caller-owned buffer.
-    pub fn delete_batch_into(&mut self, deleted: &[Edge], out: &mut DeltaBuf) {
-        self.delete_inner(deleted);
-        self.spanner.take_delta_into(out);
-        self.recourse += out.recourse() as u64;
-    }
-
     fn delete_inner(&mut self, deleted: &[Edge]) {
         let spanner = &mut self.spanner;
         self.part.route_deletions(deleted, |e| spanner.remove(e));
@@ -298,7 +272,7 @@ impl FullyDynamicSpanner {
             let Slot::Instance(d) = &mut self.slots[slot as usize - 1] else {
                 panic!("indexed slot {slot} is empty")
             };
-            d.delete_batch_into(edges, &mut self.scratch);
+            d.delete_into(edges, &mut self.scratch);
             for &e in self.scratch.deleted() {
                 self.spanner.remove(e);
             }
@@ -306,28 +280,6 @@ impl FullyDynamicSpanner {
                 self.spanner.add(e);
             }
         }
-    }
-
-    /// Apply one mixed batch (deletions, then insertions) atomically.
-    /// The per-batch netting that used to run through an edge-score hash
-    /// map now falls out of the [`SpannerSet`] baseline: both phases
-    /// record against one batch baseline and a single delta extraction
-    /// nets them — no allocation on the delta path.
-    pub fn process_batch(&mut self, batch: &UpdateBatch) -> SpannerDelta {
-        self.delete_inner(&batch.deletions);
-        self.insert_inner(&batch.insertions);
-        let delta = self.spanner.take_delta();
-        self.recourse += delta.recourse() as u64;
-        delta
-    }
-
-    /// [`FullyDynamicSpanner::process_batch`] reporting into a
-    /// caller-owned buffer.
-    pub fn process_batch_into(&mut self, batch: &UpdateBatch, out: &mut DeltaBuf) {
-        self.delete_inner(&batch.deletions);
-        self.insert_inner(&batch.insertions);
-        self.spanner.take_delta_into(out);
-        self.recourse += out.recourse() as u64;
     }
 
     /// Current spanner edge set.
@@ -347,17 +299,14 @@ impl FullyDynamicSpanner {
         self.rebuilds
     }
 
-    /// Aggregated statistics: per-slot work counters (of the currently
-    /// live slots — rebuilt slots restart their counters) plus the
-    /// wrapper-level recourse.
+    /// Aggregated statistics: the work counters of every slot instance
+    /// built so far (live and retired by rebuilds, so no counter ever
+    /// decreases) plus the wrapper-level recourse.
     pub fn stats(&self) -> BatchStats {
-        let mut s = BatchStats::default();
+        let mut s = self.retired;
         for slot in &self.slots {
             if let Slot::Instance(d) = slot {
-                let ds = d.stats();
-                s.scan_steps += ds.scan_steps;
-                s.cluster_changes += ds.cluster_changes;
-                s.vertices_touched += ds.vertices_touched;
+                add_work(&mut s, d);
             }
         }
         s.recourse = self.recourse;
@@ -408,6 +357,14 @@ impl FullyDynamicSpanner {
     }
 }
 
+/// Add one slot instance's work counters (not its recourse) into `acc`.
+fn add_work(acc: &mut BatchStats, d: &DecrementalSpanner) {
+    let ds = d.stats();
+    acc.scan_steps += ds.scan_steps;
+    acc.cluster_changes += ds.cluster_changes;
+    acc.vertices_touched += ds.vertices_touched;
+}
+
 impl BatchDynamic for FullyDynamicSpanner {
     fn num_vertices(&self) -> usize {
         self.n
@@ -427,18 +384,31 @@ impl BatchDynamic for FullyDynamicSpanner {
 }
 
 impl Decremental for FullyDynamicSpanner {
+    /// Delete a batch of edges (must be present; panics otherwise).
     fn delete_into(&mut self, deletions: &[Edge], out: &mut DeltaBuf) {
-        self.delete_batch_into(deletions, out);
+        self.delete_inner(deletions);
+        self.spanner.take_delta_into(out);
+        self.recourse += out.recourse() as u64;
     }
 }
 
 impl FullyDynamic for FullyDynamicSpanner {
+    /// Insert a batch of edges (must be absent; panics otherwise).
     fn insert_into(&mut self, insertions: &[Edge], out: &mut DeltaBuf) {
-        self.insert_batch_into(insertions, out);
+        self.insert_inner(insertions);
+        self.spanner.take_delta_into(out);
+        self.recourse += out.recourse() as u64;
     }
 
+    /// Apply one mixed batch (deletions, then insertions) atomically.
+    /// Both phases record against one [`SpannerSet`] batch baseline and
+    /// a single delta extraction nets them — no allocation on the delta
+    /// path.
     fn apply_into(&mut self, batch: &UpdateBatch, out: &mut DeltaBuf) {
-        self.process_batch_into(batch, out);
+        self.delete_inner(&batch.deletions);
+        self.insert_inner(&batch.insertions);
+        self.spanner.take_delta_into(out);
+        self.recourse += out.recourse() as u64;
     }
 }
 
@@ -466,12 +436,13 @@ mod tests {
         let mut s = FullyDynamicSpanner::new(n, k, &init, 11);
         let mut stream = UpdateStream::new(n, &init, 13);
         let mut shadow: FxHashSet<Edge> = s.spanner_edges().into_iter().collect();
+        let mut d = DeltaBuf::new();
         for round in 0..25 {
             let b = stream.next_batch(8, 6);
-            let d1 = s.delete_batch(&b.deletions);
-            d1.apply_to(&mut shadow);
-            let d2 = s.insert_batch(&b.insertions);
-            d2.apply_to(&mut shadow);
+            s.delete_into(&b.deletions, &mut d);
+            d.apply_to(&mut shadow);
+            s.insert_into(&b.insertions, &mut d);
+            d.apply_to(&mut shadow);
             s.validate();
             let mut got = s.spanner_edges();
             let mut want: Vec<Edge> = shadow.iter().copied().collect();
@@ -489,8 +460,9 @@ mod tests {
         let mut s = FullyDynamicSpanner::new(n, 3, &[], 17);
         let all = gen::gnm(n, 400, 19);
         let mut shadow: FxHashSet<Edge> = FxHashSet::default();
+        let mut d = DeltaBuf::new();
         for chunk in all.chunks(37) {
-            let d = s.insert_batch(chunk);
+            s.insert_into(chunk, &mut d);
             d.apply_to(&mut shadow);
             s.validate();
         }
@@ -502,8 +474,9 @@ mod tests {
         let n = 40;
         let edges = gen::gnm(n, 120, 23);
         let mut s = FullyDynamicSpanner::new(n, 2, &edges, 29);
+        let mut d = DeltaBuf::new();
         for chunk in edges.chunks(11) {
-            s.delete_batch(chunk);
+            s.delete_into(chunk, &mut d);
             s.validate();
         }
         assert_eq!(s.num_live_edges(), 0);
@@ -513,7 +486,9 @@ mod tests {
     /// n = 16, k = 2 gives cap₀ = 64: a growth phase fills E₀ until it
     /// overflows into a rebuilt slot, then churn deletes from both E₀ and
     /// the slots. Every batch is validated (E₀ position index included)
-    /// and its delta replayed against a shadow of the spanner.
+    /// and its delta replayed against a shadow of the spanner, and no
+    /// work counter may decrease — a rebuild must keep the counters of
+    /// the slots it retires.
     #[test]
     fn e0_fill_overflow_and_deletions_keep_position_index() {
         let (n, k) = (16, 2);
@@ -521,6 +496,7 @@ mod tests {
         assert_eq!(s.capacity(0), 64);
         let mut stream = UpdateStream::new(n, &[], 5);
         let mut shadow: FxHashSet<Edge> = FxHashSet::default();
+        let mut d = DeltaBuf::new();
         let (mut e0_deletes, mut slot_deletes, mut merges) = (0, 0, 0);
         for round in 0..60 {
             let b = if round < 10 {
@@ -536,14 +512,22 @@ mod tests {
                 }
             }
             let (e0_before, rebuilds) = (s.part.e0().len(), s.num_rebuilds());
-            let d = s.process_batch(&b);
+            let before = s.stats();
+            s.apply_into(&b, &mut d);
             if s.num_rebuilds() > rebuilds && s.part.e0().len() < e0_before {
                 merges += 1;
             }
-            for e in &d.deleted {
+            let after = s.stats();
+            assert!(
+                after.scan_steps >= before.scan_steps
+                    && after.vertices_touched >= before.vertices_touched
+                    && after.cluster_changes >= before.cluster_changes,
+                "round {round}: stats went backwards: {before:?} -> {after:?}"
+            );
+            for e in d.deleted() {
                 assert!(shadow.remove(e), "round {round}: deleted {e:?} not in H");
             }
-            for &e in &d.inserted {
+            for &e in d.inserted() {
                 assert!(shadow.insert(e), "round {round}: inserted {e:?} twice");
             }
             s.validate();
@@ -570,9 +554,10 @@ mod tests {
         let mut s = FullyDynamicSpanner::new(n, 2, &init, 37);
         let mut stream = UpdateStream::new(n, &init, 41);
         let mut shadow: FxHashSet<Edge> = s.spanner_edges().into_iter().collect();
+        let mut d = DeltaBuf::new();
         for _ in 0..15 {
             let b = stream.next_batch(5, 5);
-            let d = s.process_batch(&b);
+            s.apply_into(&b, &mut d);
             d.apply_to(&mut shadow);
             let mut got = s.spanner_edges();
             let mut want: Vec<Edge> = shadow.iter().copied().collect();

@@ -1,13 +1,16 @@
 //! The paper's base contribution — parallel batch-dynamic (2k−1)-spanners.
 //!
 //! * [`spanner_set`] — refcounted spanner membership with exact
-//!   (δH_ins, δH_del) delta extraction.
+//!   (δH_ins, δH_del) delta extraction into a [`DeltaBuf`].
 //! * [`decremental`] — **Lemma 3.3**: a decremental (2k−1)-spanner of
 //!   expected size O(n^{1+1/k}), maintained by exponential-start-time
 //!   clustering on the shifted auxiliary graph with a batched
 //!   Even–Shiloach tree and priority-ordered in-lists.
 //! * [`fully_dynamic`] — **Theorem 1.1**: the Bentley–Saxe style
 //!   reduction from fully-dynamic to decremental (invariant B1).
+//!
+//! Both structures take batches only through the [`Decremental`] /
+//! [`FullyDynamic`] traits.
 //! * [`partition`] — the Bentley–Saxe partition's E₀ buffer and
 //!   position-tagged edge → owner index, shared with Theorem 1.6.
 
@@ -22,6 +25,7 @@ pub use decremental::{DecrementalSpanner, DecrementalSpannerBuilder};
 pub use fully_dynamic::{FullyDynamicSpanner, FullyDynamicSpannerBuilder};
 pub use spanner_set::SpannerSet;
 
-// The unified update interface both structures implement lives in the
-// graph substrate so every crate shares one contract.
+// The unified update interface lives in the graph substrate so every
+// crate shares one contract: the traits are the only way to apply a
+// batch, and `DeltaBuf` is the only delta type.
 pub use bds_graph::api::{BatchDynamic, BatchStats, Decremental, DeltaBuf, FullyDynamic};

@@ -10,7 +10,7 @@
 
 use bds_dstruct::EdgeTable;
 use bds_graph::api::DeltaBuf;
-use bds_graph::types::{Edge, SpannerDelta};
+use bds_graph::types::Edge;
 
 #[derive(Debug, Default)]
 pub struct SpannerSet {
@@ -99,23 +99,6 @@ impl SpannerSet {
             }
         });
     }
-
-    /// Net membership changes since the last call (or construction).
-    /// Materializing convenience over [`SpannerSet::take_delta_into`].
-    pub fn take_delta(&mut self) -> SpannerDelta {
-        let mut delta = SpannerDelta::default();
-        let count = &self.count;
-        self.baseline.drain_with(|u, v, was| {
-            let e = Edge { u, v };
-            let now = count.contains(u, v);
-            match (was != 0, now) {
-                (false, true) => delta.inserted.push(e),
-                (true, false) => delta.deleted.push(e),
-                _ => {}
-            }
-        });
-        delta
-    }
 }
 
 #[cfg(test)]
@@ -125,22 +108,23 @@ mod tests {
     #[test]
     fn refcount_netting() {
         let mut s = SpannerSet::new();
+        let mut d = DeltaBuf::new();
         let e = Edge::new(0, 1);
         s.add(e);
         s.add(e); // second reason
         assert_eq!(s.len(), 1);
-        let d = s.take_delta();
-        assert_eq!(d.inserted, vec![e]);
-        assert!(d.deleted.is_empty());
+        s.take_delta_into(&mut d);
+        assert_eq!(d.inserted(), &[e]);
+        assert!(d.deleted().is_empty());
 
         s.remove(e);
         assert!(s.contains(e));
-        let d = s.take_delta();
+        s.take_delta_into(&mut d);
         assert_eq!(d.recourse(), 0, "still present: no delta");
 
         s.remove(e);
-        let d = s.take_delta();
-        assert_eq!(d.deleted, vec![e]);
+        s.take_delta_into(&mut d);
+        assert_eq!(d.deleted(), &[e]);
         assert!(!s.contains(e));
     }
 
@@ -152,7 +136,8 @@ mod tests {
         s.remove(e);
         s.add(e);
         s.remove(e);
-        let d = s.take_delta();
+        let mut d = DeltaBuf::new();
+        s.take_delta_into(&mut d);
         assert_eq!(d.recourse(), 0);
     }
 

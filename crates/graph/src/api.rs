@@ -5,19 +5,20 @@
 //! This module is that contract as code, shared by every structure in the
 //! workspace:
 //!
-//! * [`DeltaBuf`] — a caller-owned, reusable delta buffer every
-//!   implementor reports into. One flat `Vec<Edge>` with a split index
-//!   (insertions before it, deletions after), an optional per-edge
-//!   weight lane for the sparsifiers, and an auxiliary edge lane for
-//!   structure-specific side channels (the bundle's residual deletions).
-//!   Reusing one buffer across batches makes the steady-state delta path
-//!   allocation-free.
+//! * [`DeltaBuf`] — the one delta type: a caller-owned, reusable
+//!   buffer every implementor reports into. One flat `Vec<Edge>` with a
+//!   split index (insertions before it, deletions after), an optional
+//!   per-edge weight lane for the sparsifiers, and an auxiliary edge
+//!   lane for structure-specific side channels (the bundle's residual
+//!   deletions). Reusing one buffer across batches makes the
+//!   steady-state delta path allocation-free.
 //! * [`BatchDynamic`] / [`Decremental`] / [`FullyDynamic`] — the
-//!   capability-split update traits. Delete-only structures (`EsTree`,
-//!   the bundle/monotone spanners, the decremental spanner and
-//!   sparsifier) implement [`Decremental`]; structures that also take
-//!   insertions (the Bentley–Saxe wrappers, the contraction towers)
-//!   implement [`FullyDynamic`].
+//!   capability-split update traits, and the only update path every
+//!   structure has. Delete-only structures (`EsTree`, the
+//!   bundle/monotone spanners, the decremental spanner and sparsifier)
+//!   implement [`Decremental`]; structures that also take insertions
+//!   (the Bentley–Saxe wrappers, the contraction towers) implement
+//!   [`FullyDynamic`].
 //! * [`BatchStats`] — one per-structure statistics record (scan steps,
 //!   vertices touched, cluster changes, recourse) replacing the ad-hoc
 //!   per-crate stats types.
@@ -75,10 +76,12 @@ impl AuxTag {
 /// entries (the t-bundle reports its residual deletions there — what
 /// drives the Lemma 6.6 sampling chain).
 ///
-/// The buffer is *caller-owned*: allocate one, pass `&mut` to every
-/// `*_into` call, and the steady-state batch loop performs no delta-path
-/// heap allocations once the vectors have warmed up ([`DeltaBuf::clear`]
-/// keeps capacity).
+/// This is the workspace's only delta type: every structure reports
+/// each batch into one through the [`Decremental`] / [`FullyDynamic`]
+/// trait methods. The buffer is *caller-owned*: allocate one, pass
+/// `&mut` to every `*_into` call, and the steady-state batch loop
+/// performs no delta-path heap allocations once the vectors have warmed
+/// up ([`DeltaBuf::clear`] keeps capacity).
 #[derive(Debug, Clone, Default)]
 pub struct DeltaBuf {
     edges: Vec<Edge>,
@@ -406,15 +409,6 @@ impl DeltaBuf {
             assert!(old.is_none(), "delta inserts duplicate edge {e:?}");
         }
     }
-
-    /// Materialize as a [`crate::types::SpannerDelta`] (allocates; for
-    /// interop with the legacy per-batch delta types).
-    pub fn to_delta(&self) -> crate::types::SpannerDelta {
-        crate::types::SpannerDelta {
-            inserted: self.inserted().to_vec(),
-            deleted: self.deleted().to_vec(),
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -479,13 +473,19 @@ impl std::fmt::Display for ConfigError {
 impl std::error::Error for ConfigError {}
 
 /// Typed batch-validation failure from
-/// [`crate::types::UpdateBatch::normalized`].
+/// [`crate::types::UpdateBatch::normalized`] and
+/// [`FullyDynamic::process_checked`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BatchError {
     /// An edge appears in both the insertion and the deletion list of one
     /// batch (the paper's model forbids it; applying either order would
     /// silently change semantics).
     EdgeInBothLists(Edge),
+    /// An edge endpoint is ≥ the structure's vertex count.
+    VertexOutOfRange { vertex: V, n: usize },
+    /// An edge is not in canonical form `u < v` (a struct literal can
+    /// bypass [`Edge::new`]; self-loops land here too).
+    NonCanonicalEdge(Edge),
 }
 
 impl std::fmt::Display for BatchError {
@@ -493,6 +493,12 @@ impl std::fmt::Display for BatchError {
         match self {
             BatchError::EdgeInBothLists(e) => {
                 write!(f, "edge {e:?} appears in both lists of one batch")
+            }
+            BatchError::VertexOutOfRange { vertex, n } => {
+                write!(f, "edge endpoint {vertex} out of range for n = {n}")
+            }
+            BatchError::NonCanonicalEdge(e) => {
+                write!(f, "edge {e:?} is not canonical (u < v required)")
             }
         }
     }
@@ -545,13 +551,6 @@ pub trait BatchDynamic {
     fn batch_seq(&self) -> u64 {
         0
     }
-
-    /// Convenience: the maintained output set as a fresh vector.
-    fn output_edges_vec(&self) -> Vec<Edge> {
-        let mut buf = DeltaBuf::new();
-        self.output_into(&mut buf);
-        buf.inserted().to_vec()
-    }
 }
 
 /// A structure processing batches of edge *deletions* — the capability
@@ -576,8 +575,10 @@ pub trait FullyDynamic: Decremental {
     /// in both lists, no duplicates.
     fn apply_into(&mut self, batch: &UpdateBatch, out: &mut DeltaBuf);
 
-    /// Validating entry point for untrusted batches: normalizes (dedup,
-    /// both-lists check) and then applies. Allocates for the normalized
+    /// Validating entry point for untrusted batches: rejects edges with
+    /// an endpoint ≥ [`BatchDynamic::num_vertices`] or not in canonical
+    /// form, normalizes (dedup, both-lists check), and then applies. On
+    /// `Err` the structure is untouched. Allocates for the normalized
     /// copy — steady-state loops over trusted batches should call
     /// [`FullyDynamic::apply_into`] directly.
     fn process_checked(
@@ -585,6 +586,10 @@ pub trait FullyDynamic: Decremental {
         batch: &UpdateBatch,
         out: &mut DeltaBuf,
     ) -> Result<BatchReport, BatchError> {
+        let n = self.num_vertices();
+        for &e in batch.insertions.iter().chain(&batch.deletions) {
+            check_edge(n, e)?;
+        }
         let (norm, report) = batch.normalized()?;
         self.apply_into(&norm, out);
         Ok(report)
@@ -766,21 +771,34 @@ impl SpannerView {
 // Builder validation helpers (shared by every crate's typed builder)
 // ---------------------------------------------------------------------------
 
-/// Validate an initial edge list against `n`: both endpoints in range,
+/// The per-edge input check shared by [`validate_edges`] and
+/// [`FullyDynamic::process_checked`]: both endpoints below `n` and
 /// canonical form (`u < v` — [`Edge`]'s fields are public, so a struct
-/// literal can bypass the canonicalizing constructor), no duplicates.
+/// literal can bypass the canonicalizing constructor).
+fn check_edge(n: usize, e: Edge) -> Result<(), BatchError> {
+    if e.u as usize >= n || e.v as usize >= n {
+        let vertex = if e.u as usize >= n { e.u } else { e.v };
+        return Err(BatchError::VertexOutOfRange { vertex, n });
+    }
+    if e.u >= e.v {
+        return Err(BatchError::NonCanonicalEdge(e));
+    }
+    Ok(())
+}
+
+/// Validate an initial edge list against `n`: every edge passes the
+/// per-edge range and canonical-form check, and there are no duplicates.
 pub fn validate_edges(n: usize, edges: &[Edge]) -> Result<(), ConfigError> {
-    for e in edges {
-        if e.u as usize >= n || e.v as usize >= n {
-            let vertex = if e.u as usize >= n { e.u } else { e.v };
-            return Err(ConfigError::VertexOutOfRange { vertex, n });
-        }
-        if e.u >= e.v {
-            return Err(ConfigError::InvalidParam {
+    for &e in edges {
+        check_edge(n, e).map_err(|err| match err {
+            BatchError::VertexOutOfRange { vertex, n } => {
+                ConfigError::VertexOutOfRange { vertex, n }
+            }
+            _ => ConfigError::InvalidParam {
                 name: "edges",
                 reason: "edge is not canonical (u < v required; self-loops are invalid)",
-            });
-        }
+            },
+        })?;
     }
     let mut sorted: Vec<Edge> = edges.to_vec();
     sorted.sort_unstable();

@@ -32,6 +32,6 @@ pub use serve::{
 pub use shard::{
     HashPartitioner, MirrorSpanner, Partitioner, ShardedEngine, ShardedEngineBuilder, ShardedView,
 };
-pub use types::{Edge, SpannerDelta, UpdateBatch, V};
+pub use types::{Edge, UpdateBatch, V};
 pub use union_find::UnionFind;
 pub use wal::{FollowerView, FsyncPolicy, RecoverError, Recovered, Snapshot, WalConfig, WalWriter};

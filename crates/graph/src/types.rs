@@ -164,36 +164,6 @@ impl UpdateBatch {
     }
 }
 
-/// The (δH_ins, δH_del) pair every theorem's interface returns: edges that
-/// entered / left the maintained spanner (or sparsifier) as a result of
-/// one update batch.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SpannerDelta {
-    pub inserted: Vec<Edge>,
-    pub deleted: Vec<Edge>,
-}
-
-impl SpannerDelta {
-    pub fn recourse(&self) -> usize {
-        self.inserted.len() + self.deleted.len()
-    }
-
-    pub fn merge(&mut self, other: SpannerDelta) {
-        self.inserted.extend(other.inserted);
-        self.deleted.extend(other.deleted);
-    }
-
-    /// Apply to a materialized edge set, asserting consistency.
-    pub fn apply_to(&self, set: &mut bds_dstruct::FxHashSet<Edge>) {
-        for e in &self.deleted {
-            assert!(set.remove(e), "delta removes absent edge {e:?}");
-        }
-        for e in &self.inserted {
-            assert!(set.insert(*e), "delta inserts duplicate edge {e:?}");
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -210,18 +180,5 @@ mod tests {
     #[should_panic(expected = "self-loop")]
     fn edge_rejects_self_loop() {
         let _ = Edge::new(3, 3);
-    }
-
-    #[test]
-    fn delta_apply_roundtrip() {
-        let mut set = bds_dstruct::FxHashSet::default();
-        set.insert(Edge::new(0, 1));
-        let d = SpannerDelta {
-            inserted: vec![Edge::new(1, 2)],
-            deleted: vec![Edge::new(0, 1)],
-        };
-        d.apply_to(&mut set);
-        assert!(set.contains(&Edge::new(1, 2)) && set.len() == 1);
-        assert_eq!(d.recourse(), 2);
     }
 }

@@ -15,7 +15,7 @@
 //! there, exactly as the paper prescribes ("we destroy the data structure
 //! and reduce k accordingly").
 
-use crate::weighted_set::{WeightedDeltaSet, WeightedSet};
+use crate::weighted_set::WeightedSet;
 use bds_bundle::BundleSpanner;
 use bds_dstruct::fx::mix64;
 use bds_dstruct::{EdgeTable, FxHashSet};
@@ -24,9 +24,6 @@ use bds_graph::api::{
     BatchStats, ConfigError, Decremental, DeltaBuf,
 };
 use bds_graph::types::Edge;
-
-/// Weighted (δH_ins, δH_del) pair of Theorem 1.6's interface.
-pub type WeightedDelta = WeightedDeltaSet;
 
 /// Decremental (1±ε) spectral sparsifier (Lemma 6.6).
 pub struct DecrementalSparsifier {
@@ -40,6 +37,9 @@ pub struct DecrementalSparsifier {
     terminal: EdgeTable,
     sparsifier: WeightedSet,
     recourse: u64,
+    /// Work counters of the bundle levels truncation has destroyed, so
+    /// the cumulative statistics never go backwards.
+    retired: BatchStats,
     /// Reusable buffer for per-level bundle deltas.
     level_scratch: DeltaBuf,
 }
@@ -142,6 +142,7 @@ impl DecrementalSparsifier {
             terminal: EdgeTable::new(),
             sparsifier: WeightedSet::new(),
             recourse: 0,
+            retired: BatchStats::default(),
             level_scratch: DeltaBuf::new(),
         };
         let mut gi: Vec<Edge> = edges.to_vec();
@@ -173,7 +174,7 @@ impl DecrementalSparsifier {
             this.sparsifier.insert(e, w);
         }
         this.terminal = gi.into_iter().map(|e| (e.u, e.v, 0)).collect();
-        let _ = this.sparsifier.take_delta();
+        this.sparsifier.take_delta_into(&mut DeltaBuf::new());
         this
     }
 
@@ -241,22 +242,6 @@ impl DecrementalSparsifier {
         self.sparsifier.len()
     }
 
-    /// Delete a batch of live G₀ edges; returns the weighted delta.
-    pub fn delete_batch(&mut self, batch: &[Edge]) -> WeightedDelta {
-        self.delete_inner(batch);
-        let delta = self.sparsifier.take_delta();
-        self.recourse += delta.recourse() as u64;
-        delta
-    }
-
-    /// [`DecrementalSparsifier::delete_batch`] reporting into a
-    /// caller-owned buffer (weight lane populated).
-    pub fn delete_batch_into(&mut self, batch: &[Edge], out: &mut DeltaBuf) {
-        self.delete_inner(batch);
-        self.sparsifier.take_delta_into(out);
-        self.recourse += out.recourse() as u64;
-    }
-
     fn delete_inner(&mut self, batch: &[Edge]) {
         let mut xi: Vec<Edge> = batch.to_vec();
         // A promotion at level i may still be owned by a *deeper* level
@@ -269,7 +254,7 @@ impl DecrementalSparsifier {
                 break;
             }
             let w = 4f64.powi(i as i32);
-            self.levels[i].delete_batch_into(&xi, &mut scratch);
+            self.levels[i].delete_into(&xi, &mut scratch);
             for &e in scratch.deleted() {
                 self.sparsifier.remove(e);
             }
@@ -324,6 +309,9 @@ impl DecrementalSparsifier {
         }
         for (u, v, _) in self.terminal.drain() {
             self.sparsifier.remove(Edge { u, v });
+        }
+        for b in &self.levels[cut..] {
+            add_work(&mut self.retired, b);
         }
         self.levels.truncate(cut);
         let w = 4f64.powi(cut as i32);
@@ -404,21 +392,33 @@ impl BatchDynamic for DecrementalSparsifier {
         self.sparsifier.output_into(out);
     }
 
+    /// The work counters of every bundle level built so far (live and
+    /// destroyed by truncation, so no counter ever decreases) plus the
+    /// chain-level recourse.
     fn stats(&self) -> BatchStats {
-        let mut s = BatchStats::default();
+        let mut s = self.retired;
         for b in &self.levels {
-            let bs = BatchDynamic::stats(b);
-            s.scan_steps += bs.scan_steps;
-            s.vertices_touched += bs.vertices_touched;
+            add_work(&mut s, b);
         }
         s.recourse = self.recourse;
         s
     }
 }
 
+/// Add one bundle level's work counters (not its recourse) into `acc`.
+fn add_work(acc: &mut BatchStats, b: &BundleSpanner) {
+    let bs = BatchDynamic::stats(b);
+    acc.scan_steps += bs.scan_steps;
+    acc.vertices_touched += bs.vertices_touched;
+}
+
 impl Decremental for DecrementalSparsifier {
+    /// Delete a batch of live G₀ edges, writing the weighted delta into
+    /// `out` (weight lane populated).
     fn delete_into(&mut self, deletions: &[Edge], out: &mut DeltaBuf) {
-        self.delete_batch_into(deletions, out);
+        self.delete_inner(deletions);
+        self.sparsifier.take_delta_into(out);
+        self.recourse += out.recourse() as u64;
     }
 }
 
@@ -467,20 +467,19 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(29);
         live.shuffle(&mut rng);
         let mut shadow: Vec<(Edge, f64)> = s.sparsifier_edges();
+        let mut d = DeltaBuf::new();
         while live.len() > 40 {
             let k = rng.gen_range(1..=20.min(live.len()));
             let batch: Vec<Edge> = live.split_off(live.len() - k);
-            let d = s.delete_batch(&batch);
-            for (e, w) in &d.deleted {
+            s.delete_into(&batch, &mut d);
+            for (e, w) in d.deleted_weighted() {
                 let pos = shadow
                     .iter()
-                    .position(|(se, sw)| se == e && sw == w)
+                    .position(|&(se, sw)| se == e && sw == w)
                     .unwrap_or_else(|| panic!("deleted ({e:?},{w}) not in shadow"));
                 shadow.swap_remove(pos);
             }
-            for (e, w) in &d.inserted {
-                shadow.push((*e, *w));
-            }
+            shadow.extend(d.inserted_weighted());
             s.validate();
             let mut got = s.sparsifier_edges();
             got.sort_by_key(|x| x.0);
@@ -498,11 +497,20 @@ mod tests {
         let mut live = edges;
         let mut rng = StdRng::seed_from_u64(41);
         live.shuffle(&mut rng);
+        let mut d = DeltaBuf::new();
+        let mut prev = BatchDynamic::stats(&s);
         while !live.is_empty() {
             let k = rng.gen_range(1..=15.min(live.len()));
             let batch: Vec<Edge> = live.split_off(live.len() - k);
-            s.delete_batch(&batch);
+            s.delete_into(&batch, &mut d);
             s.validate();
+            // Truncation must keep the destroyed levels' work counters.
+            let now = BatchDynamic::stats(&s);
+            assert!(
+                now.scan_steps >= prev.scan_steps && now.vertices_touched >= prev.vertices_touched,
+                "stats went backwards: {prev:?} -> {now:?}"
+            );
+            prev = now;
         }
         assert_eq!(s.sparsifier_size(), 0);
         assert_eq!(s.num_levels(), 0);

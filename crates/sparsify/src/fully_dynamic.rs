@@ -12,7 +12,7 @@
 //! and per-batch scratch is reused as in Theorem 1.1.
 
 use crate::decremental::DecrementalSparsifier;
-use crate::weighted_set::{WeightedDeltaSet, WeightedSet};
+use crate::weighted_set::WeightedSet;
 use bds_core::partition::PartitionIndex;
 use bds_graph::api::{
     validate_edges, BatchDynamic, BatchStats, ConfigError, Decremental, DeltaBuf, FullyDynamic,
@@ -36,6 +36,9 @@ pub struct FullyDynamicSparsifier {
     seed: u64,
     rebuilds: u64,
     recourse: u64,
+    /// Work counters of the slot instances rebuilds have torn down, so
+    /// the cumulative statistics never go backwards.
+    retired: BatchStats,
     /// Reusable buffer for slot-level deltas.
     scratch: DeltaBuf,
     /// Reusable sorted copy of the current insertion batch.
@@ -104,6 +107,7 @@ impl FullyDynamicSparsifier {
             seed,
             rebuilds: 0,
             recourse: 0,
+            retired: BatchStats::default(),
             scratch: DeltaBuf::new(),
             batch: Vec::new(),
         };
@@ -114,7 +118,7 @@ impl FullyDynamicSparsifier {
             }
             s.build_slot(j, edges.to_vec());
         }
-        let _ = s.sparsifier.take_delta();
+        s.sparsifier.take_delta_into(&mut DeltaBuf::new());
         s
     }
 
@@ -169,28 +173,13 @@ impl FullyDynamicSparsifier {
         match std::mem::replace(&mut self.slots[j as usize - 1], Slot::Empty) {
             Slot::Empty => Vec::new(),
             Slot::Instance(d) => {
+                add_work(&mut self.retired, &d);
                 for (e, _) in d.sparsifier_edges() {
                     self.sparsifier.remove(e);
                 }
                 d.live_edges()
             }
         }
-    }
-
-    /// Insert a batch of absent edges.
-    pub fn insert_batch(&mut self, inserted: &[Edge]) -> WeightedDeltaSet {
-        self.insert_inner(inserted);
-        let delta = self.sparsifier.take_delta();
-        self.recourse += delta.recourse() as u64;
-        delta
-    }
-
-    /// [`FullyDynamicSparsifier::insert_batch`] reporting into a
-    /// caller-owned buffer (weight lane populated).
-    pub fn insert_batch_into(&mut self, inserted: &[Edge], out: &mut DeltaBuf) {
-        self.insert_inner(inserted);
-        self.sparsifier.take_delta_into(out);
-        self.recourse += out.recourse() as u64;
     }
 
     fn insert_inner(&mut self, inserted: &[Edge]) {
@@ -251,41 +240,6 @@ impl FullyDynamicSparsifier {
         self.batch = u;
     }
 
-    /// Delete a batch of present edges.
-    pub fn delete_batch(&mut self, deleted: &[Edge]) -> WeightedDeltaSet {
-        self.delete_inner(deleted);
-        let delta = self.sparsifier.take_delta();
-        self.recourse += delta.recourse() as u64;
-        delta
-    }
-
-    /// [`FullyDynamicSparsifier::delete_batch`] reporting into a
-    /// caller-owned buffer (weight lane populated).
-    pub fn delete_batch_into(&mut self, deleted: &[Edge], out: &mut DeltaBuf) {
-        self.delete_inner(deleted);
-        self.sparsifier.take_delta_into(out);
-        self.recourse += out.recourse() as u64;
-    }
-
-    /// Apply one mixed batch (deletions, then insertions) atomically,
-    /// netting across phases through the [`WeightedSet`] baseline.
-    pub fn process_batch(&mut self, batch: &UpdateBatch) -> WeightedDeltaSet {
-        self.delete_inner(&batch.deletions);
-        self.insert_inner(&batch.insertions);
-        let delta = self.sparsifier.take_delta();
-        self.recourse += delta.recourse() as u64;
-        delta
-    }
-
-    /// [`FullyDynamicSparsifier::process_batch`] reporting into a
-    /// caller-owned buffer.
-    pub fn process_batch_into(&mut self, batch: &UpdateBatch, out: &mut DeltaBuf) {
-        self.delete_inner(&batch.deletions);
-        self.insert_inner(&batch.insertions);
-        self.sparsifier.take_delta_into(out);
-        self.recourse += out.recourse() as u64;
-    }
-
     fn delete_inner(&mut self, deleted: &[Edge]) {
         let sparsifier = &mut self.sparsifier;
         self.part.route_deletions(deleted, |e| {
@@ -297,7 +251,7 @@ impl FullyDynamicSparsifier {
             let Slot::Instance(d) = &mut self.slots[slot as usize - 1] else {
                 panic!("indexed slot {slot} empty")
             };
-            d.delete_batch_into(edges, &mut self.scratch);
+            d.delete_into(edges, &mut self.scratch);
             for (e, _) in self.scratch.deleted_weighted() {
                 self.sparsifier.remove(e);
             }
@@ -377,13 +331,14 @@ impl BatchDynamic for FullyDynamicSparsifier {
         self.sparsifier.output_into(out);
     }
 
+    /// The work counters of every slot instance built so far (live and
+    /// retired by rebuilds, so no counter ever decreases) plus the
+    /// wrapper-level recourse.
     fn stats(&self) -> BatchStats {
-        let mut s = BatchStats::default();
+        let mut s = self.retired;
         for slot in &self.slots {
             if let Slot::Instance(d) = slot {
-                let ds = BatchDynamic::stats(d.as_ref());
-                s.scan_steps += ds.scan_steps;
-                s.vertices_touched += ds.vertices_touched;
+                add_work(&mut s, d);
             }
         }
         s.recourse = self.recourse;
@@ -391,19 +346,37 @@ impl BatchDynamic for FullyDynamicSparsifier {
     }
 }
 
+/// Add one slot instance's work counters (not its recourse) into `acc`.
+fn add_work(acc: &mut BatchStats, d: &DecrementalSparsifier) {
+    let ds = d.stats();
+    acc.scan_steps += ds.scan_steps;
+    acc.vertices_touched += ds.vertices_touched;
+}
+
 impl Decremental for FullyDynamicSparsifier {
+    /// Delete a batch of present edges (weight lane populated).
     fn delete_into(&mut self, deletions: &[Edge], out: &mut DeltaBuf) {
-        self.delete_batch_into(deletions, out);
+        self.delete_inner(deletions);
+        self.sparsifier.take_delta_into(out);
+        self.recourse += out.recourse() as u64;
     }
 }
 
 impl FullyDynamic for FullyDynamicSparsifier {
+    /// Insert a batch of absent edges (weight lane populated).
     fn insert_into(&mut self, insertions: &[Edge], out: &mut DeltaBuf) {
-        self.insert_batch_into(insertions, out);
+        self.insert_inner(insertions);
+        self.sparsifier.take_delta_into(out);
+        self.recourse += out.recourse() as u64;
     }
 
+    /// Apply one mixed batch (deletions, then insertions) atomically,
+    /// netting across phases through the [`WeightedSet`] baseline.
     fn apply_into(&mut self, batch: &UpdateBatch, out: &mut DeltaBuf) {
-        self.process_batch_into(batch, out);
+        self.delete_inner(&batch.deletions);
+        self.insert_inner(&batch.insertions);
+        self.sparsifier.take_delta_into(out);
+        self.recourse += out.recourse() as u64;
     }
 }
 
@@ -431,10 +404,11 @@ mod tests {
         let init = gen::gnm_connected(n, 300, 13);
         let mut s = FullyDynamicSparsifier::new(n, 2, &init, 17);
         let mut stream = UpdateStream::new(n, &init, 19);
+        let mut d = DeltaBuf::new();
         for _ in 0..12 {
             let b = stream.next_batch(10, 8);
-            s.delete_batch(&b.deletions);
-            s.insert_batch(&b.insertions);
+            s.delete_into(&b.deletions, &mut d);
+            s.insert_into(&b.insertions, &mut d);
             s.validate();
             assert_eq!(s.num_live_edges(), stream.live_edges().len());
         }
@@ -443,7 +417,9 @@ mod tests {
     /// n = 16 gives cap₀ = 16: a growth phase fills E₀ until it
     /// overflows into a rebuilt slot, then churn deletes from both E₀ and
     /// the slots. Every batch is validated (E₀ position index included)
-    /// and its weighted delta replayed against a shadow.
+    /// and its weighted delta replayed against a shadow, and no work
+    /// counter may decrease — a rebuild must keep the counters of the
+    /// slots it retires.
     #[test]
     fn e0_fill_overflow_and_deletions_keep_position_index() {
         let n = 16;
@@ -451,6 +427,7 @@ mod tests {
         assert_eq!(s.capacity(0), 16);
         let mut stream = UpdateStream::new(n, &[], 5);
         let mut shadow: FxHashMap<Edge, f64> = FxHashMap::default();
+        let mut d = DeltaBuf::new();
         let (mut e0_deletes, mut slot_deletes, mut merges) = (0, 0, 0);
         for round in 0..60 {
             let b = if round < 10 {
@@ -466,14 +443,22 @@ mod tests {
                 }
             }
             let (e0_before, rebuilds) = (s.part.e0().len(), s.num_rebuilds());
-            let d = s.process_batch(&b);
+            let before = BatchDynamic::stats(&s);
+            s.apply_into(&b, &mut d);
             if s.num_rebuilds() > rebuilds && s.part.e0().len() < e0_before {
                 merges += 1;
             }
-            for (e, w) in &d.deleted {
-                assert_eq!(shadow.remove(e), Some(*w), "round {round}: {e:?}");
+            let after = BatchDynamic::stats(&s);
+            assert!(
+                after.scan_steps >= before.scan_steps
+                    && after.vertices_touched >= before.vertices_touched
+                    && after.cluster_changes >= before.cluster_changes,
+                "round {round}: stats went backwards: {before:?} -> {after:?}"
+            );
+            for (e, w) in d.deleted_weighted() {
+                assert_eq!(shadow.remove(&e), Some(w), "round {round}: {e:?}");
             }
-            for &(e, w) in &d.inserted {
+            for (e, w) in d.inserted_weighted() {
                 assert_eq!(shadow.insert(e, w), None, "round {round}: {e:?}");
             }
             s.validate();
@@ -498,19 +483,23 @@ mod tests {
         let mut s = FullyDynamicSparsifier::new(n, 2, &init, 29);
         let mut stream = UpdateStream::new(n, &init, 31);
         let mut shadow: Vec<(Edge, f64)> = s.sparsifier_edges();
+        let mut d = DeltaBuf::new();
         for _ in 0..10 {
             let b = stream.next_batch(6, 6);
-            for d in [s.delete_batch(&b.deletions), s.insert_batch(&b.insertions)] {
-                for (e, w) in &d.deleted {
+            for phase in 0..2 {
+                if phase == 0 {
+                    s.delete_into(&b.deletions, &mut d);
+                } else {
+                    s.insert_into(&b.insertions, &mut d);
+                }
+                for (e, w) in d.deleted_weighted() {
                     let pos = shadow
                         .iter()
-                        .position(|(se, sw)| se == e && sw == w)
+                        .position(|&(se, sw)| se == e && sw == w)
                         .unwrap_or_else(|| panic!("missing ({e:?},{w})"));
                     shadow.swap_remove(pos);
                 }
-                for (e, w) in &d.inserted {
-                    shadow.push((*e, *w));
-                }
+                shadow.extend(d.inserted_weighted());
             }
             let mut got = s.sparsifier_edges();
             got.sort_by_key(|x| x.0);

@@ -8,6 +8,13 @@
 //!   invariant B2 (2^{l₀} ≥ n), using the decomposability of spectral
 //!   sparsifiers (Lemma 6.7: a union of (1±ε)-sparsifiers of an edge
 //!   partition is a (1±ε)-sparsifier of the union).
+//! * [`weighted_set`] — weighted membership whose per-batch net change
+//!   both structures report.
+//!
+//! Both take batches through the [`bds_graph::api::Decremental`] /
+//! [`bds_graph::api::FullyDynamic`] traits and report a weighted
+//! `DeltaBuf` (weight lane populated; a cross-level reweighting is a
+//! deletion at the old weight plus an insertion at the new one).
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
@@ -15,6 +22,6 @@ pub mod decremental;
 pub mod fully_dynamic;
 pub mod weighted_set;
 
-pub use decremental::{DecrementalSparsifier, DecrementalSparsifierBuilder, WeightedDelta};
+pub use decremental::{DecrementalSparsifier, DecrementalSparsifierBuilder};
 pub use fully_dynamic::{FullyDynamicSparsifier, FullyDynamicSparsifierBuilder};
-pub use weighted_set::{WeightedDeltaSet, WeightedSet};
+pub use weighted_set::WeightedSet;

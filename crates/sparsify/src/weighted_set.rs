@@ -9,19 +9,6 @@ use bds_dstruct::EdgeTable;
 use bds_graph::api::DeltaBuf;
 use bds_graph::types::Edge;
 
-/// One batch's weighted membership changes.
-#[derive(Debug, Default, Clone, PartialEq)]
-pub struct WeightedDeltaSet {
-    pub inserted: Vec<(Edge, f64)>,
-    pub deleted: Vec<(Edge, f64)>,
-}
-
-impl WeightedDeltaSet {
-    pub fn recourse(&self) -> usize {
-        self.inserted.len() + self.deleted.len()
-    }
-}
-
 #[derive(Debug, Default)]
 pub struct WeightedSet {
     /// Canonical edge -> weight bits.
@@ -109,28 +96,6 @@ impl WeightedSet {
             }
         });
     }
-
-    /// Net weighted changes since the last call. Materializing
-    /// convenience over [`WeightedSet::take_delta_into`].
-    pub fn take_delta(&mut self) -> WeightedDeltaSet {
-        let mut d = WeightedDeltaSet::default();
-        let weight = &self.weight;
-        self.baseline.drain_with(|u, v, was_bits| {
-            let e = Edge { u, v };
-            let was = f64::from_bits(was_bits);
-            let now = weight.get(u, v).map_or(0.0, f64::from_bits);
-            if was == now {
-                return;
-            }
-            if was != 0.0 {
-                d.deleted.push((e, was));
-            }
-            if now != 0.0 {
-                d.inserted.push((e, now));
-            }
-        });
-        d
-    }
 }
 
 #[cfg(test)]
@@ -140,15 +105,17 @@ mod tests {
     #[test]
     fn insert_remove_delta() {
         let mut s = WeightedSet::new();
+        let mut d = DeltaBuf::new();
         let e = Edge::new(0, 1);
         s.insert(e, 4.0);
-        let d = s.take_delta();
-        assert_eq!(d.inserted, vec![(e, 4.0)]);
+        s.take_delta_into(&mut d);
+        assert_eq!(d.inserted_weighted().collect::<Vec<_>>(), vec![(e, 4.0)]);
+        assert!(d.deleted().is_empty());
         s.remove(e);
         s.insert(e, 16.0); // reweighting across levels
-        let d = s.take_delta();
-        assert_eq!(d.deleted, vec![(e, 4.0)]);
-        assert_eq!(d.inserted, vec![(e, 16.0)]);
+        s.take_delta_into(&mut d);
+        assert_eq!(d.deleted_weighted().collect::<Vec<_>>(), vec![(e, 4.0)]);
+        assert_eq!(d.inserted_weighted().collect::<Vec<_>>(), vec![(e, 16.0)]);
     }
 
     #[test]
@@ -157,6 +124,8 @@ mod tests {
         let e = Edge::new(2, 3);
         s.insert(e, 1.0);
         s.remove(e);
-        assert_eq!(s.take_delta().recourse(), 0);
+        let mut d = DeltaBuf::new();
+        s.take_delta_into(&mut d);
+        assert_eq!(d.recourse(), 0);
     }
 }

@@ -7,7 +7,7 @@ use bds_dstruct::{DynamicForest, FlatList, FxHashMap, FxHashSet};
 use bds_graph::api::{
     validate_edges, BatchDynamic, BatchStats, ConfigError, Decremental, DeltaBuf, FullyDynamic,
 };
-use bds_graph::types::{Edge, SpannerDelta, UpdateBatch, V};
+use bds_graph::types::{Edge, UpdateBatch, V};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::collections::BTreeSet;
 
@@ -146,8 +146,10 @@ impl UltraSparseSpanner {
                 this.head[v] = v as V;
             }
         }
-        this.process(&UpdateBatch::insert_only(edges.to_vec()));
-        let _ = this.final_set.take_delta();
+        this.apply_into(
+            &UpdateBatch::insert_only(edges.to_vec()),
+            &mut DeltaBuf::new(),
+        );
         this
     }
 
@@ -303,22 +305,6 @@ impl UltraSparseSpanner {
         }
     }
 
-    /// Apply one batch of edge updates and return the exact spanner delta.
-    pub fn process(&mut self, batch: &UpdateBatch) -> SpannerDelta {
-        self.process_inner(batch);
-        let delta = self.final_set.take_delta();
-        self.recourse += delta.recourse() as u64;
-        delta
-    }
-
-    /// [`UltraSparseSpanner::process`] reporting into a caller-owned
-    /// buffer.
-    pub fn process_batch_into(&mut self, batch: &UpdateBatch, out: &mut DeltaBuf) {
-        self.process_inner(batch);
-        self.final_set.take_delta_into(out);
-        self.recourse += out.recourse() as u64;
-    }
-
     fn process_inner(&mut self, batch: &UpdateBatch) {
         let mut next_ins: Vec<Edge> = Vec::new();
         let mut next_del: Vec<Edge> = Vec::new();
@@ -447,7 +433,7 @@ impl UltraSparseSpanner {
         next_ins.extend(born);
         next_del.extend(died.into_keys());
         let mut scratch = std::mem::take(&mut self.scratch);
-        self.gprime.process_batch_into(
+        self.gprime.apply_into(
             &UpdateBatch {
                 insertions: next_ins,
                 deletions: next_del,
@@ -735,17 +721,21 @@ impl BatchDynamic for UltraSparseSpanner {
 
 impl Decremental for UltraSparseSpanner {
     fn delete_into(&mut self, deletions: &[Edge], out: &mut DeltaBuf) {
-        self.process_batch_into(&UpdateBatch::delete_only(deletions.to_vec()), out);
+        self.apply_into(&UpdateBatch::delete_only(deletions.to_vec()), out);
     }
 }
 
 impl FullyDynamic for UltraSparseSpanner {
     fn insert_into(&mut self, insertions: &[Edge], out: &mut DeltaBuf) {
-        self.process_batch_into(&UpdateBatch::insert_only(insertions.to_vec()), out);
+        self.apply_into(&UpdateBatch::insert_only(insertions.to_vec()), out);
     }
 
+    /// Apply one batch of edge updates, writing the exact spanner delta
+    /// into `out`.
     fn apply_into(&mut self, batch: &UpdateBatch, out: &mut DeltaBuf) {
-        self.process_batch_into(batch, out);
+        self.process_inner(batch);
+        self.final_set.take_delta_into(out);
+        self.recourse += out.recourse() as u64;
     }
 }
 
@@ -792,9 +782,10 @@ mod tests {
         let mut s = UltraSparseSpanner::new(n, &init, UltraParams { x: 2 }, 17);
         let mut stream = UpdateStream::new(n, &init, 19);
         let mut shadow: FxHashSet<Edge> = s.spanner_edges().into_iter().collect();
+        let mut d = DeltaBuf::new();
         for round in 0..20 {
             let b = stream.next_batch(5, 4);
-            let d = s.process(&b);
+            s.apply_into(&b, &mut d);
             d.apply_to(&mut shadow);
             s.validate();
             let mut got = s.spanner_edges();
@@ -816,10 +807,11 @@ mod tests {
         use rand::{rngs::StdRng, seq::SliceRandom, Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(31);
         live.shuffle(&mut rng);
+        let mut d = DeltaBuf::new();
         while !live.is_empty() {
             let k = rng.gen_range(1..=8.min(live.len()));
             let batch: Vec<Edge> = live.split_off(live.len() - k);
-            s.process(&UpdateBatch::delete_only(batch));
+            s.delete_into(&batch, &mut d);
             s.validate();
         }
         assert_eq!(s.spanner_size(), 0);

@@ -12,6 +12,8 @@
 //! capability split mirrors the paper: every structure implements
 //! [`Decremental`] (batch deletions); the fully-dynamic reductions also
 //! implement [`FullyDynamic`] (batch insertions and mixed batches).
+//! These trait methods are the only way to apply a batch, and
+//! [`DeltaBuf`] is the only delta type.
 //!
 //! | Structure | Paper | Capability | Maintains |
 //! |---|---|---|---|
@@ -70,7 +72,9 @@
 //! Untrusted batches go through [`UpdateBatch::normalized`] (dedup +
 //! edge-in-both-lists rejection) or [`UpdateBatch::from_pairs`]
 //! (additionally drops self-loops), e.g. via
-//! [`FullyDynamic::process_checked`]:
+//! [`FullyDynamic::process_checked`], which also rejects an edge with an
+//! endpoint out of range or not in canonical form before touching the
+//! structure:
 //!
 //! ```
 //! use batch_spanners::prelude::*;
@@ -292,7 +296,7 @@ pub mod prelude {
         HashPartitioner, LaneLoad, MirrorSpanner, Partitioner, ShardedEngine, ShardedEngineBuilder,
         ShardedView,
     };
-    pub use bds_graph::types::{Edge, SpannerDelta, UpdateBatch, V};
+    pub use bds_graph::types::{Edge, UpdateBatch, V};
     pub use bds_graph::wal::{
         FollowerView, FsyncPolicy, RecoverError, Recovered, Snapshot, WalConfig, WalWriter,
     };

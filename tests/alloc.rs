@@ -3,8 +3,9 @@
 //! The unified API's contract: once the caller-owned [`DeltaBuf`] and
 //! the delta-tracking baselines have warmed up, the steady-state delta
 //! path — membership bookkeeping plus `take_delta_into` — performs no
-//! heap allocations at all, and the buffer-reporting batch loop
-//! allocates strictly less than the legacy materializing loop.
+//! heap allocations at all, and neither does a warm `apply_into` on the
+//! sharded dispatcher or on the Bentley–Saxe wrappers under E₀-resident
+//! churn.
 //!
 //! All assertions live in ONE test function and diff *per-thread*
 //! allocation counters: the process-global counter picks up stray
@@ -103,55 +104,9 @@ fn delta_path_is_allocation_free_after_warmup() {
         "WeightedSet delta path allocated after warm-up"
     );
 
-    // --- 3. End-to-end: the buffer-reporting batch loop allocates
-    //        strictly less than the legacy materializing loop on an
-    //        identical schedule (twin structures, same seeds). ---
-    use bds_graph::stream::UpdateStream;
-    let n = 200;
-    let init = gen::gnm_connected(n, 800, 5);
-    let mut a = FullyDynamicSpanner::builder(n)
-        .stretch(2)
-        .seed(77)
-        .build(&init)
-        .unwrap();
-    let mut b = FullyDynamicSpanner::builder(n)
-        .stretch(2)
-        .seed(77)
-        .build(&init)
-        .unwrap();
-    let mut stream_a = UpdateStream::new(n, &init, 31);
-    let mut stream_b = UpdateStream::new(n, &init, 31);
-    // Warm-up both.
-    for _ in 0..5 {
-        let batch = stream_a.next_batch(20, 20);
-        a.apply_into(&batch, &mut buf);
-        let batch = stream_b.next_batch(20, 20);
-        let _ = b.process_batch(&batch);
-    }
-    let rounds = 30;
-    let before = allocs();
-    let mut recourse_buffered = 0usize;
-    for _ in 0..rounds {
-        let batch = stream_a.next_batch(20, 20);
-        a.apply_into(&batch, &mut buf);
-        recourse_buffered += buf.recourse();
-    }
-    let buffered = allocs() - before;
-    let before = allocs();
-    let mut recourse_legacy = 0usize;
-    for _ in 0..rounds {
-        let batch = stream_b.next_batch(20, 20);
-        recourse_legacy += b.process_batch(&batch).recourse();
-    }
-    let legacy = allocs() - before;
-    assert_eq!(recourse_buffered, recourse_legacy, "twin runs diverged");
-    assert!(
-        buffered < legacy,
-        "buffer path must allocate strictly less: {buffered} vs {legacy}"
-    );
-
-    // The pool-wide count has teeth: of two tasks that each allocate
-    // once, the caller's own counter sees only the one it ran itself.
+    // --- 3. The pool-wide count has teeth: of two tasks that each
+    //        allocate once, the caller's own counter sees only the one
+    //        it ran itself. ---
     bds_par::run_with_threads(2, || {
         let mut lens = [0usize; 2];
         let all = pool_allocs(); // first: starts the pool

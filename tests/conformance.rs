@@ -19,14 +19,14 @@ use bds_dstruct::{FxHashMap, FxHashSet};
 /// Materialized oracle: edge -> weight bits (1.0 for unweighted sets).
 type Shadow = FxHashMap<Edge, u64>;
 
-fn shadow_of(s: &impl BatchDynamic, buf: &mut DeltaBuf) -> Shadow {
+fn shadow_of<S: BatchDynamic + ?Sized>(s: &S, buf: &mut DeltaBuf) -> Shadow {
     s.output_into(buf);
     let mut m = Shadow::default();
     buf.apply_weighted_to(&mut m);
     m
 }
 
-fn assert_matches(s: &impl BatchDynamic, shadow: &Shadow, buf: &mut DeltaBuf, ctx: &str) {
+fn assert_matches<S: BatchDynamic + ?Sized>(s: &S, shadow: &Shadow, buf: &mut DeltaBuf, ctx: &str) {
     s.output_into(buf);
     let mut m = Shadow::default();
     buf.apply_weighted_to(&mut m);
@@ -345,6 +345,77 @@ fn conformance_sharded_sparsifier() {
     conform_fully_dynamic(s, &edges, 6, "ShardedEngine<Sparsifier>");
 }
 
+/// One instance of each [`FullyDynamic`] implementor over `edges`.
+fn fully_dynamic_structures(
+    n: usize,
+    edges: &[Edge],
+) -> Vec<(&'static str, Box<dyn FullyDynamic>)> {
+    vec![
+        (
+            "FullyDynamicSpanner",
+            Box::new(
+                FullyDynamicSpanner::builder(n)
+                    .stretch(2)
+                    .seed(13)
+                    .build(edges)
+                    .unwrap(),
+            ),
+        ),
+        (
+            "SparseSpanner",
+            Box::new(
+                SparseSpanner::builder(n)
+                    .rates(&[3.0])
+                    .seed(17)
+                    .build(edges)
+                    .unwrap(),
+            ),
+        ),
+        (
+            "UltraSparseSpanner",
+            Box::new(
+                UltraSparseSpanner::builder(n)
+                    .x(2)
+                    .seed(19)
+                    .build(edges)
+                    .unwrap(),
+            ),
+        ),
+        (
+            "FullyDynamicSparsifier",
+            Box::new(
+                FullyDynamicSparsifier::builder(n)
+                    .depth(1)
+                    .seed(23)
+                    .build(edges)
+                    .unwrap(),
+            ),
+        ),
+        (
+            "BatchConnectivity",
+            Box::new(BatchConnectivity::builder(n).build(edges).unwrap()),
+        ),
+        (
+            "MirrorSpanner",
+            Box::new(MirrorSpanner::build(n, edges).unwrap()),
+        ),
+        (
+            "ShardedEngine",
+            Box::new(
+                ShardedEngineBuilder::new(n)
+                    .shards(3)
+                    .build_with(edges, move |i, shard_edges| {
+                        FullyDynamicSpanner::builder(n)
+                            .stretch(2)
+                            .seed(29 + i as u64)
+                            .build(shard_edges)
+                    })
+                    .unwrap(),
+            ),
+        ),
+    ]
+}
+
 // --- cross-structure consistency: every implementor counts canonical
 //     (undirected) edges. EsTree used to report *directed* edges here —
 //     a 2× mismatch for any harness comparing or load-balancing across
@@ -411,61 +482,12 @@ fn num_live_edges_agrees_across_structures() {
                     .unwrap(),
             ),
         ),
-        (
-            "FullyDynamicSpanner",
-            Box::new(
-                FullyDynamicSpanner::builder(n)
-                    .stretch(2)
-                    .seed(13)
-                    .build(&edges)
-                    .unwrap(),
-            ),
-        ),
-        (
-            "SparseSpanner",
-            Box::new(
-                SparseSpanner::builder(n)
-                    .rates(&[3.0])
-                    .seed(17)
-                    .build(&edges)
-                    .unwrap(),
-            ),
-        ),
-        (
-            "UltraSparseSpanner",
-            Box::new(
-                UltraSparseSpanner::builder(n)
-                    .x(2)
-                    .seed(19)
-                    .build(&edges)
-                    .unwrap(),
-            ),
-        ),
-        (
-            "FullyDynamicSparsifier",
-            Box::new(
-                FullyDynamicSparsifier::builder(n)
-                    .depth(1)
-                    .seed(23)
-                    .build(&edges)
-                    .unwrap(),
-            ),
-        ),
-        (
-            "ShardedEngine",
-            Box::new(
-                ShardedEngineBuilder::new(n)
-                    .shards(3)
-                    .build_with(&edges, move |i, shard_edges| {
-                        FullyDynamicSpanner::builder(n)
-                            .stretch(2)
-                            .seed(29 + i as u64)
-                            .build(shard_edges)
-                    })
-                    .unwrap(),
-            ),
-        ),
     ];
+    structures.extend(
+        fully_dynamic_structures(n, &edges)
+            .into_iter()
+            .map(|(name, s)| (name, s as Box<dyn Decremental>)),
+    );
     for (name, s) in &structures {
         assert_eq!(
             s.num_live_edges(),
@@ -484,6 +506,61 @@ fn num_live_edges_agrees_across_structures() {
             edges.len() - dels.len(),
             "{name}: live-edge count diverges after a deletion batch"
         );
+    }
+}
+
+// --- process_checked is the validating entry point for untrusted
+//     batches: an out-of-range or non-canonical edge is a typed error
+//     and leaves the structure untouched, for every implementor ---
+
+#[test]
+fn process_checked_rejects_malformed_edges() {
+    let n = 50;
+    let edges = gen::gnm_connected(n, 160, 127);
+    let fresh = (0..n as V)
+        .flat_map(|u| (u + 1..n as V).map(move |v| Edge::new(u, v)))
+        .find(|e| !edges.contains(e))
+        .unwrap();
+    let out_of_range = Edge { u: 3, v: 999 };
+    let non_canonical = Edge { u: 9, v: 4 };
+    let self_loop = Edge { u: 5, v: 5 };
+    // Each bad edge rides behind a valid update, so a structure that
+    // applies before validating would show it in its output.
+    let cases = [
+        (
+            UpdateBatch::insert_only(vec![fresh, out_of_range]),
+            BatchError::VertexOutOfRange { vertex: 999, n },
+        ),
+        (
+            UpdateBatch::insert_only(vec![fresh, non_canonical]),
+            BatchError::NonCanonicalEdge(non_canonical),
+        ),
+        (
+            UpdateBatch {
+                insertions: vec![fresh],
+                deletions: vec![edges[0], Edge { u: 70, v: 80 }],
+            },
+            BatchError::VertexOutOfRange { vertex: 70, n },
+        ),
+        (
+            UpdateBatch::delete_only(vec![edges[0], self_loop]),
+            BatchError::NonCanonicalEdge(self_loop),
+        ),
+    ];
+    let mut buf = DeltaBuf::new();
+    for (name, mut s) in fully_dynamic_structures(n, &edges) {
+        let before = shadow_of(s.as_ref(), &mut buf);
+        let live = s.num_live_edges();
+        for (batch, want) in &cases {
+            let got = s.process_checked(batch, &mut buf);
+            assert_eq!(got, Err(want.clone()), "{name}: {batch:?}");
+            assert_eq!(s.num_live_edges(), live, "{name}: live edges changed");
+            assert_matches(s.as_ref(), &before, &mut buf, name);
+        }
+        // A well-formed batch still goes through.
+        let ok = UpdateBatch::insert_only(vec![fresh]);
+        assert!(s.process_checked(&ok, &mut buf).is_ok(), "{name}");
+        assert_eq!(s.num_live_edges(), live + 1, "{name}");
     }
 }
 

@@ -24,17 +24,18 @@ fn all_spanners_track_one_graph() {
     let mut base_shadow: FxHashSet<Edge> = base.spanner_edges().into_iter().collect();
     let mut sparse_shadow: FxHashSet<Edge> = sparse.spanner_edges().into_iter().collect();
     let mut ultra_shadow: FxHashSet<Edge> = ultra.spanner_edges().into_iter().collect();
+    let mut d = DeltaBuf::new();
 
     for round in 0..15 {
         let batch = stream.next_batch(8, 8);
-        base.process_batch(&batch).apply_to(&mut base_shadow);
-        sparse
-            .delete_batch(&batch.deletions)
-            .apply_to(&mut sparse_shadow);
-        sparse
-            .insert_batch(&batch.insertions)
-            .apply_to(&mut sparse_shadow);
-        ultra.process(&batch).apply_to(&mut ultra_shadow);
+        base.apply_into(&batch, &mut d);
+        d.apply_to(&mut base_shadow);
+        sparse.delete_into(&batch.deletions, &mut d);
+        d.apply_to(&mut sparse_shadow);
+        sparse.insert_into(&batch.insertions, &mut d);
+        d.apply_to(&mut sparse_shadow);
+        ultra.apply_into(&batch, &mut d);
+        d.apply_to(&mut ultra_shadow);
 
         let live = stream.live_edges();
         for (name, shadow, edges) in [
@@ -65,10 +66,11 @@ fn bundle_and_sparsifier_consistency() {
     let mut bundle = BundleSpanner::new(n, &init, 2, 9);
     let mut sp = DecrementalSparsifier::new(n, &init, 2, 11);
     let mut stream = UpdateStream::new(n, &init, 13);
+    let mut d = DeltaBuf::new();
     for _ in 0..10 {
         let dels = stream.next_deletions(25);
-        bundle.delete_batch(&dels);
-        sp.delete_batch(&dels);
+        bundle.delete_into(&dels, &mut d);
+        sp.delete_into(&dels, &mut d);
         assert_eq!(bundle.num_live_edges(), sp.num_live_edges());
     }
     let live = stream.live_edges().to_vec();
@@ -88,10 +90,11 @@ fn decremental_matches_fully_dynamic_on_deletions() {
     let mut full = FullyDynamicSpanner::new(n, 3, &init, 23);
     let mut decr = DecrementalSpanner::new(n, 3, &init, 25);
     let mut stream = UpdateStream::new(n, &init, 27);
+    let mut d = DeltaBuf::new();
     for _ in 0..12 {
         let dels = stream.next_deletions(12);
-        full.delete_batch(&dels);
-        decr.delete_batch(&dels);
+        full.delete_into(&dels, &mut d);
+        decr.delete_into(&dels, &mut d);
         assert_eq!(full.num_live_edges(), decr.num_live_edges());
         let live = stream.live_edges();
         for s in [full.spanner_edges(), decr.spanner_edges()] {
@@ -110,22 +113,23 @@ fn grow_shrink_stress() {
     let n = 60;
     let mut s = FullyDynamicSpanner::new(n, 2, &[], 31);
     let all = gen::gnm(n, 900, 33);
+    let mut d = DeltaBuf::new();
     // Grow in uneven chunks.
     let mut inserted = 0;
     for chunk in all.chunks(123) {
-        s.insert_batch(chunk);
+        s.insert_into(chunk, &mut d);
         inserted += chunk.len();
         assert_eq!(s.num_live_edges(), inserted);
     }
     s.validate();
     // Shrink to one third.
     for chunk in all[..600].chunks(77) {
-        s.delete_batch(chunk);
+        s.delete_into(chunk, &mut d);
     }
     s.validate();
     assert_eq!(s.num_live_edges(), all.len() - 600);
     // Regrow the deleted edges.
-    s.insert_batch(&all[..300]);
+    s.insert_into(&all[..300], &mut d);
     s.validate();
     let st = {
         let mut live: Vec<Edge> = all[600..].to_vec();
@@ -148,10 +152,11 @@ fn monotone_ever_in_spanner_is_bounded() {
     let mut mono = MonotoneSpanner::with_params(n, &init, copies, 0.3, 43);
     let mut ever: FxHashSet<Edge> = mono.spanner_edges().into_iter().collect();
     let mut stream = UpdateStream::new(n, &init, 47);
+    let mut delta = DeltaBuf::new();
     for _ in 0..40 {
         let dels = stream.next_deletions(8);
-        let delta = mono.delete_batch(&dels);
-        ever.extend(delta.inserted);
+        mono.delete_into(&dels, &mut delta);
+        ever.extend(delta.inserted());
     }
     let logn = (n as f64).log2();
     let bound = copies as f64 * 4.0 * n as f64 * logn;

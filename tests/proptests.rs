@@ -28,11 +28,12 @@ proptest! {
         let mut shadow: FxHashSet<Edge> = s.spanner_edges().into_iter().collect();
         let mut live = edges;
         let mut cursor = 0usize;
+        let mut delta = DeltaBuf::new();
         while live.len() > 10 {
             let b = 1 + (seed as usize + cursor) % 7;
             cursor += 1;
             let batch: Vec<Edge> = live.split_off(live.len().saturating_sub(b));
-            let delta = s.delete_batch(&batch);
+            s.delete_into(&batch, &mut delta);
             delta.apply_to(&mut shadow);
             let st = edge_stretch(n, &live, &s.spanner_edges(), 20, seed);
             prop_assert!(st <= (2 * k - 1) as f64, "stretch {} exceeded {}", st, 2 * k - 1);
@@ -312,6 +313,7 @@ proptest! {
                 prop_assert_eq!(norm.insertions, batch.insertions);
                 prop_assert_eq!(norm.deletions, batch.deletions);
             }
+            Err(other) => prop_assert!(false, "normalized() reported {:?}", other),
         }
     }
 
@@ -478,15 +480,16 @@ proptest! {
         // Insert the rest in chunks, deleting a prefix chunk in between.
         let rest: Vec<Edge> = edges[half..].to_vec();
         let mut live: FxHashSet<Edge> = edges[..half].iter().copied().collect();
+        let mut d = DeltaBuf::new();
         for chunk in rest.chunks(9) {
             let fresh: Vec<Edge> = chunk.iter().copied().filter(|e| live.insert(*e)).collect();
-            s.insert_batch(&fresh);
+            s.insert_into(&fresh, &mut d);
             // delete up to 3 live edges
             let dels: Vec<Edge> = live.iter().copied().take(3).collect();
             for e in &dels {
                 live.remove(e);
             }
-            s.delete_batch(&dels);
+            s.delete_into(&dels, &mut d);
         }
         let live_edges: Vec<Edge> = live.iter().copied().collect();
         let st = edge_stretch(n, &live_edges, &s.spanner_edges(), 20, seed);

@@ -10,29 +10,47 @@
 //! node* (payload `(v, v)`), and every tree edge `(u, v)` owns two *arc
 //! nodes* (payloads `(u, v)` and `(v, u)`). The tour of a k-vertex tree
 //! holds k vertex nodes and 2(k-1) arc nodes, chopped into blocks of at
-//! most `BLOCK_MAX` ids. A node records only which block holds it; a
-//! block records its tree and its index in the tree's block list. That
-//! makes the hot read queries — `connected`, `tree_size` — two array
-//! loads, `&self`, and shareable by read mirrors, where the treap had to
-//! chase parent pointers under `&mut self`.
+//! most `BLOCK_MAX` ids. A node records only which block holds it, a
+//! block only which tree owns it, and a tree its block ids in tour
+//! order (one contiguous `u32` array). That makes the hot read queries —
+//! `connected`, `tree_size` — two array loads, `&self`, and shareable by
+//! read mirrors, where the treap had to chase parent pointers under
+//! `&mut self`.
 //!
-//! Splits and joins splice whole blocks between block lists (splitting
-//! at most one block and re-merging undersized boundary blocks), so a
-//! link or cut costs O(tour/BLOCK + BLOCK) sequential word moves instead
-//! of O(log n) dependent cache misses — the same trade the `FlatList`
-//! migration made for the ordered maps. Flag search scans per-block OR
-//! aggregates. Everything is deterministic: no priorities, no RNG.
+//! Splices pay for the smaller side. A node's place in its tour is found
+//! by a dense scan of its tree's block-id array for its block. A cut
+//! carves block boundaries just inside the two arcs (carving the shorter
+//! part of a block), then hands the cut-out middle — or the outer
+//! remainder, whichever has fewer blocks — to a fresh tree; the other
+//! side keeps its tree id and array, edited by one drain. When both arcs
+//! share a block, the middle is carved out of it directly. A link
+//! rotates the tour with fewer blocks to start at its endpoint and
+//! splices it into the other tour just before the other endpoint; the
+//! larger tour is never rerooted, and a one-block tour that fits is
+//! spliced into the endpoint's block in place. Undersized blocks that
+//! meet at a splice seam are merged. So a link or cut costs
+//! O(smaller side / BLOCK + BLOCK) random work (relabelling the moved
+//! blocks, carving and merging boundary blocks) plus O(tour / BLOCK)
+//! dense work (scans and memmoves of one `u32` array), with no
+//! priorities, no RNG, and no dependent pointer chases. Flag search
+//! scans per-block OR aggregates.
 
 use crate::edge_table::EdgeTable;
+use std::ops::Range;
 
 const NIL: u32 = u32::MAX;
 
 /// Hard cap on a block's length: appends open a fresh block past this.
 const BLOCK_MAX: usize = 128;
-/// Boundary blocks are merged when their combined length stays at or
-/// under this (= `BLOCK_MAX / 2`), so splices cannot shred the sequence
-/// into dust: every merge-surviving boundary pair averages > 32 ids.
+/// Blocks meeting at a splice seam are merged when their combined length
+/// stays at or under this (= `BLOCK_MAX / 2`), so splices cannot shred
+/// the sequence into dust: every merge-surviving seam pair averages > 32
+/// ids.
 const BLOCK_MERGE: usize = 64;
+
+/// Freed id arrays up to this capacity are kept for reuse; larger ones
+/// are released (see `recycle`).
+const RECYCLE_MAX: usize = 16;
 
 /// Flag bit: the vertex owning this node has non-tree edges (at the
 /// forest's level, in HDT usage).
@@ -55,8 +73,6 @@ struct Block {
     items: Vec<u32>,
     /// Owning tree.
     tree: u32,
-    /// Index of this block in the owning tree's block list.
-    idx: u32,
     /// OR of item flags.
     agg: u8,
     /// Number of vertex nodes among items.
@@ -65,11 +81,51 @@ struct Block {
 
 #[derive(Clone, Default)]
 struct Tree {
+    /// Block ids in tour order.
     blocks: Vec<u32>,
-    /// Total node count across blocks.
-    size: u32,
     /// Total vertex-node count across blocks.
     vcnt: u32,
+}
+
+/// Two distinct elements of one slice, both mutable.
+fn pair_mut<T>(v: &mut [T], i: u32, j: u32) -> (&mut T, &mut T) {
+    let (i, j) = (i as usize, j as usize);
+    debug_assert_ne!(i, j);
+    if i < j {
+        let (lo, hi) = v.split_at_mut(j);
+        (&mut lo[i], &mut hi[0])
+    } else {
+        let (lo, hi) = v.split_at_mut(i);
+        (&mut hi[0], &mut lo[j])
+    }
+}
+
+/// Index of `id` in `ids`. Compares a whole chunk of ids per step
+/// without branching, which the compiler vectorizes, then pins down the
+/// hit inside the one chunk that has it.
+fn index_of(ids: &[u32], id: u32) -> Option<usize> {
+    const CHUNK: usize = 16;
+    let mut chunks = ids.chunks_exact(CHUNK);
+    for (c, chunk) in (&mut chunks).enumerate() {
+        if chunk.iter().fold(false, |hit, &x| hit | (x == id)) {
+            return chunk.iter().position(|&x| x == id).map(|i| c * CHUNK + i);
+        }
+    }
+    let rest = chunks.remainder();
+    let base = ids.len() - rest.len();
+    rest.iter().position(|&x| x == id).map(|i| base + i)
+}
+
+/// Empty a freed block's or tree's id array for reuse. Its allocation
+/// is kept only when small (at most `RECYCLE_MAX` ids): recycled slots
+/// mostly hold carve pieces and singletons, and must not pin the memory
+/// of the large arrays they once held.
+fn recycle(ids: &mut Vec<u32>) {
+    if ids.capacity() > RECYCLE_MAX {
+        *ids = Vec::new();
+    } else {
+        ids.clear();
+    }
 }
 
 /// A forest of Euler-tour trees over `u32` vertices, tours stored as
@@ -86,6 +142,10 @@ pub struct EulerForest {
     vnode: Vec<u32>,
     /// directed arc (u, v) -> its arc node
     arc: EdgeTable,
+    /// Blocks handed from one tree to another by splices: the per-block
+    /// random work the smaller-side rule bounds.
+    #[cfg(test)]
+    relabels: u64,
 }
 
 impl Default for EulerForest {
@@ -105,6 +165,8 @@ impl EulerForest {
             free_trees: Vec::new(),
             vnode: Vec::new(),
             arc: EdgeTable::new(),
+            #[cfg(test)]
+            relabels: 0,
         }
     }
 
@@ -126,30 +188,46 @@ impl EulerForest {
         }
     }
 
-    fn alloc_block(&mut self) -> u32 {
-        if let Some(b) = self.free_blocks.pop() {
-            let bl = &mut self.blocks[b as usize];
-            bl.items.clear();
-            bl.agg = 0;
-            bl.vcnt = 0;
+    fn free_node(&mut self, x: u32) {
+        self.nodes[x as usize].block = NIL;
+        self.free_nodes.push(x);
+    }
+
+    /// An empty block owned by `tree`, recycled from the free list when
+    /// one is there.
+    fn alloc_block(&mut self, tree: u32) -> u32 {
+        let b = if let Some(b) = self.free_blocks.pop() {
             b
         } else {
             self.blocks.push(Block::default());
             (self.blocks.len() - 1) as u32
-        }
+        };
+        let bl = &mut self.blocks[b as usize];
+        bl.tree = tree;
+        bl.agg = 0;
+        bl.vcnt = 0;
+        b
     }
 
+    fn free_block(&mut self, b: u32) {
+        recycle(&mut self.blocks[b as usize].items);
+        self.free_blocks.push(b);
+    }
+
+    /// An empty tree, recycled from the free list when one is there.
     fn alloc_tree(&mut self) -> u32 {
         if let Some(t) = self.free_trees.pop() {
-            let tr = &mut self.trees[t as usize];
-            tr.blocks.clear();
-            tr.size = 0;
-            tr.vcnt = 0;
+            self.trees[t as usize].vcnt = 0;
             t
         } else {
             self.trees.push(Tree::default());
             (self.trees.len() - 1) as u32
         }
+    }
+
+    fn free_tree(&mut self, t: u32) {
+        recycle(&mut self.trees[t as usize].blocks);
+        self.free_trees.push(t);
     }
 
     #[inline]
@@ -172,17 +250,12 @@ impl EulerForest {
         bl.vcnt = vcnt;
     }
 
-    /// Re-point `block` on every id in `items` (after a bulk move).
-    fn rehome(&mut self, items: &[u32], b: u32) {
-        for &x in items {
-            self.nodes[x as usize].block = b;
-        }
-    }
-
     // ---- sequence primitives ----------------------------------------
 
-    /// 0-based position of node `x` within its tour.
-    fn position(&self, x: u32) -> u32 {
+    /// Index of `x`'s block in its tree's block list, and `x`'s offset
+    /// within that block: a scan of one block and a dense scan of the
+    /// tree's block ids.
+    fn locate(&self, x: u32) -> (usize, usize) {
         let b = self.nodes[x as usize].block;
         let bl = &self.blocks[b as usize];
         let off = bl
@@ -190,181 +263,160 @@ impl EulerForest {
             .iter()
             .position(|&i| i == x)
             // bds:allow(no-unwrap): structure invariant named in the message; corrupt state must fail fast, not propagate.
-            .expect("node missing from its block") as u32;
-        let t = &self.trees[bl.tree as usize];
-        let mut pos = off;
-        for &pb in &t.blocks[..bl.idx as usize] {
-            pos += self.blocks[pb as usize].items.len() as u32;
-        }
-        pos
+            .expect("node missing from its block");
+        let idx = index_of(&self.trees[bl.tree as usize].blocks, b)
+            // bds:allow(no-unwrap): structure invariant named in the message; corrupt state must fail fast, not propagate.
+            .expect("block missing from its tree");
+        (idx, off)
     }
 
-    /// Split block `b` at offset `off` (0 < off < len); returns the new
-    /// block holding the tail. The caller must insert it into the tree's
-    /// block list and renumber.
-    fn split_block_tail(&mut self, b: u32, off: usize) -> u32 {
-        let nb = self.alloc_block();
-        let tail = self.blocks[b as usize].items.split_off(off);
-        self.rehome(&tail, nb);
-        let tree = self.blocks[b as usize].tree;
-        let bl = &mut self.blocks[nb as usize];
-        bl.items = tail;
-        bl.tree = tree;
-        self.recompute_block(b);
-        self.recompute_block(nb);
+    /// Block `b` just lost ids whose flags OR to `agg`, `vcnt` of them
+    /// vertex nodes: fix its aggregates, rescanning only if flags left.
+    fn shrunk(&mut self, b: u32, agg: u8, vcnt: u32) {
+        if agg != 0 {
+            self.recompute_block(b);
+        } else {
+            self.blocks[b as usize].vcnt -= vcnt;
+        }
+    }
+
+    /// Move `items[range]` of block `b` into a new block of the same tree
+    /// and return it; the caller places it in the tree's block list.
+    fn carve(&mut self, b: u32, range: Range<usize>) -> u32 {
+        let nb = self.alloc_block(self.blocks[b as usize].tree);
+        let (src, dst) = pair_mut(&mut self.blocks, b, nb);
+        dst.items.extend(src.items.drain(range));
+        for &x in &dst.items {
+            let n = &mut self.nodes[x as usize];
+            n.block = nb;
+            dst.agg |= n.flags;
+            dst.vcnt += (n.a == n.b) as u32;
+        }
+        let (agg, vcnt) = (dst.agg, dst.vcnt);
+        self.shrunk(b, agg, vcnt);
         nb
     }
 
-    /// Detach the suffix of tree `t` starting at position `k`
-    /// (0 ≤ k ≤ size) into a fresh tree and return it. `k == 0` empties
-    /// `t`; `k == size` returns an empty tree.
-    fn split_tree(&mut self, t: u32, k: u32) -> u32 {
-        let nblocks = self.trees[t as usize].blocks.len();
-        let mut acc = 0u32;
-        let mut start = nblocks;
-        let mut split_at = None;
-        for i in 0..nblocks {
-            if acc == k {
-                start = i;
-                break;
-            }
-            let b = self.trees[t as usize].blocks[i];
-            let len = self.blocks[b as usize].items.len() as u32;
-            if k < acc + len {
-                split_at = Some((i, (k - acc) as usize));
-                break;
-            }
-            acc += len;
+    /// Make a block boundary in tree `t` just before item `off` of its
+    /// `i`-th block, carving the shorter part of that block into a new
+    /// block when the boundary falls inside it. Returns the index of the
+    /// first block after the boundary.
+    fn split_at(&mut self, t: u32, i: usize, off: usize) -> usize {
+        let b = self.trees[t as usize].blocks[i];
+        let len = self.blocks[b as usize].items.len();
+        if off == 0 {
+            return i;
         }
-        if let Some((i, off)) = split_at {
-            let b = self.trees[t as usize].blocks[i];
-            let nb = self.split_block_tail(b, off);
-            self.trees[t as usize].blocks.insert(i + 1, nb);
-            start = i + 1;
+        if off < len {
+            let (range, at) = if off <= len / 2 {
+                (0..off, i)
+            } else {
+                (off..len, i + 1)
+            };
+            let nb = self.carve(b, range);
+            self.trees[t as usize].blocks.insert(at, nb);
         }
-        let suffix = self.trees[t as usize].blocks.split_off(start);
-        let nt = self.alloc_tree();
-        let mut size = 0u32;
-        let mut vcnt = 0u32;
-        for (i, &b) in suffix.iter().enumerate() {
+        i + 1
+    }
+
+    /// Hand the blocks at `range` of tree `t`'s block list to `t`, which
+    /// just received them from another tree. This is the only per-block
+    /// work a splice does on the side that moves. Returns the number of
+    /// vertex nodes the blocks hold.
+    fn relabel(&mut self, t: u32, range: Range<usize>) -> u32 {
+        #[cfg(test)]
+        {
+            self.relabels += range.len() as u64;
+        }
+        let mut vcnt = 0;
+        for &b in &self.trees[t as usize].blocks[range] {
             let bl = &mut self.blocks[b as usize];
-            bl.tree = nt;
-            bl.idx = i as u32;
-            size += bl.items.len() as u32;
+            bl.tree = t;
             vcnt += bl.vcnt;
         }
-        let tr = &mut self.trees[nt as usize];
-        tr.blocks = suffix;
-        tr.size = size;
-        tr.vcnt = vcnt;
-        let tr = &mut self.trees[t as usize];
-        tr.size -= size;
-        tr.vcnt -= vcnt;
-        nt
+        vcnt
     }
 
-    /// Append tree `t2`'s tour to `t1`'s, merging the boundary blocks if
-    /// their combined length stays small. Frees `t2`. Either side may be
-    /// empty.
-    fn join_trees(&mut self, t1: u32, t2: u32) {
-        // Boundary merge keeps block counts proportional to tour length
-        // even under split-heavy (cut-storm) workloads.
-        if let (Some(&lb), Some(&fb)) = (
-            self.trees[t1 as usize].blocks.last(),
-            self.trees[t2 as usize].blocks.first(),
-        ) {
-            let ll = self.blocks[lb as usize].items.len();
-            let fl = self.blocks[fb as usize].items.len();
-            if ll + fl <= BLOCK_MERGE {
-                let moved = std::mem::take(&mut self.blocks[fb as usize].items);
-                self.rehome(&moved, lb);
-                self.blocks[lb as usize].items.extend_from_slice(&moved);
-                self.blocks[lb as usize].agg |= self.blocks[fb as usize].agg;
-                self.blocks[lb as usize].vcnt += self.blocks[fb as usize].vcnt;
-                self.trees[t2 as usize].blocks.remove(0);
-                // t2's remaining blocks get renumbered in the extend
-                // below; the moved sizes transfer with tr2.size.
-                self.free_blocks.push(fb);
-            }
+    /// Move all of block `src`'s ids into block `dst` at offset `at` and
+    /// free `src`, provided the two hold at most `limit` ids together.
+    /// Returns whether it did; the caller drops `src` from its block
+    /// list.
+    fn absorb(&mut self, dst: u32, src: u32, at: usize, limit: usize) -> bool {
+        let (d, s) = pair_mut(&mut self.blocks, dst, src);
+        if d.items.len() + s.items.len() > limit {
+            return false;
         }
-        let moved = std::mem::take(&mut self.trees[t2 as usize].blocks);
-        let base = self.trees[t1 as usize].blocks.len();
-        for (i, &b) in moved.iter().enumerate() {
-            let bl = &mut self.blocks[b as usize];
-            bl.tree = t1;
-            bl.idx = (base + i) as u32;
+        for &x in &s.items {
+            self.nodes[x as usize].block = dst;
         }
-        let (size2, vcnt2) = {
-            let tr2 = &self.trees[t2 as usize];
-            (tr2.size, tr2.vcnt)
-        };
-        let tr1 = &mut self.trees[t1 as usize];
-        tr1.blocks.extend(moved);
-        tr1.size += size2;
-        tr1.vcnt += vcnt2;
-        self.free_trees.push(t2);
+        d.items.splice(at..at, s.items.drain(..));
+        d.agg |= s.agg;
+        d.vcnt += s.vcnt;
+        self.free_block(src);
+        true
     }
 
-    /// Append a lone node to the end of tree `t`'s tour.
-    fn append_node(&mut self, t: u32, x: u32) {
-        let b = match self.trees[t as usize].blocks.last() {
-            Some(&lb) if self.blocks[lb as usize].items.len() < BLOCK_MAX => lb,
+    /// Seam merge: blocks `i - 1` and `i` of tree `t` just became
+    /// neighbours; merge them if they hold at most `BLOCK_MERGE` ids.
+    fn merge_seam(&mut self, t: u32, i: usize) {
+        let tb = &self.trees[t as usize].blocks;
+        if i == 0 || i >= tb.len() {
+            return;
+        }
+        let (left, right) = (tb[i - 1], tb[i]);
+        let at = self.blocks[left as usize].items.len();
+        if self.absorb(left, right, at, BLOCK_MERGE) {
+            self.trees[t as usize].blocks.remove(i);
+        }
+    }
+
+    /// Remove `items[range]` (arc nodes about to be freed) from the
+    /// `i`-th block of tree `t`, freeing the block if that empties it.
+    /// Returns whether it did.
+    fn drop_arcs(&mut self, t: u32, i: usize, range: Range<usize>) -> bool {
+        let b = self.trees[t as usize].blocks[i];
+        let mut agg = 0;
+        for x in self.blocks[b as usize].items.drain(range) {
+            agg |= self.nodes[x as usize].flags;
+        }
+        self.shrunk(b, agg, 0);
+        if !self.blocks[b as usize].items.is_empty() {
+            return false;
+        }
+        self.trees[t as usize].blocks.remove(i);
+        self.free_block(b);
+        true
+    }
+
+    /// Add a lone node at the front (or back) of tree `t`'s tour.
+    fn push_node(&mut self, t: u32, x: u32, front: bool) {
+        let tb = &self.trees[t as usize].blocks;
+        let end = if front { tb.first() } else { tb.last() };
+        let b = match end {
+            Some(&b) if self.blocks[b as usize].items.len() < BLOCK_MAX => b,
             _ => {
-                let nb = self.alloc_block();
-                let idx = self.trees[t as usize].blocks.len() as u32;
-                let bl = &mut self.blocks[nb as usize];
-                bl.tree = t;
-                bl.idx = idx;
-                self.trees[t as usize].blocks.push(nb);
+                let nb = self.alloc_block(t);
+                let tb = &mut self.trees[t as usize].blocks;
+                if front {
+                    tb.insert(0, nb);
+                } else {
+                    tb.push(nb);
+                }
                 nb
             }
         };
-        let n = &self.nodes[x as usize];
+        let n = &mut self.nodes[x as usize];
+        n.block = b;
         let (flags, is_v) = (n.flags, n.a == n.b);
-        self.nodes[x as usize].block = b;
         let bl = &mut self.blocks[b as usize];
-        bl.items.push(x);
+        if front {
+            bl.items.insert(0, x);
+        } else {
+            bl.items.push(x);
+        }
         bl.agg |= flags;
         bl.vcnt += is_v as u32;
-        let tr = &mut self.trees[t as usize];
-        tr.size += 1;
-        tr.vcnt += is_v as u32;
-    }
-
-    /// Remove node `x` from its tour (freeing emptied blocks/trees) and
-    /// free it.
-    fn remove_node(&mut self, x: u32) {
-        let b = self.nodes[x as usize].block;
-        let t = self.blocks[b as usize].tree;
-        let off = self.blocks[b as usize]
-            .items
-            .iter()
-            .position(|&i| i == x)
-            // bds:allow(no-unwrap): structure invariant named in the message; corrupt state must fail fast, not propagate.
-            .expect("node missing from its block");
-        self.blocks[b as usize].items.remove(off);
-        self.recompute_block(b);
-        let is_v = {
-            let n = &self.nodes[x as usize];
-            n.a == n.b
-        };
-        let tr = &mut self.trees[t as usize];
-        tr.size -= 1;
-        tr.vcnt -= is_v as u32;
-        if self.blocks[b as usize].items.is_empty() {
-            let idx = self.blocks[b as usize].idx as usize;
-            self.trees[t as usize].blocks.remove(idx);
-            for i in idx..self.trees[t as usize].blocks.len() {
-                let nb = self.trees[t as usize].blocks[i];
-                self.blocks[nb as usize].idx = i as u32;
-            }
-            self.free_blocks.push(b);
-        }
-        if self.trees[t as usize].blocks.is_empty() {
-            self.free_trees.push(t);
-        }
-        self.nodes[x as usize].block = NIL;
-        self.free_nodes.push(x);
+        self.trees[t as usize].vcnt += is_v as u32;
     }
 
     // ---- public surface ---------------------------------------------
@@ -382,7 +434,7 @@ impl EulerForest {
         }
         let i = self.alloc_node(v, v);
         let t = self.alloc_tree();
-        self.append_node(t, i);
+        self.push_node(t, i, false);
         self.vnode[v as usize] = i;
         i
     }
@@ -416,33 +468,70 @@ impl EulerForest {
         }
     }
 
-    /// Rotate `v`'s tour so it starts at `v`'s vertex node; returns the
-    /// tree id holding the rotated tour.
-    fn reroot(&mut self, v: u32) -> u32 {
-        let nv = self.ensure_vertex(v);
-        let t = self.tree_of_node(nv);
-        let pos = self.position(nv);
-        if pos == 0 {
-            return t;
-        }
-        let suffix = self.split_tree(t, pos);
-        self.join_trees(suffix, t);
-        suffix
-    }
-
     /// Link the trees containing `u` and `v` with edge (u, v).
     /// Panics (debug) if they are already connected.
     pub fn link(&mut self, u: u32, v: u32) {
         debug_assert!(!self.connected(u, v), "link({u},{v}) inside one tree");
-        let ru = self.reroot(u);
-        let rv = self.reroot(v);
+        let (nu, nv) = (self.ensure_vertex(u), self.ensure_vertex(v));
         let auv = self.alloc_node(u, v);
         let avu = self.alloc_node(v, u);
         self.arc.insert(u, v, auv as u64);
         self.arc.insert(v, u, avu as u64);
-        self.append_node(ru, auv);
-        self.join_trees(ru, rv);
-        self.append_node(ru, avu);
+        let (tu, tv) = (self.tree_of_node(nu), self.tree_of_node(nv));
+        // s is the endpoint whose tour has fewer blocks, l the other:
+        // l's tour X l Y becomes X (l,s) S (s,l) l Y, where S is s's tour
+        // rotated to start at s.
+        let (ns, ts, nl, tl, arc_in, arc_out) =
+            if self.trees[tu as usize].blocks.len() <= self.trees[tv as usize].blocks.len() {
+                (nu, tu, nv, tv, avu, auv)
+            } else {
+                (nv, tv, nu, tu, auv, avu)
+            };
+        let (j, off) = self.locate(ns);
+        if self.trees[ts as usize].blocks.len() == 1 {
+            let b = self.trees[ts as usize].blocks[0];
+            self.blocks[b as usize].items.rotate_left(off);
+        } else {
+            let k = self.split_at(ts, j, off);
+            let sb = &mut self.trees[ts as usize].blocks;
+            sb.rotate_left(k);
+            // The rotation makes the old end and the old start neighbours.
+            let seam = (sb.len() - k) % sb.len();
+            self.merge_seam(ts, seam);
+        }
+        self.push_node(ts, arc_in, true);
+        self.push_node(ts, arc_out, false);
+        let mut seg = std::mem::take(&mut self.trees[ts as usize].blocks);
+        let (i, off) = self.locate(nl);
+        let bl = self.trees[tl as usize].blocks[i];
+        if seg.len() == 1 && self.absorb(bl, seg[0], off, BLOCK_MAX) {
+            // S fitted into l's block in place.
+            seg.clear();
+        } else {
+            // Open l's tour just before l (l's block is then the k-th),
+            // merge S's end blocks into their new neighbours where they
+            // fit, and insert the rest of S's block ids.
+            let k = self.split_at(tl, i, off);
+            if k > 0 {
+                let prev = self.trees[tl as usize].blocks[k - 1];
+                let at = self.blocks[prev as usize].items.len();
+                if self.absorb(prev, seg[0], at, BLOCK_MERGE) {
+                    seg.remove(0);
+                }
+            }
+            if let Some(&last) = seg.last() {
+                if self.absorb(self.trees[tl as usize].blocks[k], last, 0, BLOCK_MERGE) {
+                    seg.pop();
+                }
+            }
+            let moved = seg.len();
+            self.trees[tl as usize].blocks.splice(k..k, seg.drain(..));
+            self.relabel(tl, k..k + moved);
+        }
+        let vcnt = self.trees[ts as usize].vcnt;
+        self.trees[tl as usize].vcnt += vcnt;
+        self.trees[ts as usize].blocks = seg;
+        self.free_tree(ts);
     }
 
     /// Cut the tree edge (u, v). Panics if absent.
@@ -452,27 +541,58 @@ impl EulerForest {
         // bds:allow(no-unwrap): structure invariant named in the message; corrupt state must fail fast, not propagate.
         let avu = self.arc.remove(v, u).expect("cut: missing arc") as u32;
         let t = self.tree_of_node(auv);
-        let (q1, q2) = (self.position(auv), self.position(avu));
-        let (p1, x1, p2, x2) = if q1 < q2 {
-            (q1, auv, q2, avu)
-        } else {
-            (q2, avu, q1, auv)
-        };
+        let (pu, pv) = (self.locate(auv), self.locate(avu));
+        let ((i1, o1), (i2, o2)) = if pu < pv { (pu, pv) } else { (pv, pu) };
         // tour = A x1 B x2 C; resulting trees: B, and A ++ C.
-        let s2 = self.split_tree(t, p2); // t = A x1 B, s2 = x2 C
-        self.remove_node(x2); // s2 = C (recycled by remove_node if empty)
-        let s2_gone = self.trees[s2 as usize].blocks.is_empty();
-        let s1 = self.split_tree(t, p1); // t = A, s1 = x1 B
-        self.remove_node(x1); // s1 = B (B is never empty: it holds v's vertex node)
-        debug_assert!(!self.trees[s1 as usize].blocks.is_empty());
-        // Reassemble A ++ C. Either side may be empty; an emptied `t`
-        // (p1 == 0) was left unreferenced by split_tree and is recycled
-        // here, while an emptied `s2` was already recycled above.
-        if self.trees[t as usize].blocks.is_empty() {
-            self.free_trees.push(t); // A empty: C stands alone as s2
-        } else if !s2_gone {
-            self.join_trees(t, s2);
+        let nt = self.alloc_tree();
+        if i1 == i2 {
+            // B lies inside one block: carve it out as B's one-block tour
+            // and close the gap the two arcs leave.
+            let b = self.trees[t as usize].blocks[i1];
+            let nb = self.carve(b, o1 + 1..o2);
+            self.trees[nt as usize].blocks.push(nb);
+            let vcnt = self.relabel(nt, 0..1);
+            self.trees[nt as usize].vcnt = vcnt;
+            self.trees[t as usize].vcnt -= vcnt;
+            if self.drop_arcs(t, i1, o1..o1 + 2) {
+                self.merge_seam(t, i1);
+            }
+        } else {
+            // Carve block boundaries just after x1 and just before x2
+            // (the later one first, so the earlier position stays
+            // valid): B is then exactly the blocks s..e.
+            let mut e = self.split_at(t, i2, o2);
+            let before = self.trees[t as usize].blocks.len();
+            let s = self.split_at(t, i1, o1 + 1);
+            e += self.trees[t as usize].blocks.len() - before;
+            let in_b = e - s;
+            let outside = self.trees[t as usize].blocks.len() - in_b;
+            // The side with fewer blocks moves to the fresh tree.
+            let (src, dst) = pair_mut(&mut self.trees, t, nt);
+            let ac = if in_b <= outside {
+                dst.blocks.extend(src.blocks.drain(s..e));
+                t
+            } else {
+                dst.blocks.extend_from_slice(&src.blocks[..s]);
+                dst.blocks.extend_from_slice(&src.blocks[e..]);
+                src.blocks.truncate(e);
+                src.blocks.drain(..s);
+                nt
+            };
+            let vcnt = self.relabel(nt, 0..in_b.min(outside));
+            self.trees[nt as usize].vcnt = vcnt;
+            self.trees[t as usize].vcnt -= vcnt;
+            // In A ++ C, x1 ends block s-1 and x2 starts block s; drop
+            // both, then merge the blocks where A meets C.
+            let end = self.blocks[self.trees[ac as usize].blocks[s - 1] as usize]
+                .items
+                .len();
+            let s = s - self.drop_arcs(ac, s - 1, end - 1..end) as usize;
+            self.drop_arcs(ac, s, 0..1);
+            self.merge_seam(ac, s);
         }
+        self.free_node(auv);
+        self.free_node(avu);
     }
 
     /// Set/clear a flag bit on `v`'s vertex node.
@@ -591,7 +711,7 @@ impl EulerForest {
             let mut stack: Vec<(usize, usize)> = vec![(start, 0)];
             let nv = f.alloc_node(verts[start], verts[start]);
             f.vnode_set(verts[start], nv);
-            f.append_node(t, nv);
+            f.push_node(t, nv, false);
             while let Some(&mut (x, ref mut ei)) = stack.last_mut() {
                 if *ei >= adj[x].len() {
                     stack.pop();
@@ -599,7 +719,7 @@ impl EulerForest {
                         let (pu, pv) = (verts[p], verts[x]);
                         let back = f.alloc_node(pv, pu);
                         f.arc.insert(pv, pu, back as u64);
-                        f.append_node(t, back);
+                        f.push_node(t, back, false);
                     }
                     continue;
                 }
@@ -613,10 +733,10 @@ impl EulerForest {
                 let (xu, yv) = (verts[x], y);
                 let fwd = f.alloc_node(xu, yv);
                 f.arc.insert(xu, yv, fwd as u64);
-                f.append_node(t, fwd);
+                f.push_node(t, fwd, false);
                 let nv = f.alloc_node(yv, yv);
                 f.vnode_set(yv, nv);
-                f.append_node(t, nv);
+                f.push_node(t, nv, false);
                 stack.push((yi, 0));
             }
         }
@@ -630,22 +750,30 @@ impl EulerForest {
         self.vnode[v as usize] = node;
     }
 
-    /// Structural invariant check used by tests: block/tree back-links,
-    /// sizes, vertex counts, and per-block aggregates all agree with the
-    /// item arrays.
+    /// Structural invariant check used by tests: every live tree's
+    /// blocks point back at it and at no other tree, free blocks are in
+    /// no tree, nodes point back at their blocks, and vertex counts and
+    /// per-block aggregates agree with the item arrays.
     #[cfg(test)]
     fn check_invariants(&self) {
+        let mut free_tree = vec![false; self.trees.len()];
+        for &t in &self.free_trees {
+            free_tree[t as usize] = true;
+        }
+        let mut owner = vec![NIL; self.blocks.len()];
         for (ti, tr) in self.trees.iter().enumerate() {
-            if self.free_trees.contains(&(ti as u32)) {
+            if free_tree[ti] {
                 continue;
             }
-            let mut size = 0;
+            assert!(!tr.blocks.is_empty(), "live tree without blocks");
             let mut vcnt = 0;
-            for (i, &b) in tr.blocks.iter().enumerate() {
+            for &b in &tr.blocks {
                 let bl = &self.blocks[b as usize];
+                assert_eq!(owner[b as usize], NIL, "block {b} listed twice");
+                owner[b as usize] = ti as u32;
                 assert_eq!(bl.tree, ti as u32, "block tree back-link");
-                assert_eq!(bl.idx, i as u32, "block idx back-link");
                 assert!(!bl.items.is_empty(), "empty block retained");
+                assert!(bl.items.len() <= BLOCK_MAX, "oversized block");
                 let mut agg = 0u8;
                 let mut bv = 0u32;
                 for &x in &bl.items {
@@ -656,12 +784,21 @@ impl EulerForest {
                 }
                 assert_eq!(bl.agg, agg, "block agg");
                 assert_eq!(bl.vcnt, bv, "block vcnt");
-                size += bl.items.len() as u32;
                 vcnt += bv;
             }
-            assert_eq!(tr.size, size, "tree size");
             assert_eq!(tr.vcnt, vcnt, "tree vcnt");
         }
+        for &b in &self.free_blocks {
+            assert_eq!(owner[b as usize], NIL, "free block {b} still in a tree");
+        }
+    }
+
+    /// Block count of `v`'s tree (tests size their tours with it).
+    #[cfg(test)]
+    fn tree_blocks(&self, v: u32) -> usize {
+        self.vertex_node(v).map_or(0, |nv| {
+            self.trees[self.tree_of_node(nv) as usize].blocks.len()
+        })
     }
 }
 
@@ -702,7 +839,7 @@ mod tests {
         assert_eq!(f.find_flag(0, FLAG_NONTREE), None);
         f.set_arc_flag(0, 1, FLAG_TREE, true);
         assert_eq!(f.find_flag(2, FLAG_TREE), Some((0, 1)));
-        // Flag survives a reroot-causing link.
+        // Flag survives a link that rotates its tour.
         f.link(2, 7);
         assert_eq!(f.find_flag(7, FLAG_TREE), Some((0, 1)));
         f.check_invariants();
@@ -777,6 +914,131 @@ mod tests {
                 ts == comp || (ts == 1 && comp == 1),
                 "size mismatch {ts} vs {comp}"
             );
+        }
+        f.check_invariants();
+    }
+
+    /// DSU oracle over an explicit edge list: component root per vertex.
+    fn dsu_roots(n: u32, edges: &[(u32, u32)]) -> Vec<u32> {
+        fn find(d: &mut [u32], mut x: u32) -> u32 {
+            while d[x as usize] != x {
+                d[x as usize] = d[d[x as usize] as usize];
+                x = d[x as usize];
+            }
+            x
+        }
+        let mut d: Vec<u32> = (0..n).collect();
+        for &(u, v) in edges {
+            let (a, b) = (find(&mut d, u), find(&mut d, v));
+            d[a.max(b) as usize] = a.min(b);
+        }
+        (0..n).map(|x| find(&mut d, x)).collect()
+    }
+
+    #[test]
+    fn multi_block_tours_against_dsu() {
+        // Path-biased links (half to a near neighbour, half anywhere) grow
+        // long trees whose tours span over a hundred blocks, so cuts and
+        // links carve, rotate, move and merge blocks on both the
+        // smaller-side and larger-side branches. Vertex flags ride along
+        // to check the block aggregates through every splice.
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let n = 3000u32;
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut f = EulerForest::new();
+        let mut edges: Vec<(u32, u32)> = Vec::new();
+        let mut flagged = vec![false; n as usize];
+        let mut max_blocks = 0;
+        for step in 0..6000 {
+            // Cut rarely until the forest is nearly spanning, then churn.
+            let p_cut = if edges.len() as u32 > n * 19 / 20 {
+                0.5
+            } else {
+                0.1
+            };
+            if !edges.is_empty() && rng.gen_bool(p_cut) {
+                let i = rng.gen_range(0..edges.len());
+                let (u, v) = edges.swap_remove(i);
+                f.cut(u, v);
+            } else {
+                let u = rng.gen_range(0..n);
+                let v = if rng.gen_bool(0.5) {
+                    (u + rng.gen_range(1..6u32)) % n
+                } else {
+                    rng.gen_range(0..n)
+                };
+                if u != v && !f.connected(u, v) {
+                    f.link(u, v);
+                    edges.push((u, v));
+                }
+            }
+            if rng.gen_bool(0.1) {
+                let x = rng.gen_range(0..n);
+                flagged[x as usize] = !flagged[x as usize];
+                f.set_vertex_flag(x, FLAG_NONTREE, flagged[x as usize]);
+            }
+            if step % 50 == 0 {
+                f.check_invariants();
+            }
+            let roots = dsu_roots(n, &edges);
+            for _ in 0..8 {
+                let u = rng.gen_range(0..n);
+                let v = rng.gen_range(0..n);
+                assert_eq!(
+                    f.connected(u, v),
+                    roots[u as usize] == roots[v as usize],
+                    "step {step}: connectivity mismatch for ({u},{v})"
+                );
+            }
+            let u = rng.gen_range(0..n);
+            let comp: Vec<u32> = (0..n)
+                .filter(|&x| roots[x as usize] == roots[u as usize])
+                .collect();
+            assert_eq!(
+                f.tree_size(u),
+                comp.len() as u32,
+                "step {step}: size of {u}"
+            );
+            let want_flag = comp.iter().any(|&x| flagged[x as usize]);
+            match f.find_flag(u, FLAG_NONTREE) {
+                Some((x, y)) => {
+                    assert_eq!(x, y, "vertex flag on an arc");
+                    assert!(flagged[x as usize], "stale flag at {x}");
+                    assert_eq!(roots[x as usize], roots[u as usize], "flag outside tree");
+                }
+                None => assert!(!want_flag, "step {step}: flag in {u}'s tree not found"),
+            }
+            if step % 500 == 0 {
+                let mut vs = f.tree_vertices(u);
+                vs.sort_unstable();
+                assert_eq!(vs, comp, "step {step}: tour of {u}");
+            }
+            max_blocks = max_blocks.max(f.tree_blocks(u));
+        }
+        f.check_invariants();
+        assert!(max_blocks >= 20, "tours stayed small: {max_blocks} blocks");
+    }
+
+    #[test]
+    fn leaf_splice_relabels_few_blocks() {
+        // On a 100,000-vertex path, cutting and re-linking a leaf edge
+        // moves only the leaf's side, whichever end of the tour it sits
+        // at: vertex 0 starts the tour, vertex n-1 sits in its middle.
+        let n = 100_000u32;
+        let path: Vec<(u32, u32)> = (0..n - 1).map(|v| (v, v + 1)).collect();
+        let mut f = EulerForest::bulk_build(&path);
+        assert!(f.tree_blocks(0) > 2000, "{} blocks", f.tree_blocks(0));
+        for (leaf, inner) in [(n - 1, n - 2), (0, 1)] {
+            let r = f.relabels;
+            f.cut(inner, leaf);
+            assert!(f.relabels - r <= 3, "cut relabelled {}", f.relabels - r);
+            assert!(!f.connected(leaf, inner));
+            assert_eq!(f.tree_size(leaf), 1);
+            assert_eq!(f.tree_size(inner), n - 1);
+            let r = f.relabels;
+            f.link(inner, leaf);
+            assert!(f.relabels - r <= 3, "link relabelled {}", f.relabels - r);
+            assert_eq!(f.tree_size(leaf), n);
         }
         f.check_invariants();
     }

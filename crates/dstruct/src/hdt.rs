@@ -11,7 +11,17 @@
 //! spanning forest of the edges with level ≥ i, F₀ ⊇ F₁ ⊇ …, and each
 //! tree of F_i has at most n/2^i vertices. Deleting a tree edge searches
 //! for a replacement level by level, promoting the smaller side's tree
-//! edges and failed non-tree candidates; amortized O(log² n) per update.
+//! edges and failed non-tree candidates. Each promotion raises an edge's
+//! level, so the search work ([`DynamicForest::scan_steps`]) is amortized
+//! O(log n) per update, and each unit of it, like each level's cut, costs
+//! O(1) Euler-tour splices: amortized O(log n) splices per update, which
+//! with O(log n)-time balanced-tree splices is HDT's O(log² n).
+//!
+//! Here a splice costs O(smaller side / BLOCK + BLOCK) random work plus
+//! O(tour / BLOCK) dense scans and memmoves of one `u32` array
+//! ([`crate::euler`]). HDT's splices are lopsided: in a churned
+//! 20k-vertex graph a cut's tree spans ~460 blocks while its smaller side
+//! spans under four, so the random part stays a few blocks per splice.
 //!
 //! Since PR 8 the substrate is flat end to end: each level's Euler tour
 //! is a blocked flat sequence ([`crate::euler`], de-treaped), the edge →
@@ -59,6 +69,8 @@ pub struct DynamicForest {
     /// per-level non-tree incidence, keyed (x << 32) | y, both
     /// directions stored
     nontree: Vec<FlatList<u64, ()>>,
+    /// replacement-search work so far (see [`DynamicForest::scan_steps`])
+    scan_steps: u64,
 }
 
 impl DynamicForest {
@@ -73,6 +85,7 @@ impl DynamicForest {
             edges: EdgeTable::new(),
             n_tree: 0,
             nontree,
+            scan_steps: 0,
         }
     }
 
@@ -181,6 +194,16 @@ impl DynamicForest {
         self.edges.len()
     }
 
+    /// Replacement-search work since construction: tree edges promoted
+    /// plus non-tree candidates examined. HDT's amortization bounds it
+    /// by O(log n) per update (each promotion raises an edge's level,
+    /// each other candidate ends a level's search), and every unit costs
+    /// O(log n) in Euler-tour splices and list edits, which gives the
+    /// O(log² n) amortized update time.
+    pub fn scan_steps(&self) -> u64 {
+        self.scan_steps
+    }
+
     /// Any non-tree neighbor of `x` at level `lvl`, via a rank probe of
     /// the flat incidence list.
     fn first_nontree(&self, x: u32, lvl: u16) -> Option<u32> {
@@ -285,6 +308,7 @@ impl DynamicForest {
         // 1. Promote all level-i tree edges inside the smaller tree.
         if can_promote {
             while let Some((a, b)) = self.levels[i as usize].find_flag(small, FLAG_TREE) {
+                self.scan_steps += 1;
                 let (ca, cb) = canon(a, b);
                 debug_assert_eq!(self.edges.get(ca, cb).map(|w| w & 0xffff), Some(i as u64));
                 self.edges.insert(ca, cb, (i as u64 + 1) | TREE_BIT);
@@ -300,6 +324,7 @@ impl DynamicForest {
         let mut parked: Vec<(u32, u32)> = Vec::new();
         let mut found: Option<(u32, u32)> = None;
         while let Some((x, _)) = self.levels[i as usize].find_flag(small, FLAG_NONTREE) {
+            self.scan_steps += 1;
             let Some(y) = self.first_nontree(x, i) else {
                 // Stale flag (should not happen); clear defensively.
                 self.levels[i as usize].set_vertex_flag(x, FLAG_NONTREE, false);

@@ -29,7 +29,7 @@ use crate::api::{
     validate_edges, BatchDynamic, BatchStats, ConfigError, Decremental, DeltaBuf, FullyDynamic,
 };
 use crate::types::{Edge, UpdateBatch, V};
-use bds_dstruct::DynamicForest;
+use bds_dstruct::{DynamicForest, EdgeTable};
 
 // ---------------------------------------------------------------------------
 // BatchConnectivity
@@ -148,8 +148,13 @@ impl BatchDynamic for BatchConnectivity {
         }
     }
 
+    /// `scan_steps` is the HDT replacement-search work:
+    /// [`DynamicForest::scan_steps`].
     fn stats(&self) -> BatchStats {
-        self.stats
+        BatchStats {
+            scan_steps: self.forest.scan_steps(),
+            ..self.stats
+        }
     }
 
     fn batch_seq(&self) -> u64 {
@@ -228,13 +233,19 @@ impl FullyDynamic for BatchConnectivity {
 #[derive(Debug, Clone)]
 pub struct ConnView {
     n: usize,
-    /// Flattened component id per vertex (root-indexed).
+    /// Flattened component id per vertex: the component's smallest
+    /// vertex.
     comp: Vec<V>,
     /// Component size at the root's slot (stale elsewhere).
     csize: Vec<u32>,
     /// Mirrored forest edges, for deletion-path rebuilds.
     edges: Vec<Edge>,
-    /// Union-find scratch used only inside `rebuild`/`apply`.
+    /// Mirrored edge -> its slot in `edges`, so a deletion finds its
+    /// edge in O(1). Built by the first delta that deletes, then kept in
+    /// step with `edges` (equal lengths mark it live).
+    slots: EdgeTable,
+    /// Union-find scratch used only inside `rebuild`/`apply`; every link
+    /// points from a larger vertex id to a smaller one.
     parent: Vec<V>,
     /// Component count, recomputed at each flatten (robust to cyclic
     /// mirrored edge sets, e.g. a sharded union).
@@ -246,25 +257,23 @@ pub struct ConnView {
 impl ConnView {
     /// A view of the edgeless graph over `0..n`.
     pub fn new(n: usize) -> Self {
-        let mut v = Self {
-            n,
-            comp: Vec::new(),
-            csize: Vec::new(),
-            edges: Vec::new(),
-            parent: Vec::new(),
-            ncomp: n,
-            epoch: 0,
-            seq: 0,
-        };
-        v.rebuild();
-        v
+        Self::from_edges(n, &[])
     }
 
     /// A view of the components induced by `edges` (a forest or any
     /// edge set — connectivity of the union is what is mirrored).
     pub fn from_edges(n: usize, edges: &[Edge]) -> Self {
-        let mut v = Self::new(n);
-        v.edges.extend_from_slice(edges);
+        let mut v = Self {
+            n,
+            comp: Vec::new(),
+            csize: Vec::new(),
+            edges: edges.to_vec(),
+            slots: EdgeTable::new(),
+            parent: Vec::new(),
+            ncomp: n,
+            epoch: 0,
+            seq: 0,
+        };
         v.rebuild();
         v
     }
@@ -287,6 +296,7 @@ impl ConnView {
     pub fn reseed_from_edges(&mut self, edges: &[Edge]) {
         self.edges.clear();
         self.edges.extend_from_slice(edges);
+        self.slots.clear();
         self.rebuild();
         self.epoch = 0;
     }
@@ -312,57 +322,79 @@ impl ConnView {
     }
 
     /// Flatten the union-find scratch into the component-id and size
-    /// tables: one linear pass, after which every query is `&self` and
-    /// O(1).
+    /// tables in one forward pass, after which every query is `&self`
+    /// and O(1).
     fn flatten(&mut self) {
         self.comp.clear();
         self.comp.reserve(self.n);
-        for v in 0..self.n as V {
-            let mut r = v;
-            while self.parent[r as usize] != r {
-                r = self.parent[r as usize];
-            }
-            // Path-compress fully so later lookups in this pass stay
-            // short.
-            let mut c = v;
-            while self.parent[c as usize] != r {
-                let nx = self.parent[c as usize];
-                self.parent[c as usize] = r;
-                c = nx;
-            }
-            self.comp.push(r);
-        }
         self.csize.clear();
         self.csize.resize(self.n, 0);
         let mut roots = 0usize;
-        for v in 0..self.n {
-            let r = self.comp[v] as usize;
-            roots += (self.csize[r] == 0) as usize;
-            self.csize[r] += 1;
+        for (v, &p) in self.parent.iter().enumerate() {
+            let is_root = p as usize == v;
+            roots += is_root as usize;
+            // INVARIANT: p ≤ v (links point to smaller ids), so comp[p]
+            // was pushed earlier in this pass.
+            let r = if is_root { p } else { self.comp[p as usize] };
+            self.comp.push(r);
+            // INVARIANT: r is a vertex id < n = csize.len().
+            self.csize[r as usize] += 1;
         }
         self.ncomp = roots;
     }
 
     fn rebuild(&mut self) {
         self.parent.clear();
+        // INVARIANT: vertex ids are `V`, so n fits in one.
         self.parent.extend(0..self.n as V);
         for i in 0..self.edges.len() {
+            // INVARIANT: i < edges.len().
             let e = self.edges[i];
             self.union(e.u, e.v);
         }
         self.flatten();
     }
 
+    /// Root of `x`, halving its path on the way up.
+    fn find(&mut self, mut x: V) -> V {
+        // INVARIANT: x and every parent entry are vertex ids < n =
+        // parent.len() (mirrored edges stay inside 0..n).
+        while self.parent[x as usize] != x {
+            // INVARIANT: as above.
+            let up = self.parent[self.parent[x as usize] as usize];
+            // INVARIANT: as above.
+            self.parent[x as usize] = up;
+            x = up;
+        }
+        x
+    }
+
+    /// Link the larger root under the smaller, keeping every parent link
+    /// pointed at a smaller id (what `flatten`'s single pass needs).
     fn union(&mut self, a: V, b: V) {
-        let (mut ra, mut rb) = (a, b);
-        while self.parent[ra as usize] != ra {
-            ra = self.parent[ra as usize];
-        }
-        while self.parent[rb as usize] != rb {
-            rb = self.parent[rb as usize];
-        }
+        let (ra, rb) = (self.find(a), self.find(b));
         if ra != rb {
-            self.parent[rb as usize] = ra;
+            // INVARIANT: roots are vertex ids < n = parent.len().
+            self.parent[ra.max(rb) as usize] = ra.min(rb);
+        }
+    }
+
+    /// Mirror one more edge, indexing its slot if the index is live.
+    fn push_edge(&mut self, e: Edge) {
+        if self.slots.len() == self.edges.len() {
+            self.slots.insert(e.u, e.v, self.edges.len() as u64);
+        }
+        self.edges.push(e);
+    }
+
+    /// Index every mirrored edge by slot, unless the index is live.
+    fn index_slots(&mut self) {
+        if self.slots.len() == self.edges.len() {
+            return;
+        }
+        self.slots.clear();
+        for (i, e) in self.edges.iter().enumerate() {
+            self.slots.insert(e.u, e.v, i as u64);
         }
     }
 
@@ -371,7 +403,8 @@ impl ConnView {
     /// Sequence discipline matches [`SpannerView::apply`](crate::api::SpannerView::apply): a sequenced
     /// delta (seq ≠ 0) must carry exactly `self.seq + 1`, anything else
     /// panics. Insert-only deltas union incrementally plus one O(n)
-    /// flatten; deltas with deletions rebuild from the mirrored forest.
+    /// flatten; deltas with deletions drop each deleted edge by its
+    /// indexed slot, then rebuild from the mirrored forest.
     pub fn apply(&mut self, delta: &DeltaBuf) {
         if delta.seq() != 0 {
             assert_eq!(
@@ -387,21 +420,27 @@ impl ConnView {
         let dels = delta.deleted();
         if dels.is_empty() {
             for &e in delta.inserted() {
-                self.edges.push(e);
+                self.push_edge(e);
                 self.union(e.u, e.v);
             }
             self.flatten();
         } else {
+            self.index_slots();
             for &d in dels {
                 let i = self
-                    .edges
-                    .iter()
+                    .slots
+                    .remove(d.u, d.v)
                     // bds:allow(no-unwrap): structure invariant named in the message; corrupt state must fail fast, not propagate.
-                    .position(|&e| e == d)
-                    .expect("conn view delta removes unmirrored forest edge");
+                    .expect("conn view delta removes unmirrored forest edge")
+                    as usize;
                 self.edges.swap_remove(i);
+                if let Some(&moved) = self.edges.get(i) {
+                    self.slots.insert(moved.u, moved.v, i as u64);
+                }
             }
-            self.edges.extend_from_slice(delta.inserted());
+            for &e in delta.inserted() {
+                self.push_edge(e);
+            }
             self.rebuild();
         }
         self.epoch += 1;
@@ -417,7 +456,8 @@ impl ConnView {
         self.csize[self.comp[v as usize] as usize]
     }
 
-    /// Stable component id of `v` at this epoch (the DSU root).
+    /// Component id of `v` at this epoch: the smallest vertex of its
+    /// component.
     pub fn component_id(&self, v: V) -> V {
         self.comp[v as usize]
     }
@@ -597,6 +637,70 @@ mod tests {
             assert_eq!(view.component_size(u), uf.component_size(u));
             assert_eq!(c.component_size(u), uf.component_size(u));
         }
+    }
+
+    #[test]
+    fn conn_view_apply_matches_fresh_build() {
+        // Every delta, insert-only or deleting, must leave the mirror
+        // identical to a view built from scratch over the same forest:
+        // the slot index, the halving union and the one-pass flatten
+        // together. Component ids are the smallest member vertex, so
+        // they compare directly.
+        use crate::{gen, stream::UpdateStream};
+        let n = 5000usize;
+        let init = gen::gnm(n, 2 * n, 5);
+        let mut c = BatchConnectivity::builder(n).build(&init).unwrap();
+        let mut view = ConnView::from_output(n, &c);
+        let mut stream = UpdateStream::new(n, &init, 6);
+        let mut d = DeltaBuf::new();
+        for round in 0..60 {
+            let (ins, dels) = [(64, 0), (0, 64), (64, 64)][round % 3];
+            c.apply_into(&stream.next_batch(ins, dels), &mut d);
+            view.apply(&d);
+            let fresh = ConnView::from_edges(n, &c.forest_edges());
+            assert_eq!(
+                view.num_components(),
+                fresh.num_components(),
+                "round {round}"
+            );
+            assert_eq!(view.num_components(), c.num_components(), "round {round}");
+            for v in 0..n as V {
+                assert_eq!(view.component_id(v), fresh.component_id(v), "id of {v}");
+                assert_eq!(
+                    view.component_size(v),
+                    fresh.component_size(v),
+                    "size of {v}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn hdt_work_within_log_squared_bound() {
+        // HDT amortization: replacement-search work (tree edges promoted
+        // plus non-tree candidates examined, reported as `scan_steps`)
+        // stays within C·log₂²n per update over a churn run, C = 1.
+        use crate::{gen, stream::UpdateStream};
+        const C: f64 = 1.0;
+        let n = 2000usize;
+        let init = gen::gnm(n, 4 * n, 11);
+        let mut c = BatchConnectivity::builder(n).build(&init).unwrap();
+        let mut stream = UpdateStream::new(n, &init, 12);
+        let mut d = DeltaBuf::new();
+        let mut updates = 0;
+        for _ in 0..100 {
+            let batch = stream.next_batch(64, 64);
+            updates += batch.len();
+            c.apply_into(&batch, &mut d);
+        }
+        let steps = c.stats().scan_steps;
+        assert!(steps > 0, "no replacement work counted");
+        let per_update = steps as f64 / updates as f64;
+        let bound = C * (n as f64).log2().powi(2);
+        assert!(
+            per_update <= bound,
+            "{per_update:.2} steps per update > {bound:.1}"
+        );
     }
 
     #[test]

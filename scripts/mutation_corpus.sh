@@ -21,6 +21,7 @@
 #   e  WAL append_batch stamps the delta tag     caught by: bds_lint wal-drift (tier 1)
 #   f  coalescer swap-remove index off by one    caught by: model check (bds_graph)
 #   g  pool completion decrement AcqRel -> Relaxed  caught by: model check (bds_par)
+#   h  Euler splice skips relabelling the last moved block  caught by: euler unit tests (bds_dstruct)
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
@@ -36,6 +37,7 @@ describe() {
     e) echo "WAL append_batch stamps KIND_DELTA (encode/decode tag drift)" ;;
     f) echo "coalescer cancel swap-remove reindexes off by one (pending map corrupt)" ;;
     g) echo "pool completion decrement AcqRel -> Relaxed (caller returns before a share's writes are visible)" ;;
+    h) echo "Euler splice skips relabelling the last moved block (that block still claims its old tree)" ;;
     *) echo "unknown mutant '$1'" >&2; exit 2 ;;
   esac
 }
@@ -93,6 +95,13 @@ plan() {
       to='Ordering::Relaxed'
       catcher='RUSTFLAGS="--cfg bds_model" cargo test -q -p bds_par --lib model_pool'
       ;;
+    h)
+      file="crates/dstruct/src/euler.rs"
+      needle='for &b in &self.trees[t as usize].blocks[range] {'
+      from='[range]'
+      to='[range.start..range.end - 1]'
+      catcher='cargo test -q -p bds_dstruct euler'
+      ;;
     *) echo "unknown mutant '$1'" >&2; exit 2 ;;
   esac
 }
@@ -140,7 +149,7 @@ run_mutant() {
 }
 
 main() {
-  local all=(a b c d e f g)
+  local all=(a b c d e f g h)
   if [ "${1:-}" = "--list" ]; then
     for id in "${all[@]}"; do
       echo "$id  $(describe "$id")"

@@ -9,16 +9,19 @@
 //!   replaces the two-field tuple hashing a `FxHashMap<(V, V), _>` pays,
 //!   and key comparison is one integer compare.
 //! * **Linear probing over interleaved 16-byte slots** (power-of-two
-//!   capacity, rebuild-on-⅝-load), plus a **1-byte tag array**: each
+//!   capacity, grow-on-⅝-load), plus a **1-byte tag array**: each
 //!   occupied slot publishes 7 independent hash bits. Probes scan the
 //!   tag array — 16× denser than the slots, so it stays cache-resident
 //!   — and touch a slot only on a tag match; absent keys usually
 //!   resolve without touching the slot array at all.
-//! * **Tombstone removals, tombstone-free rebuilds.** A removal plants
-//!   an O(1) tombstone (keeping the delete-heavy decremental hot paths
-//!   cheap); tombstones count against the probe-chain load, and the
-//!   load-factor rebuild drops them all wholesale, so chains stay
-//!   bounded under any churn pattern.
+//! * **Backward-shift removals, no tombstones.** A removal walks the
+//!   rest of its cluster and moves back into the hole every entry homed
+//!   at or cyclically before it, then frees the last hole (Knuth, TAOCP
+//!   vol. 3, Algorithm R). The table never holds a tombstone and
+//!   rehashes only to grow. Tombstones would count against the ⅝ load
+//!   limit, so a table whose live load sits between ½ and ⅝ — where
+//!   the serving tables live — would rehash every slot each few
+//!   thousand churn removals.
 //! * **Batch construction / batch ops with group prefetching.**
 //!   [`EdgeTable::from_batch`] sorts with `bds_par` and scatters in
 //!   parallel with CAS claims; [`EdgeTable::insert_batch`] scatters into
@@ -41,15 +44,8 @@ use crate::fx::mix64;
 /// `NO_VERTEX` sentinel (graphs are over `0..n` with `n < u32::MAX`).
 const EMPTY: u64 = u64::MAX;
 
-/// Key sentinel for a tombstoned slot (requires `u = u32::MAX` too, so
-/// equally unreachable). Probes continue past it; rebuilds drop it.
-const TOMB_KEY: u64 = u64::MAX - 1;
-
 /// Tag of a never-used slot; occupied slots carry `0x80 | top-7-bits`.
 const TAG_FREE: u8 = 0;
-
-/// Tag of a deleted slot (probes continue past it; rebuilds drop it).
-const TAG_TOMB: u8 = 1;
 
 /// Queries per group-prefetch pipeline block in the batch operations.
 const PREFETCH_DEPTH: usize = 16;
@@ -87,13 +83,14 @@ const FREE: Slot = Slot { key: EMPTY, val: 0 };
 pub struct EdgeTable {
     /// Power-of-two slot array (empty vec when unallocated).
     slots: Vec<Slot>,
-    /// Per-slot byte: `TAG_FREE`, `TAG_TOMB`, or `0x80 | 7 hash bits`.
+    /// Per-slot byte: `TAG_FREE` or `0x80 | 7 hash bits`.
     tags: Vec<u8>,
     /// `capacity − 1` (0 when unallocated).
     mask: usize,
     len: usize,
-    /// Tombstoned slots awaiting the next rebuild.
-    dead: usize,
+    /// Rehashes into new storage: growth only, never churn.
+    #[cfg(test)]
+    rebuilds: u64,
 }
 
 impl std::fmt::Debug for EdgeTable {
@@ -118,6 +115,15 @@ fn capacity_for(len: usize) -> usize {
     target.next_power_of_two().max(16)
 }
 
+/// Whether the entry at slot `j`, homed at `home`, may fill the hole at
+/// `hole` earlier in its cluster: only if its home is at or cyclically
+/// before the hole, since a probe for it starts at its home and must
+/// still pass the hole on its way to the entry.
+#[inline(always)]
+fn shifts_back(home: usize, hole: usize, j: usize, mask: usize) -> bool {
+    (j.wrapping_sub(home) & mask) >= (j.wrapping_sub(hole) & mask)
+}
+
 impl EdgeTable {
     pub fn new() -> Self {
         Self::default()
@@ -134,7 +140,8 @@ impl EdgeTable {
             tags: vec![TAG_FREE; cap],
             mask: cap - 1,
             len: 0,
-            dead: 0,
+            #[cfg(test)]
+            rebuilds: 0,
         }
     }
 
@@ -155,7 +162,6 @@ impl EdgeTable {
         self.slots.fill(FREE);
         self.tags.fill(TAG_FREE);
         self.len = 0;
-        self.dead = 0;
     }
 
     /// Read slot `i`. SAFETY-invariant: probe indices are produced as
@@ -289,14 +295,8 @@ impl EdgeTable {
         for w in packed.windows(2) {
             assert!(w[0].0 != w[1].0, "duplicate edge key {:?}", unpack(w[0].0));
         }
-        let cap = capacity_for(packed.len());
-        let mut table = Self {
-            slots: vec![FREE; cap],
-            tags: vec![TAG_FREE; cap],
-            mask: cap - 1,
-            len: packed.len(),
-            dead: 0,
-        };
+        let mut table = Self::with_capacity(packed.len());
+        table.len = packed.len();
         table.scatter(packed);
         table
     }
@@ -406,28 +406,18 @@ impl EdgeTable {
     }
 
     pub fn insert_key(&mut self, key: u64, val: u64) -> Option<u64> {
-        debug_assert!(key < TOMB_KEY, "key sentinel inserted");
+        debug_assert!(key != EMPTY, "key sentinel inserted");
         self.reserve(1);
         let mask = self.mask;
         let (mut i, tag) = hash_pair(key, mask);
-        // First tombstone on the probe path: reusable once the key is
-        // known absent (the probe must reach FREE before we can tell).
-        let mut tomb: Option<usize> = None;
         loop {
             let k = self.slot(i).key;
             if k == key {
                 return Some(std::mem::replace(&mut self.slot_mut(i).val, val));
             }
-            if k == TOMB_KEY && tomb.is_none() {
-                tomb = Some(i);
-            }
             if k == EMPTY {
-                let dst = tomb.unwrap_or(i);
-                if dst != i {
-                    self.dead -= 1;
-                }
-                *self.slot_mut(dst) = Slot { key, val };
-                self.set_tag(dst, tag);
+                *self.slot_mut(i) = Slot { key, val };
+                self.set_tag(i, tag);
                 self.len += 1;
                 return None;
             }
@@ -435,10 +425,9 @@ impl EdgeTable {
         }
     }
 
-    /// Remove; returns the value if present. Deletion plants a cheap
-    /// tombstone; accumulated tombstones are dropped wholesale by the
-    /// next load-factor rebuild (see [`EdgeTable::reserve`]), keeping
-    /// the delete-heavy decremental hot paths O(1) per removal.
+    /// Remove; returns the value if present. The hole is closed by
+    /// backward shift, so a removal costs the rest of its cluster and
+    /// never leaves a tombstone.
     #[inline]
     pub fn remove(&mut self, u: u32, v: u32) -> Option<u64> {
         self.remove_key(pack(u, v))
@@ -461,15 +450,35 @@ impl EdgeTable {
             i = (i + 1) & mask;
         }
         let out = self.slot(i).val;
-        self.slot_mut(i).key = TOMB_KEY;
-        self.set_tag(i, TAG_TOMB);
+        self.close_hole(i);
         self.len -= 1;
-        self.dead += 1;
-        // Keep probe chains bounded even under remove-only workloads.
-        if self.dead * 4 >= self.slots.len() {
-            self.rebuild(capacity_for(self.len));
-        }
         Some(out)
+    }
+
+    /// Backward-shift deletion (Knuth, TAOCP vol. 3, Algorithm R): empty
+    /// slot `hole` by walking the rest of its cluster and moving each
+    /// entry that [`shifts_back`] into the hole, which then moves to
+    /// that entry's old slot; the last hole becomes `FREE`. Every probe
+    /// chain stays gap-free, so no tombstone is needed. The ⅝ load
+    /// bound guarantees the walk meets a `FREE` slot.
+    fn close_hole(&mut self, mut hole: usize) {
+        let mask = self.mask;
+        let mut j = hole;
+        loop {
+            j = (j + 1) & mask;
+            let s = self.slot(j);
+            if s.key == EMPTY {
+                break;
+            }
+            if shifts_back(hash_pair(s.key, mask).0, hole, j, mask) {
+                *self.slot_mut(hole) = s;
+                let t = self.tag(j);
+                self.set_tag(hole, t);
+                hole = j;
+            }
+        }
+        *self.slot_mut(hole) = FREE;
+        self.set_tag(hole, TAG_FREE);
     }
 
     /// Batch point lookups, in query order. Each worker pipelines its
@@ -546,11 +555,6 @@ impl EdgeTable {
             return 0;
         }
         self.reserve(entries.len());
-        if self.dead > 0 {
-            // Purge tombstones so the scatter sees only never-used slots
-            // (keeps the parallel CAS path's accounting exact).
-            self.rebuild(self.slots.len());
-        }
         if cfg!(debug_assertions) {
             let mut keys: Vec<u64> = entries.iter().map(|&(u, v, _)| pack(u, v)).collect();
             keys.sort_unstable();
@@ -572,13 +576,11 @@ impl EdgeTable {
     ///
     /// Large batches run the partitioned parallel path: queries are
     /// sorted by home slot, the slot array is split into one contiguous
-    /// region per worker, and each worker tombstones the keys homed in
-    /// its region — probe chains that would cross a region boundary (or
-    /// wrap) are deferred to a sequential fix-up pass, so no two workers
-    /// ever touch the same slot. Tombstone accounting is aggregated and
-    /// the load-factor rebuild check runs once at the end, amortizing
-    /// across the batch. Small batches keep the tight sequential loop
-    /// (each removal an O(1) tombstone).
+    /// region per worker, and each worker backward-shift-removes the
+    /// keys homed in its region. A removal whose probe chain or cluster
+    /// tail would cross the region's end (or wrap) is deferred to a
+    /// sequential fix-up pass, so no two workers ever touch the same
+    /// slot. Small batches keep the tight sequential loop.
     pub fn remove_batch(&mut self, queries: &[(u32, u32)]) -> usize {
         let nparts = bds_par::threads_available();
         if queries.len() < GRAIN || nparts <= 1 || self.slots.len() < nparts * 64 {
@@ -636,49 +638,64 @@ impl EdgeTable {
             }
         }
         // Each region tallies its removals and defers boundary chains.
+        // Disjointness: a removal completes in its region only if the
+        // walk from `home` meets the key and then its cluster's
+        // terminating EMPTY at `end`, all inside `[lo, hi)`; it reads and
+        // writes only slots in `[home, end]`, moving entries back toward
+        // the key's slot. Anything else is deferred before any slot is
+        // touched. So no removal reads a slot another region writes, and
+        // the parallel pass equals a sequential run of whole Algorithm R
+        // removals.
         bds_par::par_for_each_task(&mut regions, |region| {
             let (lo, hi) = (region.lo, region.hi);
-            for &(home, key) in region.queries {
-                let mut i = home;
+            'query: for &(home, key) in region.queries {
+                let (mut at, mut end) = (None, home);
                 loop {
-                    if i >= hi {
-                        // Chain leaves the region (possibly wrapping):
-                        // leave it to the sequential fix-up.
+                    if end >= hi {
+                        // Chain or cluster tail leaves the region
+                        // (possibly wrapping): leave it to the fix-up.
                         region.deferred.push(key);
+                        continue 'query;
+                    }
+                    let k = region.slots[end - lo].key;
+                    if k == EMPTY {
                         break;
                     }
-                    let s = region.slots[i - lo];
-                    if s.key == key {
-                        region.slots[i - lo].key = TOMB_KEY;
-                        region.tags[i - lo] = TAG_TOMB;
-                        region.removed += 1;
-                        break;
+                    if k == key {
+                        at = Some(end);
                     }
-                    if s.key == EMPTY {
-                        break; // definitively absent
-                    }
-                    i += 1;
+                    end += 1;
                 }
+                let Some(mut hole) = at else {
+                    continue; // definitively absent
+                };
+                for j in hole + 1..end {
+                    let s = region.slots[j - lo];
+                    if shifts_back(hash_pair(s.key, mask).0, hole, j, mask) {
+                        region.slots[hole - lo] = s;
+                        region.tags[hole - lo] = region.tags[j - lo];
+                        hole = j;
+                    }
+                }
+                region.slots[hole - lo] = FREE;
+                region.tags[hole - lo] = TAG_FREE;
+                region.removed += 1;
             }
         });
         let mut removed: usize = regions.iter().map(|r| r.removed).sum();
         let deferred: Vec<u64> = regions.into_iter().flat_map(|r| r.deferred).collect();
         self.len -= removed;
-        self.dead += removed;
         // Sequential boundary fix-up: the few chains that crossed a
         // region edge, with full wrap-around probing.
         for key in deferred {
             removed += usize::from(self.remove_key(key).is_some());
-        }
-        if self.dead * 4 >= self.slots.len() {
-            self.rebuild(capacity_for(self.len));
         }
         removed
     }
 
     /// Live entries as `(u, v, value)`, in unspecified order.
     pub fn iter(&self) -> impl Iterator<Item = (u32, u32, u64)> + '_ {
-        self.slots.iter().filter(|s| s.key < TOMB_KEY).map(|s| {
+        self.slots.iter().filter(|s| s.key != EMPTY).map(|s| {
             let (u, v) = unpack(s.key);
             (u, v, s.val)
         })
@@ -701,7 +718,7 @@ impl EdgeTable {
     pub fn drain_with(&mut self, mut f: impl FnMut(u32, u32, u64)) {
         let drained = self.len;
         for s in &self.slots {
-            if s.key < TOMB_KEY {
+            if s.key != EMPTY {
                 let (u, v) = unpack(s.key);
                 f(u, v, s.val);
             }
@@ -713,28 +730,29 @@ impl EdgeTable {
         }
     }
 
-    /// Ensure ⅝-load headroom (live entries *and* tombstones count
-    /// against the probe-chain load) for `extra` more entries; past the
-    /// threshold the table rebuilds tombstone-free, growing if the live
-    /// load alone demands it.
+    /// Ensure ⅝-load headroom for `extra` more entries; past the
+    /// threshold the table grows into `capacity_for(len + extra)` slots.
     pub fn reserve(&mut self, extra: usize) {
         let need = self.len + extra;
-        if self.slots.is_empty() || (need + self.dead) * 8 >= self.slots.len() * 5 {
+        if self.slots.is_empty() || need * 8 >= self.slots.len() * 5 {
             self.rebuild(capacity_for(need));
         }
     }
 
-    /// Rehash every live entry into fresh storage of `new_cap.max(cap)`
-    /// slots, dropping all tombstones.
+    /// Rehash every entry into fresh storage of `new_cap` slots, which
+    /// [`EdgeTable::reserve`] only calls to grow.
     fn rebuild(&mut self, new_cap: usize) {
-        let new_cap = new_cap.max(self.slots.len());
+        debug_assert!(new_cap > self.slots.len());
+        #[cfg(test)]
+        {
+            self.rebuilds += 1;
+        }
         let old = std::mem::replace(&mut self.slots, vec![FREE; new_cap]);
         self.tags = vec![TAG_FREE; new_cap];
         self.mask = new_cap - 1;
-        self.dead = 0;
         let mask = self.mask;
         for s in old {
-            if s.key >= TOMB_KEY {
+            if s.key == EMPTY {
                 continue;
             }
             let (home, tag) = hash_pair(s.key, mask);
@@ -815,7 +833,7 @@ mod tests {
     fn removals_preserve_probe_chains() {
         // Dense consecutive keys force long probe clusters; deleting
         // from cluster middles must keep every survivor reachable
-        // (probes continue past tombstones).
+        // (backward shift closes each hole).
         let mut t = EdgeTable::with_capacity(64);
         for i in 0..40u32 {
             t.insert(i, i, (i as u64) << 8);
@@ -830,30 +848,81 @@ mod tests {
     }
 
     #[test]
-    fn churn_reuses_tombstones_and_rebuilds() {
-        // Steady-state insert/remove churn must not grow the table
-        // unboundedly: tombstones are reused by inserts and purged by
-        // load-factor rebuilds.
-        let mut t = EdgeTable::new();
-        for i in 0..1_000u32 {
-            t.insert(i, i + 1, i as u64);
-        }
-        let cap_before = t.capacity();
-        for round in 0..50u32 {
-            for i in 0..1_000u32 {
-                assert_eq!(t.remove(i, i + 1), Some((i + round * 1000) as u64));
+    fn backward_shift_wraps_past_slot_zero() {
+        // Keys homed in the last two slots of a 16-slot table form one
+        // cluster that wraps past slot 0. Removing any one of them must
+        // pull back exactly the entries homed at or before each hole,
+        // including one homed at the hole itself.
+        let homed = |h: usize, n: usize| -> Vec<u32> {
+            (0u32..)
+                .filter(|&k| hash_pair(pack(k, k), 15).0 == h)
+                .take(n)
+                .collect()
+        };
+        let keys = [homed(14, 2), homed(15, 3), homed(0, 1), homed(1, 1)].concat();
+        let fill = || {
+            let mut t = EdgeTable::with_capacity(8);
+            for &k in &keys {
+                t.insert(k, k, k as u64);
             }
-            for i in 0..1_000u32 {
-                t.insert(i, i + 1, (i + (round + 1) * 1000) as u64);
+            assert_eq!(t.capacity(), 16);
+            t
+        };
+        for &victim in &keys {
+            let mut t = fill();
+            assert_eq!(t.remove(victim, victim), Some(victim as u64));
+            for &k in &keys {
+                assert_eq!(
+                    t.get(k, k),
+                    (k != victim).then_some(k as u64),
+                    "victim {victim}"
+                );
             }
-            assert_eq!(t.len(), 1_000);
         }
-        assert!(
-            t.capacity() <= cap_before * 4,
-            "churn grew the table {} -> {}",
-            cap_before,
-            t.capacity()
-        );
+        let mut t = fill();
+        for (n, &k) in keys.iter().enumerate() {
+            assert_eq!(t.remove(k, k), Some(k as u64));
+            for &rest in &keys[n + 1..] {
+                assert_eq!(t.get(rest, rest), Some(rest as u64));
+            }
+        }
+        assert!(t.is_empty());
+    }
+
+    #[test]
+    fn churn_near_max_load_never_rehashes() {
+        // 39,000 live keys in 65,536 slots (0.595 load, between ½ and
+        // ⅝): steady remove/insert churn must never rehash, and every
+        // probe chain must survive the backward shifts.
+        let mut t = EdgeTable::with_capacity(39_000);
+        assert_eq!(t.capacity(), 1 << 16);
+        let mut live: Vec<u32> = (0..39_000).collect();
+        for &k in &live {
+            t.insert(k, k + 1, k as u64);
+        }
+        let mut removed = Vec::new();
+        let mut fresh = live.len() as u32;
+        let mut draw = 0u64;
+        for _ in 0..100 {
+            for _ in 0..256 {
+                draw += 1;
+                let k = live.swap_remove(mix64(draw) as usize % live.len());
+                assert_eq!(t.remove(k, k + 1), Some(k as u64));
+                removed.push(k);
+            }
+            for _ in 0..256 {
+                assert_eq!(t.insert(fresh, fresh + 1, fresh as u64), None);
+                live.push(fresh);
+                fresh += 1;
+            }
+            assert_eq!((t.len(), t.capacity(), t.rebuilds), (39_000, 1 << 16, 0));
+        }
+        for &k in &live {
+            assert_eq!(t.get(k, k + 1), Some(k as u64), "live {k}");
+        }
+        for &k in &removed {
+            assert_eq!(t.get(k, k + 1), None, "removed {k}");
+        }
     }
 
     #[test]
@@ -926,13 +995,24 @@ mod tests {
     fn parallel_remove_batch_matches_model() {
         // Force the partitioned parallel path (batch >= GRAIN on a
         // multi-worker pool) and check it against point removals,
-        // including absent keys, duplicates in the batch, and keys whose
+        // including absent keys, duplicates in the batch, keys whose
         // probe chains cross region boundaries (dense keys force
-        // clustering).
+        // clustering), and a cluster homed in the last region's final
+        // slots that wraps past slot 0 (deferred to the fix-up pass).
         bds_par::run_with_threads(4, || {
             let m = 3 * GRAIN as u32;
-            let entries: Vec<(u32, u32, u64)> = (0..m).map(|i| (i / 7, i, i as u64 + 1)).collect();
+            let wrapping = 24;
+            let mut entries: Vec<(u32, u32, u64)> =
+                (0..m).map(|i| (i / 7, i, i as u64 + 1)).collect();
+            let cap = capacity_for(m as usize + wrapping);
+            entries.extend(
+                (m..)
+                    .filter(|&k| hash_pair(pack(k, k), cap - 1).0 >= cap - 4)
+                    .take(wrapping)
+                    .map(|k| (k, k, k as u64)),
+            );
             let mut t = EdgeTable::from_batch(&entries);
+            assert_eq!(t.capacity(), cap);
             let mut dels: Vec<(u32, u32)> =
                 entries.iter().step_by(2).map(|&(u, v, _)| (u, v)).collect();
             dels.push((u32::MAX - 2, 0)); // absent

@@ -18,11 +18,12 @@
 //!   `&self`, and the last treap left the workspace.
 //! * [`edge_table`] — the flat batch-parallel edge table (\[GMV91\]-style)
 //!   behind every `(u, v) → u64` hot path: packed single-word keys,
-//!   power-of-two linear probing, O(1) tombstone removals purged by
-//!   tombstone-free rebuild-on-⅝-load, and `bds_par`-parallel batch
-//!   construction / lookup. Replaces the tuple-keyed `FxHashMap`s the
-//!   seed used in `EsTree`, `DecrementalSpanner`, `SpannerSet`,
-//!   `ContractLevel`, `DynamicGraph`, and the sparsifier layers.
+//!   power-of-two linear probing, backward-shift removals that leave
+//!   no tombstone (so the table rehashes only to grow past ⅝ load),
+//!   and `bds_par`-parallel batch construction / lookup. Replaces the
+//!   tuple-keyed `FxHashMap`s the seed used in `EsTree`,
+//!   `DecrementalSpanner`, `SpannerSet`, `ContractLevel`,
+//!   `DynamicGraph`, and the sparsifier layers.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 

@@ -22,6 +22,7 @@
 #   f  coalescer swap-remove index off by one    caught by: model check (bds_graph)
 #   g  pool completion decrement AcqRel -> Relaxed  caught by: model check (bds_par)
 #   h  Euler splice skips relabelling the last moved block  caught by: euler unit tests (bds_dstruct)
+#   i  EdgeTable backward shift skips entries homed at the hole  caught by: edge_table unit tests (bds_dstruct)
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
@@ -38,6 +39,7 @@ describe() {
     f) echo "coalescer cancel swap-remove reindexes off by one (pending map corrupt)" ;;
     g) echo "pool completion decrement AcqRel -> Relaxed (caller returns before a share's writes are visible)" ;;
     h) echo "Euler splice skips relabelling the last moved block (that block still claims its old tree)" ;;
+    i) echo "EdgeTable backward-shift test >= -> > (an entry homed exactly at the hole is left behind an EMPTY)" ;;
     *) echo "unknown mutant '$1'" >&2; exit 2 ;;
   esac
 }
@@ -102,6 +104,13 @@ plan() {
       to='[range.start..range.end - 1]'
       catcher='cargo test -q -p bds_dstruct euler'
       ;;
+    i)
+      file="crates/dstruct/src/edge_table.rs"
+      needle='(j.wrapping_sub(home) & mask) >= (j.wrapping_sub(hole) & mask)'
+      from='>='
+      to='>'
+      catcher='cargo test -q -p bds_dstruct edge_table'
+      ;;
     *) echo "unknown mutant '$1'" >&2; exit 2 ;;
   esac
 }
@@ -149,7 +158,7 @@ run_mutant() {
 }
 
 main() {
-  local all=(a b c d e f g h)
+  local all=(a b c d e f g h i)
   if [ "${1:-}" = "--list" ]; then
     for id in "${all[@]}"; do
       echo "$id  $(describe "$id")"

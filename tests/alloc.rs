@@ -5,7 +5,8 @@
 //! path — membership bookkeeping plus `take_delta_into` — performs no
 //! heap allocations at all, and neither does a warm `apply_into` on the
 //! sharded dispatcher or on the Bentley–Saxe wrappers under E₀-resident
-//! churn.
+//! churn, nor remove/insert churn on an `EdgeTable` near its maximum
+//! load.
 //!
 //! All assertions live in ONE test function and diff *per-thread*
 //! allocation counters: the process-global counter picks up stray
@@ -30,10 +31,9 @@ fn delta_path_is_allocation_free_after_warmup() {
     use batch_spanners::sparsify::WeightedSet;
 
     // --- 1. SpannerSet: the unweighted delta path, exactly zero. ---
-    // Steady state = bounded churn over a resident core. (Removing the
-    // *entire* set every round is a shrink workload: the edge table's
-    // amortized anti-tombstone rebuild fires, which allocates — that is
-    // table maintenance, not the delta path.)
+    // Steady state = bounded churn over a resident core. (Edge-table
+    // removals never rehash — backward shift leaves no tombstone — so
+    // only growth allocates; section 6 checks that at the table.)
     let edges = gen::gnm(64, 256, 9);
     let (core, churn) = edges.split_at(192);
     let mut set = SpannerSet::new();
@@ -222,4 +222,36 @@ fn delta_path_is_allocation_free_after_warmup() {
             );
         });
     }
+
+    // --- 6. EdgeTable churn near maximum load: 39,000 live keys in
+    //        65,536 slots (between ½ and ⅝ load), each round removing
+    //        256 random live keys and inserting 256 fresh ones. Removals
+    //        backward-shift instead of leaving tombstones, so the table
+    //        never rehashes and the loop is exactly zero. ---
+    let mut table = batch_spanners::dstruct::EdgeTable::with_capacity(39_000);
+    let mut live: Vec<u32> = (0..39_000).collect();
+    for &k in &live {
+        table.insert(k, k + 1, k as u64);
+    }
+    let (cap, mut fresh, mut draw) = (table.capacity(), live.len() as u32, 0u64);
+    let before = allocs();
+    for _ in 0..100 {
+        for _ in 0..256 {
+            draw += 1;
+            let i = batch_spanners::dstruct::fx::mix64(draw) as usize % live.len();
+            let k = live.swap_remove(i);
+            assert_eq!(table.remove(k, k + 1), Some(k as u64));
+        }
+        for _ in 0..256 {
+            assert_eq!(table.insert(fresh, fresh + 1, fresh as u64), None);
+            live.push(fresh);
+            fresh += 1;
+        }
+    }
+    assert_eq!(
+        allocs() - before,
+        0,
+        "EdgeTable remove/insert churn allocated near max load"
+    );
+    assert_eq!((table.len(), table.capacity()), (live.len(), cap));
 }

@@ -162,41 +162,69 @@ proptest! {
     }
 
     /// `EdgeTable` agrees with a tuple-keyed `FxHashMap<(V, V), u64>`
-    /// model under random interleaved insert / remove / get batches.
+    /// model under random interleaved point inserts / removes / gets
+    /// and insert / remove / get batches. The 6 × 6 key space keeps the
+    /// table at 16–64 slots, dense enough that clusters wrap past slot
+    /// 0 and removals shift entries back across the wrap.
     #[test]
     fn edge_table_matches_hashmap_model(
-        batches in prop::collection::vec(
-            prop::collection::vec((0u32..50, 0u32..50, any::<u64>()), 1..40),
-            1..16,
+        steps in prop::collection::vec(
+            (0u8..4, prop::collection::vec((0u32..6, 0u32..6, any::<u64>()), 1..24)),
+            1..40,
         ),
     ) {
         let mut table = EdgeTable::new();
         let mut model: FxHashMap<(V, V), u64> = FxHashMap::default();
-        for batch in batches {
-            // Split the batch: keys already present become a remove
-            // batch, fresh keys an insert batch (first occurrence wins
-            // within the batch — both structures need distinct keys).
-            let mut seen: FxHashSet<(V, V)> = FxHashSet::default();
-            let mut ins: Vec<(V, V, u64)> = Vec::new();
-            let mut del: Vec<(V, V)> = Vec::new();
-            for (u, v, val) in batch {
-                if !seen.insert((u, v)) {
-                    continue;
+        for (op, items) in steps {
+            match op {
+                0 => {
+                    for (u, v, val) in items {
+                        prop_assert_eq!(table.insert(u, v, val), model.insert((u, v), val));
+                    }
                 }
-                if model.remove(&(u, v)).is_some() {
-                    del.push((u, v));
-                } else {
-                    model.insert((u, v), val);
-                    ins.push((u, v, val));
+                1 => {
+                    for (u, v, _) in items {
+                        prop_assert_eq!(table.remove(u, v), model.remove(&(u, v)));
+                    }
+                }
+                2 => {
+                    for (u, v, _) in items {
+                        prop_assert_eq!(table.get(u, v), model.get(&(u, v)).copied());
+                    }
+                }
+                _ => {
+                    // Split the batch: keys already present become a
+                    // remove batch, fresh keys an insert batch (first
+                    // occurrence wins within the batch — both structures
+                    // need distinct keys).
+                    let mut seen: FxHashSet<(V, V)> = FxHashSet::default();
+                    let mut ins: Vec<(V, V, u64)> = Vec::new();
+                    let mut del: Vec<(V, V)> = Vec::new();
+                    for (u, v, val) in items {
+                        if !seen.insert((u, v)) {
+                            continue;
+                        }
+                        if model.remove(&(u, v)).is_some() {
+                            del.push((u, v));
+                        } else {
+                            model.insert((u, v), val);
+                            ins.push((u, v, val));
+                        }
+                    }
+                    prop_assert_eq!(table.remove_batch(&del), del.len());
+                    prop_assert_eq!(table.insert_batch(&ins), ins.len());
+                    let queries: Vec<(V, V)> = seen.iter().copied().collect();
+                    let got = table.get_batch(&queries);
+                    for (q, g) in queries.iter().zip(got) {
+                        prop_assert_eq!(g, model.get(q).copied(), "query {:?}", q);
+                    }
                 }
             }
-            prop_assert_eq!(table.remove_batch(&del), del.len());
-            prop_assert_eq!(table.insert_batch(&ins), ins.len());
             prop_assert_eq!(table.len(), model.len());
-            let queries: Vec<(V, V)> = seen.iter().copied().collect();
-            let got = table.get_batch(&queries);
-            for (q, g) in queries.iter().zip(got) {
-                prop_assert_eq!(g, model.get(q).copied(), "query {:?}", q);
+            for u in 0..6 {
+                for v in 0..6 {
+                    prop_assert_eq!(table.get(u, v), model.get(&(u, v)).copied(), "key {:?}", (u, v));
+                }
             }
         }
         let mut got: Vec<(V, V, u64)> = table.iter().collect();

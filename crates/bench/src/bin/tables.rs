@@ -9,7 +9,7 @@ use bds_bundle::{BundleSpanner, MonotoneSpanner};
 use bds_contract::SparseSpanner;
 use bds_core::FullyDynamicSpanner;
 use bds_estree::EsTree;
-use bds_graph::api::{Decremental, DeltaBuf, FullyDynamic};
+use bds_graph::api::{BatchDynamic, Decremental, DeltaBuf, FullyDynamic};
 use bds_graph::csr::edge_stretch;
 use bds_graph::cuts::sparsifier_error;
 use bds_graph::gen;

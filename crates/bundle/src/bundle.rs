@@ -287,9 +287,7 @@ impl BatchDynamic for BundleSpanner {
     fn stats(&self) -> BatchStats {
         let mut s = BatchStats::default();
         for lvl in &self.levels {
-            let ls = BatchDynamic::stats(&lvl.d);
-            s.scan_steps += ls.scan_steps;
-            s.vertices_touched += ls.vertices_touched;
+            s += BatchDynamic::stats(&lvl.d);
         }
         s.recourse = self.recourse;
         s

@@ -259,9 +259,7 @@ impl BatchDynamic for MonotoneSpanner {
     fn stats(&self) -> BatchStats {
         let mut s = BatchStats::default();
         for inst in &self.instances {
-            let is = inst.es.stats();
-            s.scan_steps += is.scan_steps;
-            s.vertices_touched += is.vertices_touched;
+            s += inst.es.stats();
         }
         s.recourse = self.recourse;
         s

@@ -6,16 +6,23 @@
 //!   expected size O(n^{1+1/k}), maintained by exponential-start-time
 //!   clustering on the shifted auxiliary graph with a batched
 //!   Even–Shiloach tree and priority-ordered in-lists.
-//! * [`fully_dynamic`] — **Theorem 1.1**: the Bentley–Saxe style
-//!   reduction from fully-dynamic to decremental (invariant B1).
+//! * [`bentley_saxe`] — the one Bentley–Saxe style reduction from
+//!   fully-dynamic to decremental: [`BentleySaxe<D>`](bentley_saxe::BentleySaxe)
+//!   over any [`Slot`](bentley_saxe::Slot) structure. Theorem 1.1 and
+//!   Theorem 1.6 (`bds_sparsify::FullyDynamicSparsifier`) are its two
+//!   instantiations.
+//! * [`fully_dynamic`] — **Theorem 1.1**: the decremental spanner as a
+//!   slot (invariant B1), its builder, and
+//!   [`FullyDynamicSpanner`] `= BentleySaxe<DecrementalSpanner>`.
+//! * [`partition`] — the Bentley–Saxe partition's E₀ buffer and
+//!   position-tagged edge → owner index the wrapper keeps.
 //!
 //! Both structures take batches only through the [`Decremental`] /
 //! [`FullyDynamic`] traits.
-//! * [`partition`] — the Bentley–Saxe partition's E₀ buffer and
-//!   position-tagged edge → owner index, shared with Theorem 1.6.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
+pub mod bentley_saxe;
 pub mod decremental;
 pub mod fully_dynamic;
 pub mod partition;

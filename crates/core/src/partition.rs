@@ -1,5 +1,6 @@
-//! The Bentley–Saxe partition's bookkeeping, shared by the Theorem 1.1
-//! spanner ([`crate::fully_dynamic`]) and the Theorem 1.6 sparsifier.
+//! The Bentley–Saxe partition's bookkeeping, kept by the one
+//! fully-dynamic wrapper [`crate::bentley_saxe::BentleySaxe`] (Theorems
+//! 1.1 and 1.6).
 //!
 //! [`PartitionIndex`] owns the E₀ buffer and the edge → owner index of
 //! the partition E = E₀ ∪ E₁ ∪ … ∪ E_b. The index value is tagged: an
@@ -9,8 +10,8 @@
 //! for the edge that moved into the hole — expected O(1) each, with no
 //! scan of E₀ and no second edge map.
 //!
-//! Slot rebuilds stay with the wrappers: they drain E₀ and the absorbed
-//! slots, rebuild, and [`PartitionIndex::assign`] overwrites every
+//! Slot rebuilds belong to the wrapper: it drains E₀ and the absorbed
+//! slots, rebuilds, and [`PartitionIndex::assign`] overwrites every
 //! drained edge's entry with its new slot.
 
 use bds_dstruct::FxHashMap;

@@ -432,6 +432,17 @@ pub struct BatchStats {
     pub recourse: u64,
 }
 
+/// Field-wise sum: the one way to aggregate the counters of several
+/// instances (callers that track recourse themselves overwrite it).
+impl std::ops::AddAssign for BatchStats {
+    fn add_assign(&mut self, o: BatchStats) {
+        self.scan_steps += o.scan_steps;
+        self.vertices_touched += o.vertices_touched;
+        self.cluster_changes += o.cluster_changes;
+        self.recourse += o.recourse;
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Errors and batch normalization reports
 // ---------------------------------------------------------------------------

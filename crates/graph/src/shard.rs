@@ -409,11 +409,7 @@ impl<S: FullyDynamic + Send, P: Partitioner> BatchDynamic for ShardedEngine<S, P
     fn stats(&self) -> BatchStats {
         let mut agg = BatchStats::default();
         for lane in &self.lanes {
-            let s = lane.shard.stats();
-            agg.scan_steps += s.scan_steps;
-            agg.vertices_touched += s.vertices_touched;
-            agg.cluster_changes += s.cluster_changes;
-            agg.recourse += s.recourse;
+            agg += lane.shard.stats();
         }
         agg
     }

@@ -311,7 +311,7 @@ impl DecrementalSparsifier {
             self.sparsifier.remove(Edge { u, v });
         }
         for b in &self.levels[cut..] {
-            add_work(&mut self.retired, b);
+            self.retired += BatchDynamic::stats(b);
         }
         self.levels.truncate(cut);
         let w = 4f64.powi(cut as i32);
@@ -398,18 +398,11 @@ impl BatchDynamic for DecrementalSparsifier {
     fn stats(&self) -> BatchStats {
         let mut s = self.retired;
         for b in &self.levels {
-            add_work(&mut s, b);
+            s += BatchDynamic::stats(b);
         }
         s.recourse = self.recourse;
         s
     }
-}
-
-/// Add one bundle level's work counters (not its recourse) into `acc`.
-fn add_work(acc: &mut BatchStats, b: &BundleSpanner) {
-    let bs = BatchDynamic::stats(b);
-    acc.scan_steps += bs.scan_steps;
-    acc.vertices_touched += bs.vertices_touched;
 }
 
 impl Decremental for DecrementalSparsifier {

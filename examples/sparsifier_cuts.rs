@@ -27,8 +27,8 @@ fn main() {
         .expect("valid configuration");
     println!(
         "sparsifier: {} weighted edges ({:.1}% of m)",
-        sp.sparsifier_size(),
-        100.0 * sp.sparsifier_size() as f64 / edges.len() as f64
+        sp.output().len(),
+        100.0 * sp.output().len() as f64 / edges.len() as f64
     );
 
     let half: Vec<V> = (0..n as V / 2).collect();
@@ -41,7 +41,7 @@ fn main() {
         // reusable buffer (weight lane populated).
         sp.apply_into(&batch, &mut delta);
         let exact = cut_size_unit(stream.live_edges(), &in_s);
-        let approx = cut_weight(&sp.sparsifier_edges(), &in_s);
+        let approx = cut_weight(&sp.output().edges(), &in_s);
         println!(
             "round {round}: planted cut exact = {exact:.0}, sparsifier estimate = {approx:.0} \
              (ratio {:.2})",
@@ -50,6 +50,6 @@ fn main() {
     }
     println!(
         "done: cut estimates track the exact values on {} stored edges",
-        sp.sparsifier_size()
+        sp.output().len()
     );
 }

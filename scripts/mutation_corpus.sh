@@ -23,6 +23,7 @@
 #   g  pool completion decrement AcqRel -> Relaxed  caught by: model check (bds_par)
 #   h  Euler splice skips relabelling the last moved block  caught by: euler unit tests (bds_dstruct)
 #   i  EdgeTable backward shift skips entries homed at the hole  caught by: edge_table unit tests (bds_dstruct)
+#   j  Bentley–Saxe rebuild overwrites an emptied slot unretired  caught by: bentley_saxe suite (tier 3)
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
@@ -40,6 +41,7 @@ describe() {
     g) echo "pool completion decrement AcqRel -> Relaxed (caller returns before a share's writes are visible)" ;;
     h) echo "Euler splice skips relabelling the last moved block (that block still claims its old tree)" ;;
     i) echo "EdgeTable backward-shift test >= -> > (an entry homed exactly at the hole is left behind an EMPTY)" ;;
+    j) echo "Bentley–Saxe build_slot skips retiring slot j's emptied occupant (its work counters vanish)" ;;
     *) echo "unknown mutant '$1'" >&2; exit 2 ;;
   esac
 }
@@ -111,6 +113,13 @@ plan() {
       to='>'
       catcher='cargo test -q -p bds_dstruct edge_table'
       ;;
+    j)
+      file="crates/core/src/bentley_saxe.rs"
+      needle='let stale = self.drain_slot(j);'
+      from='self.drain_slot(j)'
+      to='Vec::<Edge>::new()'
+      catcher='cargo test -q --test bentley_saxe emptied_slot'
+      ;;
     *) echo "unknown mutant '$1'" >&2; exit 2 ;;
   esac
 }
@@ -158,7 +167,7 @@ run_mutant() {
 }
 
 main() {
-  local all=(a b c d e f g h i)
+  local all=(a b c d e f g h i j)
   if [ "${1:-}" = "--list" ]; then
     for id in "${all[@]}"; do
       echo "$id  $(describe "$id")"

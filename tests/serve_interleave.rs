@@ -15,14 +15,16 @@
 //!
 //! The same prefix argument audits the spanner guarantee where it is
 //! served: behind the loop, Theorem 1.1 shards must publish only views
-//! that are a (2k − 1)-spanner of some prefix's live edge set.
+//! that are a (2k − 1)-spanner of some prefix's live edge set — on
+//! small sparse graphs, and on a dense one whose shards really sparsify
+//! and overflow E₀ into a slot rebuild mid-flood.
 
 use batch_spanners::gen;
 use batch_spanners::graph::csr;
 use batch_spanners::prelude::*;
 use bds_dstruct::FxHashSet;
 use proptest::prelude::*;
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
 use std::sync::{Arc, Barrier};
 
@@ -203,10 +205,8 @@ proptest! {
         prop_assert_eq!(g.len(), live.len());
     }
 
-    /// Theorem 1.1 shards (k = 2) behind the loop: every view a reader
-    /// pins during the flood must be a subgraph of the live set `L_c`
-    /// after some prefix c with stretch ≤ 3 on it. The true prefix
-    /// satisfies both, so a correct run always passes.
+    /// Theorem 1.1 shards (k = 2) behind the loop on a small sparse
+    /// graph: see [`serve_spanner_and_audit`].
     #[test]
     fn pinned_spanner_views_are_3_spanners_of_a_prefix(
         n in 24usize..48,
@@ -216,86 +216,147 @@ proptest! {
     ) {
         let init = gen::gnm(n, 2 * n, seed);
         let ops = ops_on(n, &raw);
-        let mut live: FxHashSet<Edge> = init.iter().copied().collect();
-        let mut prefixes = vec![live.clone()];
-        for &(e, ins) in &ops {
-            if ins {
-                live.insert(e);
-            } else {
-                live.remove(&e);
-            }
-            prefixes.push(live.clone());
-        }
-
-        let engine = ShardedEngineBuilder::new(n)
-            .shards(shards)
-            .build_with(&init, move |i, es| {
-                FullyDynamicSpanner::builder(n)
-                    .stretch(2)
-                    .seed(seed ^ i as u64)
-                    .build(es)
-            })
-            .unwrap();
-        let (serve, ingest) = ServeLoopBuilder::new(engine)
-            .queue_capacity(24)
-            .batch_policy(BatchPolicy::Fixed(16))
-            .build();
-        let reads = serve.read_handle();
-        let writer = serve.spawn();
-
-        // Readers copy each newly published view they pin; the audit
-        // runs after the flood, off the serving threads.
-        let stop = Arc::new(AtomicBool::new(false));
-        // As above: readers are running when the flood starts.
-        let start = Arc::new(Barrier::new(3));
-        let readers: Vec<_> = (0..2)
-            .map(|_| {
-                let r = reads.clone();
-                let stop = Arc::clone(&stop);
-                let start = Arc::clone(&start);
-                std::thread::spawn(move || {
-                    start.wait();
-                    let (mut views, mut last_seq) = (Vec::new(), None);
-                    loop {
-                        let g = r.pin();
-                        if last_seq != Some(g.seq()) {
-                            last_seq = Some(g.seq());
-                            views.push(g.edges());
-                        }
-                        drop(g);
-                        if stop.load(SeqCst) {
-                            break;
-                        }
-                        std::thread::yield_now();
-                    }
-                    views
-                })
-            })
-            .collect();
-
-        start.wait();
-        send_all(ingest, &ops);
-        let report = writer.join().unwrap();
-        stop.store(true, SeqCst);
-        let mut views: HashSet<Vec<Edge>> = HashSet::new();
-        for h in readers {
-            for mut v in h.join().unwrap() {
-                v.sort_unstable();
-                views.insert(v);
-            }
-        }
-        prop_assert!(!views.is_empty(), "readers never pinned a view");
-        for v in &views {
-            prop_assert!(
-                prefixes.iter().any(|l| is_3_spanner_of(n, l, v)),
-                "a pinned view of {} edges is a 3-spanner of no prefix",
-                v.len()
-            );
-        }
-        let g = reads.pin_at_least(report.final_seq);
+        let (view, live) = serve_spanner_and_audit(n, shards, seed, &init, &ops);
         prop_assert!(
-            is_3_spanner_of(n, &live, &g.edges()),
+            is_3_spanner_of(n, &live, &view),
             "final view is not a 3-spanner of the final live set"
         );
     }
+}
+
+/// Dense enough that the shards really sparsify, and insert-heavy
+/// enough that E₀ overflows while readers pin views: n = 64 and k = 2
+/// give E₀ a capacity of 64^{3/2} = 512 edges per shard. From 1,500
+/// initial edges (all in slot 1 of their shard) the flood deletes 600
+/// of them, then inserts every absent edge and re-inserts the deleted
+/// ones — 1,116 insertions, more than 512 of them into some shard's E₀,
+/// so a slot rebuild runs mid-flood.
+#[test]
+fn served_spanner_survives_e0_overflow_and_sparsifies() {
+    let (n, shards) = (64, 2);
+    let init = gen::gnm(n, 1500, 11);
+    let present: FxHashSet<Edge> = init.iter().copied().collect();
+    let (deleted, _) = init.split_at(600);
+    let absent = (0..n as V)
+        .flat_map(|u| (u + 1..n as V).map(move |v| Edge::new(u, v)))
+        .filter(|e| !present.contains(e));
+    let inserted: Vec<Edge> = absent.chain(deleted.iter().copied()).collect();
+    let ops: Vec<(Edge, bool)> = deleted
+        .iter()
+        .map(|&e| (e, false))
+        .chain(inserted.iter().map(|&e| (e, true)))
+        .collect();
+    let mut per_shard = vec![0; shards];
+    for &e in &inserted {
+        per_shard[HashPartitioner.shard_of(e, shards)] += 1;
+    }
+    assert!(
+        per_shard.iter().any(|&c| c > 512),
+        "no shard's E₀ overflows: {per_shard:?}"
+    );
+
+    let (view, live) = serve_spanner_and_audit(n, shards, 11, &init, &ops);
+    assert!(
+        is_3_spanner_of(n, &live, &view),
+        "final view is not a 3-spanner of the final live set"
+    );
+    assert!(
+        view.len() < live.len(),
+        "final view keeps all {} live edges: stretch was checked against the identity",
+        live.len()
+    );
+}
+
+/// Serve `ops` from `init` through `shards` Theorem 1.1 (k = 2) shards
+/// behind the loop while two readers copy each newly published view.
+/// The audit runs after the flood, off the serving threads: taken in
+/// publish order, every pinned view must be a subgraph of the live set
+/// `L_c` after some prefix c with stretch ≤ 3 on it, with c
+/// non-decreasing (each published view is the engine state after some
+/// number of whole batches; the true prefix satisfies both, so a correct
+/// run always passes). Returns the final view and the final live set.
+fn serve_spanner_and_audit(
+    n: usize,
+    shards: usize,
+    seed: u64,
+    init: &[Edge],
+    ops: &[(Edge, bool)],
+) -> (Vec<Edge>, FxHashSet<Edge>) {
+    let engine = ShardedEngineBuilder::new(n)
+        .shards(shards)
+        .build_with(init, move |i, es| {
+            FullyDynamicSpanner::builder(n)
+                .stretch(2)
+                .seed(seed ^ i as u64)
+                .build(es)
+        })
+        .unwrap();
+    let (serve, ingest) = ServeLoopBuilder::new(engine)
+        .queue_capacity(24)
+        .batch_policy(BatchPolicy::Fixed(16))
+        .build();
+    let reads = serve.read_handle();
+    let writer = serve.spawn();
+
+    let stop = Arc::new(AtomicBool::new(false));
+    // Readers are running when the flood starts.
+    let start = Arc::new(Barrier::new(3));
+    let readers: Vec<_> = (0..2)
+        .map(|_| {
+            let r = reads.clone();
+            let stop = Arc::clone(&stop);
+            let start = Arc::clone(&start);
+            std::thread::spawn(move || {
+                start.wait();
+                let (mut views, mut last_seq) = (Vec::new(), None);
+                loop {
+                    let g = r.pin();
+                    if last_seq != Some(g.seq()) {
+                        last_seq = Some(g.seq());
+                        views.push((g.seq(), g.edges()));
+                    }
+                    drop(g);
+                    if stop.load(SeqCst) {
+                        break;
+                    }
+                    std::thread::yield_now();
+                }
+                views
+            })
+        })
+        .collect();
+
+    start.wait();
+    send_all(ingest, ops);
+    let report = writer.join().unwrap();
+    stop.store(true, SeqCst);
+    let mut views: BTreeMap<u64, Vec<Edge>> = BTreeMap::new();
+    for h in readers {
+        for (seq, mut v) in h.join().unwrap() {
+            v.sort_unstable();
+            views.insert(seq, v);
+        }
+    }
+    assert!(!views.is_empty(), "readers never pinned a view");
+    // Greedy earliest match: advance the prefix only while the next view
+    // fails on it.
+    let mut live: FxHashSet<Edge> = init.iter().copied().collect();
+    let mut deg = vec![0u32; n]; // unused here: wraps harmlessly
+    let mut rest = ops.iter();
+    for (seq, v) in &views {
+        while !is_3_spanner_of(n, &live, v) {
+            let Some(&(e, ins)) = rest.next() else {
+                panic!(
+                    "the view of {} edges published at seq {seq} is a 3-spanner of no prefix",
+                    v.len()
+                );
+            };
+            apply_op(&mut live, &mut deg, e, ins);
+        }
+    }
+    for &(e, ins) in rest {
+        apply_op(&mut live, &mut deg, e, ins);
+    }
+    let g = reads.pin_at_least(report.final_seq);
+    (g.edges(), live)
 }

@@ -11,33 +11,24 @@
 //! changes — expected O(1) incident-edge work per update, exactly the
 //! paper's analysis.
 //!
-//! The level exposes: the H_i edge set (edges with a ⊥ endpoint plus the
-//! (v, Head(v)) star edges) as a refcounted [`SpannerSet`]; the
-//! `NextLevelEdges` buckets keyed by the contracted pair
-//! (Head(u), Head(v)) with a deterministic representative (the
-//! `BwdCorrespondence`); and the net E_{i+1} insertions/deletions plus
-//! representative-change events of each batch.
+//! The level exposes the H_i edge set (edges with a ⊥ endpoint plus the
+//! (v, Head(v)) star edges) as a refcounted [`SpannerSet`], and keeps
+//! its contracted edges in the shared [`ContractedEdges`] index; each
+//! batch reports the net E_{i+1} updates, the H_i delta and the
+//! representative changes.
 
+use crate::contracted::{ContractedEdges, RepEvent, NO_HEAD};
 use bds_core::SpannerSet;
-use bds_dstruct::{EdgeTable, FlatList, FxHashMap, FxHashSet};
+use bds_dstruct::{EdgeTable, FlatList, FxHashSet};
 use bds_graph::api::DeltaBuf;
-use bds_graph::types::{Edge, V};
+use bds_graph::types::{Edge, UpdateBatch, V};
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use std::collections::BTreeSet;
-
-pub const NO_HEAD: V = V::MAX;
-
-/// A representative (BwdCorrespondence) change for a surviving contracted
-/// edge: `(contracted, old_rep, new_rep)`.
-pub type RepEvent = (Edge, Edge, Edge);
 
 /// Output of one batch at one level.
 #[derive(Debug, Default)]
 pub struct LevelBatchResult {
-    /// Net E_{i+1} insertions (new contracted edges).
-    pub next_ins: Vec<Edge>,
-    /// Net E_{i+1} deletions.
-    pub next_del: Vec<Edge>,
+    /// Net E_{i+1} updates (the contracted graph's batch).
+    pub next: UpdateBatch,
     /// Net H_i membership changes.
     pub h_delta: DeltaBuf,
     /// Chronological representative changes of surviving contracted edges.
@@ -57,10 +48,8 @@ pub struct ContractLevel {
     rand_of: EdgeTable,
     edges: FxHashSet<Edge>,
     h_set: SpannerSet,
-    /// NextLevelEdges: contracted edge -> supporting level edges.
-    buckets: FxHashMap<Edge, BTreeSet<Edge>>,
-    /// BwdCorrespondence: contracted edge -> representative support.
-    rep: FxHashMap<Edge, Edge>,
+    /// NextLevelEdges and the BwdCorrespondence.
+    contracted: ContractedEdges,
     rng: StdRng,
     /// Count of head recomputations (the expected-O(1) quantity).
     pub head_changes: u64,
@@ -84,8 +73,7 @@ impl ContractLevel {
             rand_of: EdgeTable::new(),
             edges: FxHashSet::default(),
             h_set: SpannerSet::new(),
-            buckets: FxHashMap::default(),
-            rep: FxHashMap::default(),
+            contracted: ContractedEdges::default(),
             rng,
             head_changes: 0,
         };
@@ -96,7 +84,7 @@ impl ContractLevel {
             }
         }
         let mut r = LevelBatchResult::default();
-        lvl.apply(edges, &[], &mut r);
+        lvl.apply(&UpdateBatch::insert_only(edges.to_vec()), &mut r);
         // Initialization deltas are consumed by the caller via fresh reads.
         lvl
     }
@@ -126,14 +114,9 @@ impl ContractLevel {
         self.h_set.len()
     }
 
-    /// Contracted edge set E_{i+1} (bucket keys).
-    pub fn next_edges(&self) -> Vec<Edge> {
-        self.buckets.keys().copied().collect()
-    }
-
-    /// Current representative of a contracted edge.
-    pub fn rep_of(&self, contracted: Edge) -> Option<Edge> {
-        self.rep.get(&contracted).copied()
+    /// The contracted edge set E_{i+1} with its representatives.
+    pub fn contracted(&self) -> &ContractedEdges {
+        &self.contracted
     }
 
     /// Number of sampled (V_{i+1}) vertices.
@@ -159,123 +142,32 @@ impl ContractLevel {
         c
     }
 
-    /// Contracted bucket key for edge `e` under heads `(hu, hv)`, if any.
-    fn bucket_key(e: Edge, hu: V, hv: V) -> Option<Edge> {
-        let _ = e;
-        if hu == NO_HEAD || hv == NO_HEAD || hu == hv {
-            None
-        } else {
-            Some(Edge::new(hu, hv))
-        }
-    }
-
-    fn bucket_add(
-        &mut self,
-        key: Edge,
-        e: Edge,
-        r: &mut LevelBatchResult,
-        born: &mut FxHashSet<Edge>,
-        died: &mut FxHashMap<Edge, Edge>,
-    ) {
-        let b = self.buckets.entry(key).or_default();
-        let was_empty = b.is_empty();
-        b.insert(e);
-        if was_empty {
-            self.rep.insert(key, e);
-            if let Some(old_rep) = died.remove(&key) {
-                // Rebirth within the batch: net-zero for E_{i+1}, but the
-                // representative changed — emit a rep event.
-                if old_rep != e {
-                    r.rep_events.push((key, old_rep, e));
-                }
-            } else {
-                born.insert(key);
-            }
-        }
-    }
-
-    fn bucket_remove(
-        &mut self,
-        key: Edge,
-        e: Edge,
-        r: &mut LevelBatchResult,
-        born: &mut FxHashSet<Edge>,
-        died: &mut FxHashMap<Edge, Edge>,
-    ) {
-        // bds:allow(no-unwrap): structure invariant named in the message; corrupt state must fail fast, not propagate.
-        let b = self.buckets.get_mut(&key).expect("bucket exists");
-        assert!(b.remove(&e), "support {e:?} missing from bucket {key:?}");
-        if b.is_empty() {
-            self.buckets.remove(&key);
-            // bds:allow(no-unwrap): structure invariant named in the message; corrupt state must fail fast, not propagate.
-            let old_rep = self.rep.remove(&key).expect("rep of live bucket");
-            if !born.remove(&key) {
-                died.insert(key, old_rep);
-            }
-            // If it was born this batch, birth + death cancel entirely.
-        } else if self.rep[&key] == e {
-            // bds:allow(no-unwrap): structure invariant named in the message; corrupt state must fail fast, not propagate.
-            let new_rep = *self.buckets[&key].first().expect("nonempty");
-            self.rep.insert(key, new_rep);
-            // Buckets born in this batch emit no rep events: consumers
-            // read a *new* contracted edge's representative from `rep_of`
-            // after the batch, so a mid-batch swap would break their
-            // chronological chains (which start from the pre-batch rep).
-            if !born.contains(&key) {
-                r.rep_events.push((key, e, new_rep));
-            }
-        }
-    }
-
     /// Update the H reasons and bucket membership of `e` from heads
-    /// `(old_hu, old_hv)` to `(new_hu, new_hv)`.
-    fn retag_edge(
-        &mut self,
-        e: Edge,
-        old: (V, V),
-        new: (V, V),
-        r: &mut LevelBatchResult,
-        born: &mut FxHashSet<Edge>,
-        died: &mut FxHashMap<Edge, Edge>,
-    ) {
-        let oc = Self::h_reasons(e, old.0, old.1);
-        let nc = Self::h_reasons(e, new.0, new.1);
+    /// `old` to `new` (`None`: the edge is absent on that side).
+    fn retag_edge(&mut self, e: Edge, old: Option<(V, V)>, new: Option<(V, V)>) {
+        let reasons = |h: Option<(V, V)>| h.map_or(0, |(hu, hv)| Self::h_reasons(e, hu, hv));
+        let (oc, nc) = (reasons(old), reasons(new));
         for _ in nc..oc {
             self.h_set.remove(e);
         }
         for _ in oc..nc {
             self.h_set.add(e);
         }
-        let ok = Self::bucket_key(e, old.0, old.1);
-        let nk = Self::bucket_key(e, new.0, new.1);
-        if ok != nk {
-            if let Some(k) = ok {
-                self.bucket_remove(k, e, r, born, died);
-            }
-            if let Some(k) = nk {
-                self.bucket_add(k, e, r, born, died);
-            }
-        }
+        let key = |h: Option<(V, V)>| h.and_then(|(hu, hv)| ContractedEdges::key(hu, hv));
+        self.contracted.move_support(e, key(old), key(new));
     }
 
     /// Apply a batch (deletions then insertions, the paper's order) and
     /// report the level's outputs.
-    pub fn apply(&mut self, ins: &[Edge], del: &[Edge], out: &mut LevelBatchResult) {
-        let mut born: FxHashSet<Edge> = FxHashSet::default();
-        let mut died: FxHashMap<Edge, Edge> = FxHashMap::default();
+    pub fn apply(&mut self, batch: &UpdateBatch, out: &mut LevelBatchResult) {
         let mut touched: FxHashSet<V> = FxHashSet::default();
 
         // --- deletions ---
-        for &e in del {
+        for &e in &batch.deletions {
             assert!(self.edges.remove(&e), "delete of absent level edge {e:?}");
-            let (hu, hv) = (self.head[e.u as usize], self.head[e.v as usize]);
             // Drop H reasons and bucket membership under current heads.
-            for _ in 0..Self::h_reasons(e, hu, hv) {
-                self.h_set.remove(e);
-            }
-            if let Some(k) = Self::bucket_key(e, hu, hv) {
-                self.bucket_remove(k, e, out, &mut born, &mut died);
-            }
+            let heads = (self.head[e.u as usize], self.head[e.v as usize]);
+            self.retag_edge(e, Some(heads), None);
             for (a, b) in [(e.u, e.v), (e.v, e.u)] {
                 // bds:allow(no-unwrap): structure invariant named in the message; corrupt state must fail fast, not propagate.
                 let rnd = self.rand_of.remove(a, b).expect("entry");
@@ -288,7 +180,7 @@ impl ContractLevel {
         }
 
         // --- insertions ---
-        for &e in ins {
+        for &e in &batch.insertions {
             assert!(
                 self.in_level[e.u as usize] && self.in_level[e.v as usize],
                 "edge {e:?} outside the level universe"
@@ -300,13 +192,8 @@ impl ContractLevel {
                 let key = (!self.in_next[b as usize] as u8, rnd, b);
                 self.adj[a as usize].insert(key, ());
             }
-            let (hu, hv) = (self.head[e.u as usize], self.head[e.v as usize]);
-            for _ in 0..Self::h_reasons(e, hu, hv) {
-                self.h_set.add(e);
-            }
-            if let Some(k) = Self::bucket_key(e, hu, hv) {
-                self.bucket_add(k, e, out, &mut born, &mut died);
-            }
+            let heads = (self.head[e.u as usize], self.head[e.v as usize]);
+            self.retag_edge(e, None, Some(heads));
             touched.insert(e.u);
             touched.insert(e.v);
         }
@@ -335,13 +222,12 @@ impl ContractLevel {
                 } else {
                     ((hx, old_head), (hx, new_head))
                 };
-                self.retag_edge(e, old_pair, new_pair, out, &mut born, &mut died);
+                self.retag_edge(e, Some(old_pair), Some(new_pair));
             }
             self.head[w as usize] = new_head;
         }
 
-        out.next_ins.extend(born);
-        out.next_del.extend(died.into_keys());
+        self.contracted.finish(&mut out.next, &mut out.rep_events);
         self.h_set.take_delta_into(&mut out.h_delta);
     }
 
@@ -364,14 +250,10 @@ impl ContractLevel {
             assert_eq!(self.head[v as usize], want, "head mismatch at {v}");
         }
         let mut want_h = SpannerSet::new();
-        let mut want_buckets: FxHashMap<Edge, BTreeSet<Edge>> = FxHashMap::default();
         for &e in &self.edges {
             let (hu, hv) = (self.head[e.u as usize], self.head[e.v as usize]);
             for _ in 0..Self::h_reasons(e, hu, hv) {
                 want_h.add(e);
-            }
-            if let Some(k) = Self::bucket_key(e, hu, hv) {
-                want_buckets.entry(k).or_default().insert(e);
             }
         }
         let mut got = self.h_set.edges();
@@ -379,13 +261,8 @@ impl ContractLevel {
         got.sort_unstable();
         exp.sort_unstable();
         assert_eq!(got, exp, "H set diverged");
-        assert_eq!(self.buckets, want_buckets, "buckets diverged");
-        for (k, b) in &self.buckets {
-            // bds:allow(no-unwrap): structure invariant named in the message; corrupt state must fail fast, not propagate.
-            let rep = self.rep.get(k).expect("rep for live bucket");
-            assert!(b.contains(rep), "rep {rep:?} not a support of {k:?}");
-        }
-        assert_eq!(self.rep.len(), self.buckets.len());
+        self.contracted
+            .validate(self.edges.iter().copied(), &self.head);
     }
 }
 
@@ -418,21 +295,21 @@ mod tests {
         let init = gen::gnm_connected(n, 150, 5);
         let mut lvl = ContractLevel::new(n, &full_universe(n), 3.0, &init, 11);
         let mut stream = UpdateStream::new(n, &init, 13);
-        let mut next_shadow: FxHashSet<Edge> = lvl.next_edges().into_iter().collect();
+        let mut next_shadow: FxHashSet<Edge> = lvl.contracted().keys().into_iter().collect();
         let mut h_shadow: FxHashSet<Edge> = lvl.h_edges().into_iter().collect();
         for _ in 0..40 {
             let b = stream.next_batch(4, 4);
             let mut r = LevelBatchResult::default();
-            lvl.apply(&b.insertions, &b.deletions, &mut r);
+            lvl.apply(&b, &mut r);
             lvl.validate();
-            for e in &r.next_del {
+            for e in &r.next.deletions {
                 assert!(next_shadow.remove(e), "E' delta removes absent {e:?}");
             }
-            for e in &r.next_ins {
+            for e in &r.next.insertions {
                 assert!(next_shadow.insert(*e), "E' delta inserts dup {e:?}");
             }
             r.h_delta.apply_to(&mut h_shadow);
-            let mut got: Vec<Edge> = lvl.next_edges();
+            let mut got: Vec<Edge> = lvl.contracted().keys();
             let mut want: Vec<Edge> = next_shadow.iter().copied().collect();
             got.sort_unstable();
             want.sort_unstable();
@@ -442,41 +319,6 @@ mod tests {
             got.sort_unstable();
             want.sort_unstable();
             assert_eq!(got, want, "H replay diverged");
-        }
-    }
-
-    #[test]
-    fn rep_events_track_representatives() {
-        let n = 40;
-        let init = gen::gnm_connected(n, 120, 17);
-        let mut lvl = ContractLevel::new(n, &full_universe(n), 3.0, &init, 19);
-        let mut reps: FxHashMap<Edge, Edge> = lvl
-            .next_edges()
-            .into_iter()
-            .map(|k| (k, lvl.rep_of(k).unwrap()))
-            .collect();
-        let mut stream = UpdateStream::new(n, &init, 23);
-        for _ in 0..40 {
-            let b = stream.next_batch(3, 3);
-            let mut r = LevelBatchResult::default();
-            lvl.apply(&b.insertions, &b.deletions, &mut r);
-            for e in &r.next_del {
-                reps.remove(e).expect("rep for deleted E' edge");
-            }
-            for e in &r.next_ins {
-                reps.insert(*e, lvl.rep_of(*e).unwrap());
-            }
-            for (k, old, new) in &r.rep_events {
-                if let Some(cur) = reps.get_mut(k) {
-                    assert_eq!(cur, old, "rep event chain broken for {k:?}");
-                    *cur = *new;
-                }
-            }
-            // Shadow reps must now match the live ones exactly.
-            for (k, rep) in &reps {
-                assert_eq!(lvl.rep_of(*k), Some(*rep), "rep of {k:?}");
-            }
-            assert_eq!(reps.len(), lvl.next_edges().len());
         }
     }
 
@@ -494,7 +336,7 @@ mod tests {
         for _ in 0..rounds {
             let b = stream.next_batch(1, 1);
             let mut r = LevelBatchResult::default();
-            lvl.apply(&b.insertions, &b.deletions, &mut r);
+            lvl.apply(&b, &mut r);
         }
         let per_update = (lvl.head_changes - before) as f64 / (2.0 * rounds as f64);
         assert!(per_update < 0.9, "head-change rate {per_update} too high");

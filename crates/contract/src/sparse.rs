@@ -5,15 +5,15 @@
 //! k = ⌈log₂ |V_L|⌉. Updates flow *upward*: each level turns its batch
 //! into net E_{i+1} updates plus H_i and representative deltas. Spanner
 //! membership then flows *downward*: `Active_i = H_i ∪ rep_i(Active_{i+1})`
-//! is maintained with refcounts and a `counted_rep` registry recording
+//! is maintained with refcounts and one [`RepChain`] per level recording
 //! exactly which level-i edge currently stands in for each active
 //! contracted edge — so every batch yields an exact level-0 (δH_ins,
 //! δH_del) pair, the interface of Theorem 1.3.
 
+use crate::contracted::RepChain;
 use crate::level::{ContractLevel, LevelBatchResult};
 use crate::schedule::{contraction_sequence, sparse_target};
 use bds_core::{FullyDynamicSpanner, SpannerSet};
-use bds_dstruct::FxHashMap;
 use bds_graph::api::{
     validate_edges, BatchDynamic, BatchStats, ConfigError, Decremental, DeltaBuf, FullyDynamic,
 };
@@ -26,9 +26,8 @@ pub struct SparseSpanner {
     top: FullyDynamicSpanner,
     /// Active_i for i = 0..=L (level L = the top spanner's edges).
     active: Vec<SpannerSet>,
-    /// Per level i (< L): contracted edge -> the level-i edge currently
-    /// counted in Active_i on its behalf.
-    counted_rep: Vec<FxHashMap<Edge, Edge>>,
+    /// Per level i (< L): Active_{i+1}'s representatives in Active_i.
+    chains: Vec<RepChain>,
     recourse: u64,
     /// Reusable buffer for the top instance's and each level's upward
     /// deltas.
@@ -111,7 +110,7 @@ impl SparseSpanner {
                 seed ^ (0xc0ffee + i as u64 * 104_729),
             );
             universe = lvl.in_next.clone();
-            cur_edges = lvl.next_edges();
+            cur_edges = lvl.contracted().keys();
             levels.push(lvl);
         }
         // bds:allow(no-unwrap): levels is nonempty by construction (the build loop always pushes).
@@ -119,39 +118,32 @@ impl SparseSpanner {
         let k_top = (top_n as f64).log2().ceil().max(1.0) as u32;
         let top = FullyDynamicSpanner::new(n, k_top, &cur_edges, seed ^ 0xf00d);
 
-        // Assemble the initial Active chain.
+        // Assemble the initial Active chain, top down.
         let l = levels.len();
         let mut active: Vec<SpannerSet> = (0..=l).map(|_| SpannerSet::new()).collect();
-        let mut counted_rep: Vec<FxHashMap<Edge, Edge>> =
-            (0..l).map(|_| FxHashMap::default()).collect();
+        let mut chains: Vec<RepChain> = (0..l).map(|_| RepChain::default()).collect();
         for e in top.spanner_edges() {
             active[l].add(e);
         }
+        let mut scratch = DeltaBuf::new();
         for i in (0..l).rev() {
             for e in levels[i].h_edges() {
                 active[i].add(e);
             }
-            let upstairs: Vec<Edge> = active[i + 1].edges();
-            for e_up in upstairs {
-                let rep = levels[i]
-                    .rep_of(e_up)
-                    // bds:allow(no-unwrap): structure invariant named in the message; corrupt state must fail fast, not propagate.
-                    .expect("active contracted edge has a rep");
-                active[i].add(rep);
-                counted_rep[i].insert(e_up, rep);
-            }
+            active[i + 1].output_into(&mut scratch);
+            chains[i].apply(levels[i].contracted(), &[], &scratch, &mut active[i]);
         }
         for a in &mut active {
-            a.take_delta_into(&mut DeltaBuf::new());
+            a.take_delta_into(&mut scratch);
         }
         Self {
             n,
             levels,
             top,
             active,
-            counted_rep,
+            chains,
             recourse: 0,
-            scratch: DeltaBuf::new(),
+            scratch,
         }
     }
 
@@ -192,24 +184,14 @@ impl SparseSpanner {
         let l = self.levels.len();
         // --- Phase A: upward through the contraction levels. ---
         let mut results: Vec<LevelBatchResult> = Vec::with_capacity(l);
-        let mut ins = batch.insertions.clone();
-        let mut del = batch.deletions.clone();
         for lvl in self.levels.iter_mut() {
             let mut r = LevelBatchResult::default();
-            lvl.apply(&ins, &del, &mut r);
-            ins = r.next_ins.clone();
-            del = r.next_del.clone();
+            lvl.apply(results.last().map_or(batch, |below| &below.next), &mut r);
             results.push(r);
         }
         // --- Top instance (delta into the reusable scratch buffer). ---
         let mut scratch = std::mem::take(&mut self.scratch);
-        self.top.apply_into(
-            &UpdateBatch {
-                insertions: ins,
-                deletions: del,
-            },
-            &mut scratch,
-        );
+        self.top.apply_into(&results[l - 1].next, &mut scratch);
         for &e in scratch.deleted() {
             self.active[l].remove(e);
         }
@@ -219,36 +201,13 @@ impl SparseSpanner {
 
         // --- Phase B: downward membership propagation. ---
         for i in (0..l).rev() {
-            // 1. Representative swaps for contracted edges that are (still)
-            //    counted — chronological, so chains compose.
-            for &(e_up, old, new) in &results[i].rep_events {
-                if let Some(cur) = self.counted_rep[i].get_mut(&e_up) {
-                    debug_assert_eq!(*cur, old, "rep chain broken for {e_up:?}");
-                    self.active[i].remove(old);
-                    self.active[i].add(new);
-                    *cur = new;
-                }
-            }
-            // 2. Net membership transitions one level up.
             self.active[i + 1].take_delta_into(&mut scratch);
-            for &e_up in scratch.deleted() {
-                let rep = self.counted_rep[i]
-                    .remove(&e_up)
-                    .unwrap_or_else(|| panic!("no counted rep for {e_up:?}"));
-                self.active[i].remove(rep);
-            }
-            for &e_up in scratch.inserted() {
-                // bds:allow(no-unwrap): structure invariant named in the message; corrupt state must fail fast, not propagate.
-                let rep = self.levels[i].rep_of(e_up).expect("live contracted edge");
-                self.active[i].add(rep);
-                let dup = self.counted_rep[i].insert(e_up, rep);
-                debug_assert!(dup.is_none());
-            }
-            // 3. H_i membership changes.
-            for &e in results[i].h_delta.deleted() {
+            let (index, r) = (self.levels[i].contracted(), &results[i]);
+            self.chains[i].apply(index, &r.rep_events, &scratch, &mut self.active[i]);
+            for &e in r.h_delta.deleted() {
                 self.active[i].remove(e);
             }
-            for &e in results[i].h_delta.inserted() {
+            for &e in r.h_delta.inserted() {
                 self.active[i].add(e);
             }
         }
@@ -260,67 +219,30 @@ impl SparseSpanner {
         self.active[0].edges()
     }
 
-    /// Test oracle: per-level validation, top validation, and a from-
-    /// scratch recomputation of the Active chain.
+    /// Test oracle: per-level validation, the graph chain (each level's
+    /// contracted edges are the next level's graph, the top instance's
+    /// above the last), top validation, and the Active chain.
     pub fn validate(&self) {
         let l = self.levels.len();
         for (i, lvl) in self.levels.iter().enumerate() {
             lvl.validate();
-            // Level i+1's graph must equal level i's contracted edges.
-            let mut want = lvl.next_edges();
-            let mut got = if i + 1 < l {
-                self.levels[i + 1].live_edges()
-            } else {
-                // Top instance's live edges.
-                let mut v = Vec::new();
-                for e in self.top_live_edges() {
-                    v.push(e);
-                }
-                v
-            };
-            want.sort_unstable();
-            got.sort_unstable();
-            assert_eq!(want, got, "graph chain broken between {i} and {}", i + 1);
+            let above = self.levels.get(i + 1);
+            let m = above.map_or(self.top.partition().len(), |a| a.num_edges());
+            assert_eq!(m, lvl.contracted().len(), "graph chain broken above {i}");
+            for e in lvl.contracted().keys() {
+                let live = above.map_or(self.top.partition().contains(e), |a| a.contains_edge(e));
+                assert!(live, "contracted edge {e:?} of level {i} missing above");
+            }
         }
         self.top.validate();
-        // Recompute Active from scratch.
-        let mut want_active: Vec<SpannerSet> = (0..=l).map(|_| SpannerSet::new()).collect();
-        for e in self.top.spanner_edges() {
-            want_active[l].add(e);
-        }
+        let (mut got, mut want) = (self.active[l].edges(), self.top.spanner_edges());
+        got.sort_unstable();
+        want.sort_unstable();
+        assert_eq!(got, want, "Active_{l} is not the top spanner");
         for i in (0..l).rev() {
-            for e in self.levels[i].h_edges() {
-                want_active[i].add(e);
-            }
-            for e_up in want_active[i + 1].edges() {
-                // bds:allow(no-unwrap): structure invariant named in the message; corrupt state must fail fast, not propagate.
-                let rep = self.levels[i].rep_of(e_up).expect("rep");
-                want_active[i].add(rep);
-                // counted_rep must agree with the live reps.
-                assert_eq!(
-                    self.counted_rep[i].get(&e_up),
-                    Some(&rep),
-                    "counted rep stale for {e_up:?} at level {i}"
-                );
-            }
-            assert_eq!(
-                self.counted_rep[i].len(),
-                want_active[i + 1].len(),
-                "counted reps outnumber active contracted edges at {i}"
-            );
-            let mut got = self.active[i].edges();
-            let mut exp = want_active[i].edges();
-            got.sort_unstable();
-            exp.sort_unstable();
-            assert_eq!(got, exp, "Active_{i} diverged");
+            let (lvl, upstairs) = (&self.levels[i], self.active[i + 1].edges());
+            self.chains[i].validate(lvl.contracted(), &upstairs, lvl.h_edges(), &self.active[i]);
         }
-    }
-
-    fn top_live_edges(&self) -> Vec<Edge> {
-        // The top instance doesn't expose live edges directly; reconstruct
-        // from the last level's buckets (its graph by construction).
-        // bds:allow(no-unwrap): levels is nonempty by construction (the build loop always pushes).
-        self.levels.last().unwrap().next_edges()
     }
 }
 

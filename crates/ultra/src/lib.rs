@@ -15,6 +15,13 @@
 //! structure — our \[AABD19\] substitute) ∪ the representatives of a
 //! Theorem 1.3 sparse spanner run on the contracted multigraph with the
 //! *squared* compression schedule (the paper's white-box modification).
+//!
+//! The contraction bookkeeping is Theorem 1.3's own, from
+//! `bds_contract::contracted`: a `ContractedEdges` index holds the
+//! `NextLevelEdges` buckets over head pairs with their representatives,
+//! and a `RepChain` maps the inner spanner back to those
+//! representatives. This crate keeps only what is Theorem 1.4's: the
+//! per-vertex adjacency keys, the heavy/light head rules, H₁ and H₂.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 

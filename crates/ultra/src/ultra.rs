@@ -1,7 +1,8 @@
 //! The ultra-sparse spanner structure. See the crate docs for the scheme.
 
+use bds_contract::contracted::NO_HEAD;
 use bds_contract::schedule::{contraction_sequence, ultra_target};
-use bds_contract::SparseSpanner;
+use bds_contract::{ContractedEdges, RepChain, SparseSpanner};
 use bds_core::SpannerSet;
 use bds_dstruct::{DynamicForest, FlatList, FxHashMap, FxHashSet};
 use bds_graph::api::{
@@ -9,9 +10,7 @@ use bds_graph::api::{
 };
 use bds_graph::types::{Edge, UpdateBatch, V};
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use std::collections::BTreeSet;
 
-const NO_HEAD: V = V::MAX;
 const NO_PAR: V = V::MAX;
 
 /// Tuning knobs of Theorem 1.4.
@@ -43,11 +42,11 @@ pub struct UltraSparseSpanner {
     h1: SpannerSet,
     forest: DynamicForest,
     /// NextLevelEdges buckets over head pairs, with representatives.
-    buckets: FxHashMap<Edge, BTreeSet<Edge>>,
-    rep: FxHashMap<Edge, Edge>,
+    contracted: ContractedEdges,
     /// Theorem 1.3 instance over the contracted graph (squared schedule).
     gprime: SparseSpanner,
-    counted_rep: FxHashMap<Edge, Edge>,
+    /// gprime's spanner mapped back to representatives in `final_set`.
+    chain: RepChain,
     final_set: SpannerSet,
     pub head_recomputes: u64,
     recourse: u64,
@@ -125,15 +124,14 @@ impl UltraSparseSpanner {
             par: vec![NO_PAR; n],
             h1: SpannerSet::new(),
             forest: DynamicForest::new(n),
-            buckets: FxHashMap::default(),
-            rep: FxHashMap::default(),
+            contracted: ContractedEdges::default(),
             gprime: SparseSpanner::with_rates(
                 n,
                 &[],
                 &contraction_sequence(ultra_target(n)),
                 seed ^ 0x617c,
             ),
-            counted_rep: FxHashMap::default(),
+            chain: RepChain::default(),
             final_set: SpannerSet::new(),
             head_recomputes: 0,
             recourse: 0,
@@ -146,10 +144,9 @@ impl UltraSparseSpanner {
                 this.head[v] = v as V;
             }
         }
-        this.apply_into(
-            &UpdateBatch::insert_only(edges.to_vec()),
-            &mut DeltaBuf::new(),
-        );
+        // The initial spanner is not recourse: discard its delta.
+        this.process_inner(&UpdateBatch::insert_only(edges.to_vec()));
+        this.final_set.take_delta_into(&mut DeltaBuf::new());
         this
     }
 
@@ -237,10 +234,6 @@ impl UltraSparseSpanner {
         let mut frontier = vec![v];
         let mut level = 0u32;
         while !frontier.is_empty() && level < self.theta {
-            for &w in &frontier {
-                debug_assert!(!self.heavy(w) || w == v);
-                let _ = w;
-            }
             let mut next = Vec::new();
             for &w in &frontier {
                 let fh_w = visited[&w].1;
@@ -296,31 +289,19 @@ impl UltraSparseSpanner {
         }
     }
 
-    fn bucket_key(&self, e: Edge, hu: V, hv: V) -> Option<Edge> {
-        let _ = e;
-        if hu == NO_HEAD || hv == NO_HEAD || hu == hv {
-            None
-        } else {
-            Some(Edge::new(hu, hv))
-        }
+    /// Contracted edge that `e` supports under the current heads.
+    fn bucket_of(&self, e: Edge) -> Option<Edge> {
+        ContractedEdges::key(self.head[e.u as usize], self.head[e.v as usize])
     }
 
     fn process_inner(&mut self, batch: &UpdateBatch) {
-        let mut next_ins: Vec<Edge> = Vec::new();
-        let mut next_del: Vec<Edge> = Vec::new();
-        let mut born: FxHashSet<Edge> = FxHashSet::default();
-        let mut died: FxHashMap<Edge, Edge> = FxHashMap::default();
-        let mut rep_events: Vec<(Edge, Edge, Edge)> = Vec::new();
         let mut touched: FxHashSet<V> = FxHashSet::default();
 
         // --- Step 1: apply edge updates to adjacency / buckets / H1-incid
         //     / forest (pre-flip statuses). ---
         for &e in &batch.deletions {
             assert!(self.edges.remove(&e), "delete of absent {e:?}");
-            let (hu, hv) = (self.head[e.u as usize], self.head[e.v as usize]);
-            if let Some(k) = self.bucket_key(e, hu, hv) {
-                self.bucket_remove(k, e, &mut rep_events, &mut born, &mut died);
-            }
+            self.contracted.move_support(e, self.bucket_of(e), None);
             if self.forest.contains_edge(e.u, e.v) {
                 let d = self.forest.delete_edge(e.u, e.v);
                 self.apply_forest_delta(d);
@@ -339,10 +320,7 @@ impl UltraSparseSpanner {
                 let key = (!self.in_d[b as usize] as u8, self.rand_v[b as usize], b);
                 self.adj[a as usize].insert(key, ());
             }
-            let (hu, hv) = (self.head[e.u as usize], self.head[e.v as usize]);
-            if let Some(k) = self.bucket_key(e, hu, hv) {
-                self.bucket_add(k, e, &mut rep_events, &mut born, &mut died);
-            }
+            self.contracted.move_support(e, None, self.bucket_of(e));
             touched.insert(e.u);
             touched.insert(e.v);
         }
@@ -364,7 +342,7 @@ impl UltraSparseSpanner {
         }
         // Apply heavy head changes immediately: light BFS reads them.
         for &(w, nh, np) in &pending {
-            self.apply_head_change(w, nh, np, &mut rep_events, &mut born, &mut died);
+            self.apply_head_change(w, nh, np);
         }
 
         // --- Step 2b: LightNeedRecomputation (Algorithm 6): reverse BFS
@@ -409,7 +387,7 @@ impl UltraSparseSpanner {
             let (nh, np) = self.compute_head_light(w);
             self.head_recomputes += 1;
             if nh != self.head[w as usize] || np != self.par[w as usize] {
-                self.apply_head_change(w, nh, np, &mut rep_events, &mut born, &mut died);
+                self.apply_head_change(w, nh, np);
             }
         }
 
@@ -427,38 +405,14 @@ impl UltraSparseSpanner {
         }
 
         // --- Step 4: contracted-graph updates into the Theorem 1.3
-        //     instance, then membership propagation. One mixed batch:
-        //     the tower nets its own delta through the Active₀ baseline,
-        //     so no per-edge score netting is needed here. ---
-        next_ins.extend(born);
-        next_del.extend(died.into_keys());
+        //     instance (one mixed batch: the tower nets its own delta),
+        //     then its spanner's representatives into the final set. ---
+        let (mut next, mut rep_events) = (UpdateBatch::default(), Vec::new());
+        self.contracted.finish(&mut next, &mut rep_events);
         let mut scratch = std::mem::take(&mut self.scratch);
-        self.gprime.apply_into(
-            &UpdateBatch {
-                insertions: next_ins,
-                deletions: next_del,
-            },
-            &mut scratch,
-        );
-        for &(e_up, old, new) in &rep_events {
-            if let Some(cur) = self.counted_rep.get_mut(&e_up) {
-                debug_assert_eq!(*cur, old, "rep chain broken for {e_up:?}");
-                self.final_set.remove(old);
-                self.final_set.add(new);
-                *cur = new;
-            }
-        }
-        for &e_up in scratch.deleted() {
-            // bds:allow(no-unwrap): structure invariant named in the message; corrupt state must fail fast, not propagate.
-            let rep = self.counted_rep.remove(&e_up).expect("counted rep");
-            self.final_set.remove(rep);
-        }
-        for &e_up in scratch.inserted() {
-            let rep = self.rep[&e_up];
-            self.final_set.add(rep);
-            let dup = self.counted_rep.insert(e_up, rep);
-            debug_assert!(dup.is_none());
-        }
+        self.gprime.apply_into(&next, &mut scratch);
+        let (index, out) = (&self.contracted, &mut self.final_set);
+        self.chain.apply(index, &rep_events, &scratch, out);
         // H1 delta into the final set (reusing the same scratch buffer).
         self.h1.take_delta_into(&mut scratch);
         for &e in scratch.deleted() {
@@ -481,15 +435,7 @@ impl UltraSparseSpanner {
 
     /// Switch v's (head, par), updating H1, the ⊥-forest, and the buckets
     /// of every incident edge.
-    fn apply_head_change(
-        &mut self,
-        v: V,
-        new_head: V,
-        new_par: V,
-        rep_events: &mut Vec<(Edge, Edge, Edge)>,
-        born: &mut FxHashSet<Edge>,
-        died: &mut FxHashMap<Edge, Edge>,
-    ) {
+    fn apply_head_change(&mut self, v: V, new_head: V, new_par: V) {
         let old_head = self.head[v as usize];
         let old_par = self.par[v as usize];
         // H1 edge swap.
@@ -503,23 +449,10 @@ impl UltraSparseSpanner {
         if new_head != old_head {
             let neighbors: Vec<V> = self.adj[v as usize].iter().map(|(k, _)| k.2).collect();
             for xn in neighbors {
-                let e = Edge::new(v, xn);
                 let hx = self.head[xn as usize];
-                let (op, np) = if v == e.u {
-                    ((old_head, hx), (new_head, hx))
-                } else {
-                    ((hx, old_head), (hx, new_head))
-                };
-                let ok = self.bucket_key(e, op.0, op.1);
-                let nk = self.bucket_key(e, np.0, np.1);
-                if ok != nk {
-                    if let Some(k) = ok {
-                        self.bucket_remove(k, e, rep_events, born, died);
-                    }
-                    if let Some(k) = nk {
-                        self.bucket_add(k, e, rep_events, born, died);
-                    }
-                }
+                let from = ContractedEdges::key(old_head, hx);
+                let to = ContractedEdges::key(new_head, hx);
+                self.contracted.move_support(Edge::new(v, xn), from, to);
             }
             // ⊥ transitions.
             if old_head == NO_HEAD {
@@ -547,55 +480,6 @@ impl UltraSparseSpanner {
         self.par[v as usize] = new_par;
     }
 
-    fn bucket_add(
-        &mut self,
-        key: Edge,
-        e: Edge,
-        rep_events: &mut Vec<(Edge, Edge, Edge)>,
-        born: &mut FxHashSet<Edge>,
-        died: &mut FxHashMap<Edge, Edge>,
-    ) {
-        let b = self.buckets.entry(key).or_default();
-        let was_empty = b.is_empty();
-        b.insert(e);
-        if was_empty {
-            self.rep.insert(key, e);
-            if let Some(old_rep) = died.remove(&key) {
-                if old_rep != e {
-                    rep_events.push((key, old_rep, e));
-                }
-            } else {
-                born.insert(key);
-            }
-        }
-    }
-
-    fn bucket_remove(
-        &mut self,
-        key: Edge,
-        e: Edge,
-        rep_events: &mut Vec<(Edge, Edge, Edge)>,
-        born: &mut FxHashSet<Edge>,
-        died: &mut FxHashMap<Edge, Edge>,
-    ) {
-        // bds:allow(no-unwrap): structure invariant named in the message; corrupt state must fail fast, not propagate.
-        let b = self.buckets.get_mut(&key).expect("bucket exists");
-        assert!(b.remove(&e), "support {e:?} missing from {key:?}");
-        if b.is_empty() {
-            self.buckets.remove(&key);
-            // bds:allow(no-unwrap): structure invariant named in the message; corrupt state must fail fast, not propagate.
-            let old_rep = self.rep.remove(&key).expect("rep");
-            if !born.remove(&key) {
-                died.insert(key, old_rep);
-            }
-        } else if self.rep[&key] == e {
-            // bds:allow(no-unwrap): structure invariant named in the message; corrupt state must fail fast, not propagate.
-            let new_rep = *self.buckets[&key].first().expect("nonempty");
-            self.rep.insert(key, new_rep);
-            rep_events.push((key, e, new_rep));
-        }
-    }
-
     /// Test oracle: recompute heads/pars/buckets/forest membership and the
     /// final composition from scratch; check cluster SPT connectivity.
     pub fn validate(&self) {
@@ -611,17 +495,8 @@ impl UltraSparseSpanner {
             // BFS is nondeterministic — ours is deterministic, so:
             assert_eq!(self.par[v as usize], wp, "par mismatch at {v}");
         }
-        // Buckets.
-        let mut want_buckets: FxHashMap<Edge, BTreeSet<Edge>> = FxHashMap::default();
-        for &e in &self.edges {
-            if let Some(k) = self.bucket_key(e, self.head[e.u as usize], self.head[e.v as usize]) {
-                want_buckets.entry(k).or_default().insert(e);
-            }
-        }
-        assert_eq!(self.buckets, want_buckets, "buckets diverged");
-        for (k, b) in &self.buckets {
-            assert!(b.contains(&self.rep[k]), "rep not a support of {k:?}");
-        }
+        self.contracted
+            .validate(self.edges.iter().copied(), &self.head);
         // H1 = {(par(v), v)}.
         let mut want_h1 = SpannerSet::new();
         for v in 0..self.n as V {
@@ -669,30 +544,22 @@ impl UltraSparseSpanner {
             assert!(uf_forest.same(e.u, e.v), "H2 fails to span ⊥ component");
         }
         // gprime graph = bucket keys.
-        let mut want_g: Vec<Edge> = self.buckets.keys().copied().collect();
+        let mut want_g = self.contracted.keys();
         let mut got_g = self.gprime.live_edges();
         want_g.sort_unstable();
         got_g.sort_unstable();
         assert_eq!(want_g, got_g, "contracted graph diverged");
         self.gprime.validate();
-        // Final composition.
-        let mut want = SpannerSet::new();
-        for e in self.h1.edges() {
-            want.add(e);
-        }
-        for (a, b) in self.forest.forest_edges() {
-            want.add(Edge::new(a, b));
-        }
-        for e_up in self.gprime.spanner_edges() {
-            let rep = self.rep[&e_up];
-            assert_eq!(self.counted_rep.get(&e_up), Some(&rep), "stale counted rep");
-            want.add(rep);
-        }
-        let mut got = self.final_set.edges();
-        let mut exp = want.edges();
-        got.sort_unstable();
-        exp.sort_unstable();
-        assert_eq!(got, exp, "ultra spanner composition diverged");
+        // Final composition: H1 ∪ H2 ∪ the reps of gprime's spanner.
+        let h2 = self.forest.forest_edges().into_iter();
+        let h1_h2 = self
+            .h1
+            .edges()
+            .into_iter()
+            .chain(h2.map(|(a, b)| Edge::new(a, b)));
+        let upstairs = self.gprime.spanner_edges();
+        self.chain
+            .validate(&self.contracted, &upstairs, h1_h2, &self.final_set);
     }
 }
 

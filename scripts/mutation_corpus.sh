@@ -24,6 +24,7 @@
 #   h  Euler splice skips relabelling the last moved block  caught by: euler unit tests (bds_dstruct)
 #   i  EdgeTable backward shift skips entries homed at the hole  caught by: edge_table unit tests (bds_dstruct)
 #   j  Bentley–Saxe rebuild overwrites an emptied slot unretired  caught by: bentley_saxe suite (tier 3)
+#   k  contracted edge reborn within a batch drops its rep event  caught by: bds_ultra unit tests (shared index)
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
@@ -42,6 +43,7 @@ describe() {
     h) echo "Euler splice skips relabelling the last moved block (that block still claims its old tree)" ;;
     i) echo "EdgeTable backward-shift test >= -> > (an entry homed exactly at the hole is left behind an EMPTY)" ;;
     j) echo "Bentley–Saxe build_slot skips retiring slot j's emptied occupant (its work counters vanish)" ;;
+    k) echo "ContractedEdges drops the (key, old_rep, new_rep) event of a contracted edge that died and was reborn in one batch (the rep chain goes stale)" ;;
     *) echo "unknown mutant '$1'" >&2; exit 2 ;;
   esac
 }
@@ -120,6 +122,14 @@ plan() {
       to='Vec::<Edge>::new()'
       catcher='cargo test -q --test bentley_saxe emptied_slot'
       ;;
+    k)
+      # Caught through Theorem 1.4: the shared index is ultra's too.
+      file="crates/contract/src/contracted.rs"
+      needle='Some(old_rep) if old_rep != e => self.events.push((key, old_rep, e)),'
+      from='self.events.push((key, old_rep, e))'
+      to='{}'
+      catcher='cargo test -q -p bds_ultra'
+      ;;
     *) echo "unknown mutant '$1'" >&2; exit 2 ;;
   esac
 }
@@ -167,7 +177,7 @@ run_mutant() {
 }
 
 main() {
-  local all=(a b c d e f g h i j)
+  local all=(a b c d e f g h i j k)
   if [ "${1:-}" = "--list" ]; then
     for id in "${all[@]}"; do
       echo "$id  $(describe "$id")"

@@ -8,6 +8,8 @@
 //!   [`DeltaBuf`] into a shadow edge map reproduces `output_into`
 //!   exactly (weights included for the sparsifiers).
 //! * **Netting** — no edge appears in both sections of one delta.
+//! * **Output ⊆ live input** — every output edge is a live input edge.
+//! * **Zero initial recourse** — building charges no recourse.
 //! * **Empty batch is a no-op** with zero recourse.
 //! * **Delete-then-reinsert** (fully-dynamic only) — edges removed in
 //!   one batch can come back in the next and the oracle still replays.
@@ -31,6 +33,16 @@ fn assert_matches<S: BatchDynamic + ?Sized>(s: &S, shadow: &Shadow, buf: &mut De
     let mut m = Shadow::default();
     buf.apply_weighted_to(&mut m);
     assert_eq!(&m, shadow, "{ctx}: output diverged from delta replay");
+}
+
+fn assert_within_live(shadow: &Shadow, live: &[Edge], ctx: &str) {
+    let live: FxHashSet<Edge> = live.iter().copied().collect();
+    for e in shadow.keys() {
+        assert!(
+            live.contains(e),
+            "{ctx}: output edge {e:?} is not a live input edge"
+        );
+    }
 }
 
 fn assert_netted(buf: &DeltaBuf, ctx: &str) {
@@ -58,14 +70,20 @@ fn assert_netted(buf: &DeltaBuf, ctx: &str) {
 
 /// Drive a [`Decremental`] structure through a deletion schedule.
 fn conform_decremental<T: Decremental>(mut s: T, edges: &[Edge], chunk: usize, name: &str) {
+    assert_eq!(
+        s.stats().recourse,
+        0,
+        "{name}: the initial build charged recourse"
+    );
     let mut buf = DeltaBuf::new();
     let mut shadow = shadow_of(&s, &mut buf);
+    let mut live = edges.to_vec();
 
     s.delete_into(&[], &mut buf);
     assert_eq!(buf.recourse(), 0, "{name}: empty batch reported a delta");
     assert_matches(&s, &shadow, &mut buf, name);
+    assert_within_live(&shadow, &live, name);
 
-    let mut live = edges.to_vec();
     let mut round = 0;
     while !live.is_empty() {
         let batch: Vec<Edge> = live.split_off(live.len().saturating_sub(chunk));
@@ -75,6 +93,7 @@ fn conform_decremental<T: Decremental>(mut s: T, edges: &[Edge], chunk: usize, n
         round += 1;
         if round % 3 == 0 || live.is_empty() {
             assert_matches(&s, &shadow, &mut buf, name);
+            assert_within_live(&shadow, &live, name);
         }
     }
     assert!(
@@ -87,6 +106,11 @@ fn conform_decremental<T: Decremental>(mut s: T, edges: &[Edge], chunk: usize, n
 /// delete-everything / reinsert-everything netting round-trip.
 fn conform_fully_dynamic<T: FullyDynamic>(mut s: T, edges: &[Edge], chunk: usize, name: &str) {
     use bds_graph::stream::UpdateStream;
+    assert_eq!(
+        s.stats().recourse,
+        0,
+        "{name}: the initial build charged recourse"
+    );
     let n = s.num_vertices();
     let mut buf = DeltaBuf::new();
     let mut shadow = shadow_of(&s, &mut buf);
@@ -102,6 +126,7 @@ fn conform_fully_dynamic<T: FullyDynamic>(mut s: T, edges: &[Edge], chunk: usize
         buf.apply_weighted_to(&mut shadow);
         if round % 3 == 2 {
             assert_matches(&s, &shadow, &mut buf, name);
+            assert_within_live(&shadow, stream.live_edges(), name);
         }
     }
 
@@ -126,6 +151,7 @@ fn conform_fully_dynamic<T: FullyDynamic>(mut s: T, edges: &[Edge], chunk: usize
         "{name}: delete-then-reinsert changed the live edge count"
     );
     assert_matches(&s, &shadow, &mut buf, name);
+    assert_within_live(&shadow, stream.live_edges(), name);
 }
 
 fn directed(edges: &[Edge]) -> Vec<(V, V, u64)> {

@@ -176,10 +176,6 @@ impl SparseSpanner {
         self.levels.iter().map(|l| l.head_changes).sum()
     }
 
-    pub fn top_spanner_size(&self) -> usize {
-        self.top.spanner_size()
-    }
-
     fn process_inner(&mut self, batch: &UpdateBatch) {
         let l = self.levels.len();
         // --- Phase A: upward through the contraction levels. ---

@@ -124,7 +124,6 @@ impl DecrementalSpanner {
     pub fn with_shifts(n: usize, k: u32, edges: &[Edge], sg: ShiftedGraph) -> Self {
         let total = sg.total_vertices();
         let t = sg.t;
-        let _ = total;
         let mut adj: Vec<FxHashSet<V>> = vec![FxHashSet::default(); n];
         for e in edges {
             let fresh = adj[e.u as usize].insert(e.v);
@@ -325,10 +324,6 @@ impl DecrementalSpanner {
 
     pub fn spanner_size(&self) -> usize {
         self.spanner.len()
-    }
-
-    pub fn cluster_of(&self, v: V) -> V {
-        self.cluster[v as usize]
     }
 
     pub fn stats(&self) -> BatchStats {

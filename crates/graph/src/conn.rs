@@ -290,17 +290,6 @@ impl ConnView {
         v
     }
 
-    /// Re-seed in place from `edges` (allocation-reusing; restarts the
-    /// epoch at 0 and leaves `seq` untouched — call
-    /// [`ConnView::resync_seq`] to re-anchor).
-    pub fn reseed_from_edges(&mut self, edges: &[Edge]) {
-        self.edges.clear();
-        self.edges.extend_from_slice(edges);
-        self.slots.clear();
-        self.rebuild();
-        self.epoch = 0;
-    }
-
     pub fn n(&self) -> usize {
         self.n
     }

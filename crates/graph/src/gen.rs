@@ -105,33 +105,6 @@ pub fn preferential_attachment(n: usize, k: usize, seed: u64) -> Vec<Edge> {
     out
 }
 
-/// Cycle over `0..n` plus `chords` random chords — a worst-case-ish family
-/// for stretch (long cycles force spanners to keep most edges).
-pub fn cycle_with_chords(n: usize, chords: usize, seed: u64) -> Vec<Edge> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut set: FxHashSet<Edge> = FxHashSet::default();
-    let mut out = Vec::with_capacity(n + chords);
-    for i in 0..n {
-        let e = Edge::new(i as V, ((i + 1) % n) as V);
-        set.insert(e);
-        out.push(e);
-    }
-    let mut tries = 0;
-    while out.len() < n + chords && tries < 20 * chords + 100 {
-        tries += 1;
-        let a = rng.gen_range(0..n as V);
-        let b = rng.gen_range(0..n as V);
-        if a == b {
-            continue;
-        }
-        let e = Edge::new(a, b);
-        if set.insert(e) {
-            out.push(e);
-        }
-    }
-    out
-}
-
 /// A graph with a planted sparse cut: two G(half, m_in) halves joined by
 /// exactly `cross` edges. Returns `(edges, cut_size)` where the planted
 /// cut is S = {0..half}. Used by the sparsifier quality experiments.

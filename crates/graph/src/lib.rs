@@ -27,7 +27,7 @@ pub use csr::CsrGraph;
 pub use dyngraph::DynamicGraph;
 pub use serve::{
     BatchPolicy, IngestError, IngestHandle, ReadGuard, ReadHandle, ServeLoop, ServeLoopBuilder,
-    ServeReport, TunePoint, Update,
+    ServeReport, Update,
 };
 pub use shard::{
     HashPartitioner, MirrorSpanner, Partitioner, ShardedEngine, ShardedEngineBuilder, ShardedView,

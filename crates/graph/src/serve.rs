@@ -1,4 +1,4 @@
-//! Concurrent serving pipeline: coalescing ingestion, an auto-tuned
+//! Concurrent serving pipeline: coalescing ingestion, a fixed-size
 //! single-writer batch loop, and epoch-pinned parallel readers.
 //!
 //! The paper's premise is that *batching* amortizes update cost; this
@@ -59,18 +59,6 @@
 //! engine still holds — so a skipped or double-applied batch, or a view
 //! from a different engine or layout epoch, is an immediate panic on
 //! the writer thread, not silent drift served to readers.
-//!
-//! # Batch-size auto-tuning
-//!
-//! Batch size is the knob the paper's amortization bounds care about.
-//! Under [`BatchPolicy::Auto`] the warm-up phase cycles through
-//! [`TUNE_CANDIDATES`], timing `apply_into` for a few full batches at
-//! each size, then picks the *knee*: the smallest candidate whose
-//! updates/s is within [`KNEE_FRACTION`] of the best observed. That
-//! keeps latency low when throughput has plateaued instead of chasing
-//! the largest batch. The measured curve is returned in
-//! [`ServeReport::tune_curve`] (the `serving_pipeline` example prints
-//! it).
 
 use crate::api::{BatchDynamic, DeltaBuf, FullyDynamic};
 use crate::shard::{Partitioner, ShardedEngine, ShardedView};
@@ -89,21 +77,10 @@ use std::ops::Deref;
 use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TrySendError};
 use std::time::{Duration, Instant};
 
-/// Candidate batch sizes (raw queued updates per batch) probed by
-/// [`BatchPolicy::Auto`] warm-up, in the order they are probed.
-pub const TUNE_CANDIDATES: [usize; 5] = [16, 64, 256, 1024, 4096];
-
-/// Largest tuning candidate — the fallback batch size when auto-tuning
-/// is cut short. Const-indexed so an empty candidate table is a
-/// compile-time error, not a runtime unwrap.
-const MAX_TUNE_BATCH: usize = TUNE_CANDIDATES[TUNE_CANDIDATES.len() - 1];
-
-/// Full batches timed per candidate size during auto-tune warm-up.
-pub const TUNE_ROUNDS: usize = 4;
-
-/// The auto-tuner picks the smallest candidate whose throughput is at
-/// least this fraction of the best candidate's.
-pub const KNEE_FRACTION: f64 = 0.9;
+/// Raw queued updates per batch when the builder is given no
+/// [`BatchPolicy`]. The paper's work bounds are amortized per update at
+/// any batch size, so batch size is a deployment setting.
+const DEFAULT_BATCH: usize = 1024;
 
 /// How long the writer sleeps on an empty queue before re-checking
 /// (also bounds the latency of a partial batch under trickle traffic).
@@ -434,22 +411,12 @@ impl Coalescer {
 // ServeLoop
 // ---------------------------------------------------------------------------
 
-/// How the writer chooses its target batch size (raw queued updates
-/// folded into one engine batch).
+/// The writer's target batch size (raw queued updates folded into one
+/// engine batch).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BatchPolicy {
     /// Always collect up to this many raw updates per batch.
     Fixed(usize),
-    /// Warm up by probing [`TUNE_CANDIDATES`] and keep the knee
-    /// (see the module docs).
-    Auto,
-}
-
-/// One point of the auto-tuner's measured curve.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TunePoint {
-    pub batch_size: usize,
-    pub updates_per_sec: f64,
 }
 
 /// What the writer did over its lifetime, returned when the loop
@@ -464,11 +431,6 @@ pub struct ServeReport {
     pub dropped_noops: u64,
     /// Updates annihilated as insert↔delete pairs within one batch.
     pub cancelled_pairs: u64,
-    /// The batch size the loop settled on (tuned or fixed).
-    pub chosen_batch_size: usize,
-    /// The auto-tuner's measured curve (empty under
-    /// [`BatchPolicy::Fixed`]).
-    pub tune_curve: Vec<TunePoint>,
     /// Total / worst-case wall time inside `apply_into`.
     pub apply_ns_total: u64,
     pub apply_ns_max: u64,
@@ -496,7 +458,7 @@ pub struct ServeLoop<S: FullyDynamic + Send, P: Partitioner> {
     engine: ShardedEngine<S, P>,
     rx: Receiver<Update>,
     writer: BufWriter<ShardedView<P>>,
-    policy: BatchPolicy,
+    batch_size: usize,
     coalescer: Coalescer,
     gone: Arc<AtomicBool>,
     wal: Option<WalState>,
@@ -527,7 +489,7 @@ impl<S: FullyDynamic + Send, P: Partitioner> ServeLoopBuilder<S, P> {
         ServeLoopBuilder {
             engine,
             queue_capacity: 4096,
-            policy: BatchPolicy::Auto,
+            policy: BatchPolicy::Fixed(DEFAULT_BATCH),
             durability: None,
         }
     }
@@ -539,9 +501,8 @@ impl<S: FullyDynamic + Send, P: Partitioner> ServeLoopBuilder<S, P> {
     }
 
     pub fn batch_policy(mut self, policy: BatchPolicy) -> Self {
-        if let BatchPolicy::Fixed(b) = policy {
-            assert!(b > 0, "fixed batch size must be positive");
-        }
+        let BatchPolicy::Fixed(b) = policy;
+        assert!(b > 0, "fixed batch size must be positive");
         self.policy = policy;
         self
     }
@@ -606,11 +567,12 @@ impl<S: FullyDynamic + Send, P: Partitioner> ServeLoopBuilder<S, P> {
         let back = front.clone();
         let (_, writer) = double_buf(front, back);
         let gone = Arc::new(AtomicBool::new(false));
+        let BatchPolicy::Fixed(batch_size) = self.policy;
         let serve = ServeLoop {
             engine: self.engine,
             rx,
             writer,
-            policy: self.policy,
+            batch_size,
             coalescer: Coalescer::default(),
             gone: Arc::clone(&gone),
             wal,
@@ -642,24 +604,11 @@ impl<S: FullyDynamic + Send, P: Partitioner> ServeLoop<S, P> {
         let _sentinel = WriterGoneSentinel {
             gone: Arc::clone(&self.gone),
         };
-        let mut report = ServeReport {
-            chosen_batch_size: match self.policy {
-                BatchPolicy::Fixed(b) => b,
-                BatchPolicy::Auto => MAX_TUNE_BATCH,
-            },
-            ..ServeReport::default()
-        };
+        let mut report = ServeReport::default();
         let mut delta = DeltaBuf::new();
-        let mut tuner = match self.policy {
-            BatchPolicy::Auto => Some(Tuner::new()),
-            BatchPolicy::Fixed(_) => None,
-        };
 
         loop {
-            let target = tuner
-                .as_ref()
-                .map_or(report.chosen_batch_size, Tuner::current_size);
-            let disconnected = self.collect(target, &mut report);
+            let disconnected = self.collect(&mut report);
             // Deferred catch-up: the lagging slot had the whole collect
             // interval for its readers to unpin. The engine still holds
             // this batch's stamped per-lane deltas, so `apply` replays
@@ -672,7 +621,6 @@ impl<S: FullyDynamic + Send, P: Partitioner> ServeLoop<S, P> {
                 continue;
             }
             let batch = self.coalescer.take();
-            let raw = batch.len();
             // Write-ahead: the batch record (and its policy-driven
             // sync) precedes both the apply and the publish below. A
             // WAL failure panics — publishing state the log cannot
@@ -692,13 +640,6 @@ impl<S: FullyDynamic + Send, P: Partitioner> ServeLoop<S, P> {
             report.batches += 1;
             report.apply_ns_total += apply_ns;
             report.apply_ns_max = report.apply_ns_max.max(apply_ns);
-            if let Some(t) = tuner.as_mut() {
-                if let Some(curve) = t.record(raw, apply_ns) {
-                    report.tune_curve = curve;
-                    report.chosen_batch_size = knee(&report.tune_curve);
-                    tuner = None;
-                }
-            }
             // Output-plane record (for followers) and periodic
             // snapshot, still ahead of the publish: everything a reader
             // can observe is on disk first.
@@ -732,12 +673,6 @@ impl<S: FullyDynamic + Send, P: Partitioner> ServeLoop<S, P> {
         }
         // Leave both slots at the final state for late readers.
         self.catch_up(&mut report);
-        if let Some(t) = tuner {
-            report.tune_curve = t.partial_curve();
-            if !report.tune_curve.is_empty() {
-                report.chosen_batch_size = knee(&report.tune_curve);
-            }
-        }
         report.final_seq = self.engine.seq();
         if let Some(w) = self.wal.as_mut() {
             // Final sync so a Manual/EveryN policy does not leave the
@@ -767,11 +702,11 @@ impl<S: FullyDynamic + Send, P: Partitioner> ServeLoop<S, P> {
             .expect("spawn serve writer")
     }
 
-    /// Pull up to `target` raw updates into the coalescer; returns
+    /// Pull up to `batch_size` raw updates into the coalescer; returns
     /// `true` when every producer has hung up and the queue is empty.
-    fn collect(&mut self, target: usize, report: &mut ServeReport) -> bool {
+    fn collect(&mut self, report: &mut ServeReport) -> bool {
         let mut pulled = 0usize;
-        while pulled < target {
+        while pulled < self.batch_size {
             match self.rx.try_recv() {
                 Ok(up) => {
                     self.coalescer.push(up, |e| self.engine.contains_input(e));
@@ -848,86 +783,6 @@ impl Drop for WriterGoneSentinel {
             self.gone.store(true, SeqCst);
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// Auto-tuner
-// ---------------------------------------------------------------------------
-
-/// Warm-up probe state: time [`TUNE_ROUNDS`] batches at each candidate
-/// size, then report the curve.
-struct Tuner {
-    cand: usize,
-    rounds: usize,
-    updates: u64,
-    ns: u64,
-    curve: Vec<TunePoint>,
-}
-
-impl Tuner {
-    fn new() -> Self {
-        Tuner {
-            cand: 0,
-            rounds: 0,
-            updates: 0,
-            ns: 0,
-            curve: Vec::new(),
-        }
-    }
-
-    fn current_size(&self) -> usize {
-        TUNE_CANDIDATES[self.cand]
-    }
-
-    /// Record one applied batch; returns the finished curve once every
-    /// candidate has its rounds.
-    fn record(&mut self, raw: usize, apply_ns: u64) -> Option<Vec<TunePoint>> {
-        self.updates += raw as u64;
-        self.ns += apply_ns;
-        self.rounds += 1;
-        if self.rounds < TUNE_ROUNDS {
-            return None;
-        }
-        self.flush_candidate();
-        if self.cand + 1 < TUNE_CANDIDATES.len() {
-            self.cand += 1;
-            self.rounds = 0;
-            self.updates = 0;
-            self.ns = 0;
-            return None;
-        }
-        Some(std::mem::take(&mut self.curve))
-    }
-
-    fn flush_candidate(&mut self) {
-        if self.updates > 0 && self.ns > 0 {
-            self.curve.push(TunePoint {
-                batch_size: TUNE_CANDIDATES[self.cand],
-                updates_per_sec: self.updates as f64 / (self.ns as f64 / 1e9),
-            });
-        }
-    }
-
-    /// The curve measured so far (traffic ended mid-warm-up).
-    fn partial_curve(mut self) -> Vec<TunePoint> {
-        if self.rounds > 0 {
-            self.flush_candidate();
-        }
-        self.curve
-    }
-}
-
-/// The knee of a throughput curve: the smallest batch size within
-/// [`KNEE_FRACTION`] of the best observed updates/s.
-fn knee(curve: &[TunePoint]) -> usize {
-    let best = curve
-        .iter()
-        .map(|p| p.updates_per_sec)
-        .fold(0.0f64, f64::max);
-    curve
-        .iter()
-        .find(|p| p.updates_per_sec >= KNEE_FRACTION * best)
-        .map_or(MAX_TUNE_BATCH, |p| p.batch_size)
 }
 
 #[cfg(all(test, not(bds_model)))]
@@ -1040,8 +895,6 @@ mod tests {
         drop(ingest);
         let report = writer.join().unwrap();
         assert_eq!(report.raw_updates, applied);
-        assert_eq!(report.chosen_batch_size, 32);
-        assert!(report.tune_curve.is_empty());
         // The final published view is exactly the oracle set.
         let g = reads.pin_at_least(report.final_seq);
         assert_eq!(g.seq(), report.final_seq);
@@ -1056,65 +909,29 @@ mod tests {
     }
 
     #[test]
-    fn auto_tuner_measures_a_curve_and_picks_a_candidate() {
+    fn batches_hold_at_most_the_configured_raw_updates() {
+        // Pre-fill the queue with distinct insertions (the coalescer
+        // drops nothing), hang up, and drain on this thread: every
+        // batch but the last is exactly `b` raw updates. `None` keeps
+        // the builder default, which this pins at 1024.
         let n = 128;
-        let (serve, ingest) = ServeLoopBuilder::new(engine(n, &[], 2))
-            .queue_capacity(512)
-            .batch_policy(BatchPolicy::Auto)
-            .build();
-        let writer = serve.spawn();
-        // Enough traffic to finish the warm-up sweep: churn a sliding
-        // window of edges so no update is a no-op.
-        let need: usize = TUNE_CANDIDATES.iter().map(|c| c * TUNE_ROUNDS).sum();
-        // Alternate whole-path insert/delete sweeps so no update is a
-        // semantic no-op the coalescer would drop.
-        let mut live = false;
-        let mut ops = 0usize;
-        'outer: loop {
-            for u in 0..(n as V - 1) {
-                if live {
-                    ingest.delete(u, u + 1).unwrap();
-                } else {
-                    ingest.insert(u, u + 1).unwrap();
-                }
-                ops += 1;
-                if ops >= need * 2 {
-                    break 'outer;
-                }
+        let distinct = (0..n as V).flat_map(|u| (u + 1..n as V).map(move |v| (u, v)));
+        for (policy, raw) in [(Some(4), 20), (None, 3 * 1024 + 1)] {
+            let builder = ServeLoopBuilder::new(engine(n, &[], 2)).queue_capacity(raw);
+            let (builder, b) = match policy {
+                Some(b) => (builder.batch_policy(BatchPolicy::Fixed(b)), b),
+                None => (builder, 1024),
+            };
+            let (serve, ingest) = builder.build();
+            for (u, v) in distinct.clone().take(raw) {
+                ingest.insert(u, v).unwrap();
             }
-            live = !live;
+            drop(ingest);
+            let report = serve.run();
+            assert_eq!(report.raw_updates, raw as u64);
+            assert_eq!(report.dropped_noops, 0);
+            assert_eq!(report.batches, raw.div_ceil(b) as u64, "batch size {b}");
         }
-        drop(ingest);
-        let report = writer.join().unwrap();
-        assert!(
-            !report.tune_curve.is_empty(),
-            "warm-up must measure at least one candidate"
-        );
-        assert!(TUNE_CANDIDATES.contains(&report.chosen_batch_size));
-        assert_eq!(report.chosen_batch_size, knee(&report.tune_curve));
-        for p in &report.tune_curve {
-            assert!(p.updates_per_sec > 0.0);
-        }
-    }
-
-    #[test]
-    fn knee_prefers_smallest_within_fraction() {
-        let c = |pairs: &[(usize, f64)]| {
-            pairs
-                .iter()
-                .map(|&(b, t)| TunePoint {
-                    batch_size: b,
-                    updates_per_sec: t,
-                })
-                .collect::<Vec<_>>()
-        };
-        // Plateau from 64 up: pick 64, not 4096.
-        let curve = c(&[(16, 10.0), (64, 95.0), (256, 100.0), (1024, 99.0)]);
-        assert_eq!(knee(&curve), 64);
-        // Strictly increasing: pick the top.
-        let curve = c(&[(16, 10.0), (64, 50.0), (256, 80.0), (1024, 100.0)]);
-        assert_eq!(knee(&curve), 1024);
-        assert_eq!(knee(&[]), *TUNE_CANDIDATES.last().unwrap());
     }
 
     #[test]

@@ -298,12 +298,6 @@ impl<S, P: Partitioner> ShardedEngine<S, P> {
             .collect()
     }
 
-    /// The per-lane deltas of the most recent batch, in lane order —
-    /// what [`ShardedView::apply`] consumes. Valid until the next batch.
-    pub fn last_shard_deltas(&self) -> impl Iterator<Item = &DeltaBuf> + '_ {
-        self.lanes.iter().map(|l| &l.delta)
-    }
-
     /// Whether `e` (canonical) is a live input edge: one partitioner
     /// route plus one probe of the owning lane's live table. This is
     /// the membership the serving coalescer checks updates against.

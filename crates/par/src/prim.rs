@@ -1,12 +1,11 @@
-//! Parallel primitives: map / filter-map / flat-map, prefix sums, sorting,
-//! deduplication and group-by. These mirror the PRAM toolkit the paper
-//! assumes in its preliminaries (§2): a parallel sort stands in for the
-//! \[PP01\] batch BST operations and sort-based grouping stands in for the
-//! \[GMV91\] parallel hash table batch interface.
+//! Parallel primitives: map / filter-map / flat-map, prefix sums and
+//! sorting. These mirror the PRAM toolkit the paper assumes in its
+//! preliminaries (§2): a parallel sort stands in for the \[PP01\] batch
+//! BST operations.
 //!
 //! All of them run on the worker pool ([`crate::pool`]) and keep the
 //! sequential semantics: maps and filters preserve input order,
-//! [`par_sort_by`] and [`group_pairs`] are stable, and
+//! [`par_sort_by`] is stable, and
 //! [`par_max_by_key`] returns the last of equal maxima.
 
 use crate::pool::{par_for, SharedMut};
@@ -237,29 +236,6 @@ pub fn par_sort_by<T: Send>(items: &mut [T], cmp: impl Fn(&T, &T) -> Ordering + 
     par_sort_with(items, |r| r.sort_by(&cmp), |all| all.sort_by(&cmp));
 }
 
-/// Sort + dedup: returns the distinct elements in ascending order.
-pub fn sort_dedup<T: Ord + Send + Clone>(mut items: Vec<T>) -> Vec<T> {
-    par_sort(&mut items);
-    items.dedup();
-    items
-}
-
-/// Sort-based group-by ("semisort"): groups `(key, value)` pairs by key
-/// and returns `(key, values)` groups in ascending key order, values in
-/// input order. This is the batch-friendly replacement for iterating a
-/// parallel hash table. Work O(n log n), depth O(log² n).
-pub fn group_pairs<K: Ord + Send + Clone, V: Send>(mut items: Vec<(K, V)>) -> Vec<(K, Vec<V>)> {
-    par_sort_by(&mut items, |a, b| a.0.cmp(&b.0));
-    let mut out: Vec<(K, Vec<V>)> = Vec::new();
-    for (k, v) in items {
-        match out.last_mut() {
-            Some((lk, vs)) if *lk == k => vs.push(v),
-            _ => out.push((k, vec![v])),
-        }
-    }
-    out
-}
-
 /// Parallel maximum by key: the index of the *last* maximal item, as
 /// `Iterator::max_by_key`; `None` on empty input.
 pub fn par_max_by_key<T: Sync, K: Ord + Send>(
@@ -335,22 +311,6 @@ mod tests {
             }
             assert_eq!(got, want, "n = {n}");
         }
-    }
-
-    #[test]
-    fn sort_dedup_works() {
-        let xs = vec![3u32, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5];
-        assert_eq!(sort_dedup(xs), vec![1, 2, 3, 4, 5, 6, 9]);
-    }
-
-    #[test]
-    fn group_pairs_groups() {
-        let items = vec![(2u32, 'a'), (1, 'b'), (2, 'c'), (1, 'd'), (3, 'e')];
-        let groups = group_pairs(items);
-        assert_eq!(groups.len(), 3);
-        assert_eq!(groups[0].0, 1);
-        assert_eq!(groups[0].1.len(), 2);
-        assert_eq!(groups[2], (3, vec!['e']));
     }
 
     #[test]

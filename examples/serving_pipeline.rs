@@ -1,7 +1,7 @@
 //! Scenario: a live serving pipeline. Producer threads push raw edge
 //! updates through bounded `IngestHandle`s; one writer thread owns a
 //! sharded Theorem 1.1 spanner engine, coalesces the stream into
-//! batches whose size it auto-tunes during warm-up, and publishes every
+//! batches of at most `BATCH` raw updates, and publishes every
 //! applied batch through double-buffered `ShardedView`s; reader threads
 //! pin the freshest view with an RAII guard and answer *parallel batch
 //! queries* (`batch_contains` / `batch_degree`) while the writer keeps
@@ -13,6 +13,9 @@ use batch_spanners::gen;
 use batch_spanners::prelude::*;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
+
+/// Raw queued updates folded into one engine batch at most.
+const BATCH: usize = 1024;
 
 fn main() {
     let n = 2_000;
@@ -35,14 +38,14 @@ fn main() {
 
     let (serve, ingest) = ServeLoopBuilder::new(engine)
         .queue_capacity(8_192)
-        .batch_policy(BatchPolicy::Auto)
+        .batch_policy(BatchPolicy::Fixed(BATCH))
         .build();
     let reads = serve.read_handle();
     let writer = serve.spawn();
 
     // --- Producers: two threads, each a deterministic churn script. ---
     // Inserting a live edge or deleting an absent one is fine: the
-    // coalescer nets it out against its live-set mirror.
+    // coalescer nets it out against the engine's live set.
     let producers: Vec<_> = (0..2u64)
         .map(|p| {
             let tx = ingest.clone();
@@ -109,13 +112,8 @@ fn main() {
         "writer: {} raw updates -> {} batches (dropped {} no-ops, cancelled {} pairs)",
         report.raw_updates, report.batches, report.dropped_noops, report.cancelled_pairs
     );
-    println!("auto-tune curve (updates/s by batch size):");
-    for p in &report.tune_curve {
-        println!("  {:>5}: {:>12.0}", p.batch_size, p.updates_per_sec);
-    }
     println!(
-        "chosen batch size: {} · apply total {:.1}ms (max {:.2}ms) · pin-wait {:.3}ms",
-        report.chosen_batch_size,
+        "batch size: {BATCH} · apply total {:.1}ms (max {:.2}ms) · pin-wait {:.3}ms",
         report.apply_ns_total as f64 / 1e6,
         report.apply_ns_max as f64 / 1e6,
         report.pin_wait_ns as f64 / 1e6,

@@ -25,6 +25,7 @@
 #   i  EdgeTable backward shift skips entries homed at the hole  caught by: edge_table unit tests (bds_dstruct)
 #   j  Bentley–Saxe rebuild overwrites an emptied slot unretired  caught by: bentley_saxe suite (tier 3)
 #   k  contracted edge reborn within a batch drops its rep event  caught by: bds_ultra unit tests (shared index)
+#   l  serve collect pulls one raw update past the batch size  caught by: serve batch-bound unit test (bds_graph)
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
@@ -44,6 +45,7 @@ describe() {
     i) echo "EdgeTable backward-shift test >= -> > (an entry homed exactly at the hole is left behind an EMPTY)" ;;
     j) echo "Bentley–Saxe build_slot skips retiring slot j's emptied occupant (its work counters vanish)" ;;
     k) echo "ContractedEdges drops the (key, old_rep, new_rep) event of a contracted edge that died and was reborn in one batch (the rep chain goes stale)" ;;
+    l) echo "ServeLoop::collect loop bound < -> <= (every full batch holds one raw update more than the configured size)" ;;
     *) echo "unknown mutant '$1'" >&2; exit 2 ;;
   esac
 }
@@ -130,6 +132,13 @@ plan() {
       to='{}'
       catcher='cargo test -q -p bds_ultra'
       ;;
+    l)
+      file="crates/graph/src/serve.rs"
+      needle='while pulled < self.batch_size {'
+      from='<'
+      to='<='
+      catcher='cargo test -q -p bds_graph --lib serve::tests::batches_hold_at_most_the_configured_raw_updates'
+      ;;
     *) echo "unknown mutant '$1'" >&2; exit 2 ;;
   esac
 }
@@ -177,7 +186,7 @@ run_mutant() {
 }
 
 main() {
-  local all=(a b c d e f g h i j k)
+  local all=(a b c d e f g h i j k l)
   if [ "${1:-}" = "--list" ]; then
     for id in "${all[@]}"; do
       echo "$id  $(describe "$id")"

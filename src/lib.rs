@@ -154,8 +154,8 @@
 //! For sustained read/write load, wrap a [`ShardedEngine`] in a
 //! [`ServeLoop`]: producers push raw updates through cloneable
 //! [`IngestHandle`]s (bounded queue — backpressure, not buffering), a
-//! single writer thread coalesces them into batches (auto-tuning the
-//! batch size under [`BatchPolicy::Auto`]), and readers pin
+//! single writer thread coalesces them into batches of at most the
+//! [`BatchPolicy::Fixed`] size, and readers pin
 //! double-buffered [`ShardedView`]s through an RAII guard to answer
 //! *parallel batch queries* without ever blocking the writer. See
 //! [`graph::serve`] for the epoch discipline and safety argument.
@@ -291,7 +291,7 @@ pub mod prelude {
     pub use bds_graph::conn::{BatchConnectivity, BatchConnectivityBuilder, ConnView};
     pub use bds_graph::serve::{
         BatchPolicy, IngestError, IngestHandle, ReadGuard, ReadHandle, ServeLoop, ServeLoopBuilder,
-        ServeReport, TunePoint, Update,
+        ServeReport, Update,
     };
     pub use bds_graph::shard::{
         HashPartitioner, LaneLoad, MirrorSpanner, Partitioner, ShardedEngine, ShardedEngineBuilder,

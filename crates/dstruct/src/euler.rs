@@ -672,6 +672,20 @@ impl EulerForest {
         out
     }
 
+    /// Number of tree edges in the forest.
+    pub(crate) fn num_edges(&self) -> usize {
+        self.arc.len() / 2
+    }
+
+    /// Payloads `(a, b)` of every live node carrying `bit`, in slab
+    /// order (O(nodes) scan, for invariant checks).
+    pub(crate) fn flagged(&self, bit: u8) -> impl Iterator<Item = (u32, u32)> + '_ {
+        self.nodes
+            .iter()
+            .filter(move |n| n.block != NIL && n.flags & bit != 0)
+            .map(|n| (n.a, n.b))
+    }
+
     /// Whether the forest currently stores the tree edge (u, v).
     pub fn has_edge(&self, u: u32, v: u32) -> bool {
         self.arc.contains(u, v)

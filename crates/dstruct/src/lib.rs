@@ -22,8 +22,8 @@
 //!   no tombstone (so the table rehashes only to grow past ⅝ load),
 //!   and `bds_par`-parallel batch construction / lookup. Replaces the
 //!   tuple-keyed `FxHashMap`s the seed used in `EsTree`,
-//!   `DecrementalSpanner`, `SpannerSet`, `ContractLevel`,
-//!   `DynamicGraph`, and the sparsifier layers.
+//!   `DecrementalSpanner`, `SpannerSet`, `ContractLevel`, and the
+//!   sparsifier layers.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 

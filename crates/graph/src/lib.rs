@@ -1,4 +1,4 @@
-//! Graph substrate: vertex/edge types, dynamic adjacency, static CSR
+//! Graph substrate: vertex/edge types, static CSR
 //! graphs with (parallel) BFS, workload generators, connectivity, and the
 //! verification oracles used to check spanner stretch and sparsifier
 //! quality (Laplacian quadratic forms and cut weights).
@@ -9,7 +9,6 @@ pub mod api;
 pub mod conn;
 pub mod csr;
 pub mod cuts;
-pub mod dyngraph;
 pub mod gen;
 pub mod serve;
 pub mod shard;
@@ -24,7 +23,6 @@ pub use api::{
 };
 pub use conn::{BatchConnectivity, BatchConnectivityBuilder, ConnView};
 pub use csr::CsrGraph;
-pub use dyngraph::DynamicGraph;
 pub use serve::{
     BatchPolicy, IngestError, IngestHandle, ReadGuard, ReadHandle, ServeLoop, ServeLoopBuilder,
     ServeReport, Update,

@@ -26,6 +26,7 @@
 #   j  Bentley–Saxe rebuild overwrites an emptied slot unretired  caught by: bentley_saxe suite (tier 3)
 #   k  contracted edge reborn within a batch drops its rep event  caught by: bds_ultra unit tests (shared index)
 #   l  serve collect pulls one raw update past the batch size  caught by: serve batch-bound unit test (bds_graph)
+#   m  HDT probe accepts an internal first candidate  caught by: hdt unit tests (bds_dstruct)
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
@@ -46,6 +47,7 @@ describe() {
     j) echo "Bentley–Saxe build_slot skips retiring slot j's emptied occupant (its work counters vanish)" ;;
     k) echo "ContractedEdges drops the (key, old_rep, new_rep) event of a contracted edge that died and was reborn in one batch (the rep chain goes stale)" ;;
     l) echo "ServeLoop::collect loop bound < -> <= (every full batch holds one raw update more than the configured size)" ;;
+    m) echo "HDT replace's probe skips the leaves-the-smaller-tree test (an internal first candidate is linked as the replacement, closing a cycle)" ;;
     *) echo "unknown mutant '$1'" >&2; exit 2 ;;
   esac
 }
@@ -139,6 +141,13 @@ plan() {
       to='<='
       catcher='cargo test -q -p bds_graph --lib serve::tests::batches_hold_at_most_the_configured_raw_updates'
       ;;
+    m)
+      file="crates/dstruct/src/hdt.rs"
+      needle='if !fi.connected(y, small) {'
+      from='fi.connected(y, small)'
+      to='false'
+      catcher='cargo test -q -p bds_dstruct --lib hdt'
+      ;;
     *) echo "unknown mutant '$1'" >&2; exit 2 ;;
   esac
 }
@@ -186,7 +195,7 @@ run_mutant() {
 }
 
 main() {
-  local all=(a b c d e f g h i j k l)
+  local all=(a b c d e f g h i j k l m)
   if [ "${1:-}" = "--list" ]; then
     for id in "${all[@]}"; do
       echo "$id  $(describe "$id")"

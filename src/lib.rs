@@ -301,7 +301,7 @@ pub mod prelude {
     pub use bds_graph::wal::{
         FollowerView, FsyncPolicy, RecoverError, Recovered, Snapshot, WalConfig, WalWriter,
     };
-    pub use bds_graph::{CsrGraph, DynamicGraph};
+    pub use bds_graph::CsrGraph;
     pub use bds_sparsify::{DecrementalSparsifier, FullyDynamicSparsifier};
     pub use bds_ultra::{UltraParams, UltraSparseSpanner};
 }

@@ -71,6 +71,7 @@ proptest! {
                 prop_assert_eq!(uf_f.same(a, b), uf_g.same(a, b));
             }
         }
+        f.validate();
     }
 
     /// PriorityList behaves like a sorted-descending association list

@@ -44,9 +44,8 @@ pub struct ContractLevel {
     pub in_next: Vec<bool>,
     head: Vec<V>,
     adj: Vec<FlatList<(u8, u64, V), ()>>,
-    /// directed (owner, neighbor) -> the entry's random key.
+    /// directed (owner, neighbor) -> the entry's random key; also the edge set.
     rand_of: EdgeTable,
-    edges: FxHashSet<Edge>,
     h_set: SpannerSet,
     /// NextLevelEdges and the BwdCorrespondence.
     contracted: ContractedEdges,
@@ -71,7 +70,6 @@ impl ContractLevel {
             head: vec![NO_HEAD; n],
             adj: (0..n).map(|_| FlatList::new()).collect(),
             rand_of: EdgeTable::new(),
-            edges: FxHashSet::default(),
             h_set: SpannerSet::new(),
             contracted: ContractedEdges::default(),
             rng,
@@ -90,15 +88,16 @@ impl ContractLevel {
     }
 
     pub fn num_edges(&self) -> usize {
-        self.edges.len()
+        self.rand_of.len() / 2
     }
 
     pub fn live_edges(&self) -> Vec<Edge> {
-        self.edges.iter().copied().collect()
+        let upper = |(u, v, _)| (u < v).then_some(Edge { u, v });
+        self.rand_of.iter().filter_map(upper).collect()
     }
 
     pub fn contains_edge(&self, e: Edge) -> bool {
-        self.edges.contains(&e)
+        self.rand_of.contains(e.u, e.v)
     }
 
     pub fn head(&self, v: V) -> Option<V> {
@@ -164,7 +163,7 @@ impl ContractLevel {
 
         // --- deletions ---
         for &e in &batch.deletions {
-            assert!(self.edges.remove(&e), "delete of absent level edge {e:?}");
+            assert!(self.contains_edge(e), "delete of absent level edge {e:?}");
             // Drop H reasons and bucket membership under current heads.
             let heads = (self.head[e.u as usize], self.head[e.v as usize]);
             self.retag_edge(e, Some(heads), None);
@@ -185,7 +184,7 @@ impl ContractLevel {
                 self.in_level[e.u as usize] && self.in_level[e.v as usize],
                 "edge {e:?} outside the level universe"
             );
-            assert!(self.edges.insert(e), "insert of present level edge {e:?}");
+            assert!(!self.contains_edge(e), "insert of present level edge {e:?}");
             for (a, b) in [(e.u, e.v), (e.v, e.u)] {
                 let rnd: u64 = self.rng.gen();
                 self.rand_of.insert(a, b, rnd);
@@ -249,8 +248,9 @@ impl ContractLevel {
             };
             assert_eq!(self.head[v as usize], want, "head mismatch at {v}");
         }
+        let edges = self.live_edges();
         let mut want_h = SpannerSet::new();
-        for &e in &self.edges {
+        for &e in &edges {
             let (hu, hv) = (self.head[e.u as usize], self.head[e.v as usize]);
             for _ in 0..Self::h_reasons(e, hu, hv) {
                 want_h.add(e);
@@ -261,8 +261,7 @@ impl ContractLevel {
         got.sort_unstable();
         exp.sort_unstable();
         assert_eq!(got, exp, "H set diverged");
-        self.contracted
-            .validate(self.edges.iter().copied(), &self.head);
+        self.contracted.validate(edges, &self.head);
     }
 }
 
@@ -320,6 +319,24 @@ mod tests {
             want.sort_unstable();
             assert_eq!(got, want, "H replay diverged");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "delete of absent level edge")]
+    fn deleting_an_absent_level_edge_panics() {
+        let edges = vec![Edge::new(0, 1), Edge::new(1, 2)];
+        let mut lvl = ContractLevel::new(4, &full_universe(4), 2.0, &edges, 3);
+        let batch = UpdateBatch::delete_only(vec![Edge::new(0, 2)]);
+        lvl.apply(&batch, &mut LevelBatchResult::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "insert of present level edge")]
+    fn inserting_a_present_level_edge_panics() {
+        let edges = vec![Edge::new(0, 1), Edge::new(1, 2)];
+        let mut lvl = ContractLevel::new(4, &full_universe(4), 2.0, &edges, 3);
+        let batch = UpdateBatch::insert_only(vec![Edge::new(1, 2)]);
+        lvl.apply(&batch, &mut LevelBatchResult::default());
     }
 
     #[test]

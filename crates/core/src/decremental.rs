@@ -17,15 +17,21 @@
 //! vertices (intra-cluster trees) plus, for every vertex `v` and adjacent
 //! cluster `c ≠ Cluster(v)`, one representative edge from the bucket
 //! `InterCluster[(v, c)]` (§3.3).
+//!
+//! A bucket needs no index of its own: In(v) keys the entry (w → v)
+//! `perm[Cluster(w)]·2³² + w`, so `InterCluster[(v, c)]` is In(v)'s key
+//! range `[perm[c]·2³², (perm[c]+1)·2³²)`, and its selected edge is the
+//! range's lowest non-shortcut entry, found by one rank lookup.
 
 use crate::spanner_set::SpannerSet;
 use bds_dstruct::edge_table::pack;
-use bds_dstruct::{EdgeTable, FxHashMap, FxHashSet, PriorityList};
+use bds_dstruct::{EdgeTable, FxHashMap, PriorityList};
 use bds_estree::ShiftedGraph;
 use bds_graph::api::{
     validate_edges, BatchDynamic, BatchStats, ConfigError, Decremental, DeltaBuf,
 };
 use bds_graph::types::{Edge, V};
+use bds_graph::CsrGraph;
 use std::cmp::Reverse;
 use std::collections::BTreeSet;
 
@@ -45,14 +51,19 @@ pub struct DecrementalSpanner {
     dist: Vec<u32>,
     parent: Vec<V>,
     parent_prio: Vec<u64>,
+    /// In(v), descending: for an original v, its shortcut (the top key of
+    /// range perm[v]) and, per live neighbour w, (w → v) keyed
+    /// `cluster_priority(Cluster(w), w)`. InterCluster[(v, c)] is the key
+    /// range `[perm[c]·2³², (perm[c]+1)·2³²)`; its selection is the range's
+    /// lowest non-shortcut entry.
     ins: Vec<PriorityList<InEntry>>,
-    /// directed edge (u → v) -> current priority inside ins[v]
+    /// directed edge (u → v) -> current priority inside ins[v]; also the
+    /// live-edge membership index.
     prio_of: EdgeTable,
+    /// Number of live (undirected) edges.
+    live: usize,
     // --- clustering state (original vertices only) ---
     cluster: Vec<V>,
-    adj: Vec<FxHashSet<V>>,
-    /// InterCluster[(v, center)] = neighbors of v in that cluster.
-    buckets: FxHashMap<(V, V), BTreeSet<V>>,
     spanner: SpannerSet,
     mark: Vec<u32>,
     /// scratch: per-vertex slot index, valid while `mark[v] == epoch`
@@ -124,12 +135,9 @@ impl DecrementalSpanner {
     pub fn with_shifts(n: usize, k: u32, edges: &[Edge], sg: ShiftedGraph) -> Self {
         let total = sg.total_vertices();
         let t = sg.t;
-        let mut adj: Vec<FxHashSet<V>> = vec![FxHashSet::default(); n];
-        for e in edges {
-            let fresh = adj[e.u as usize].insert(e.v);
-            assert!(fresh, "duplicate edge {e:?}");
-            adj[e.v as usize].insert(e.u);
-        }
+        // Input adjacency for the build only. A duplicate input edge
+        // panics when `prio_of` is built ("duplicate edge key").
+        let g = CsrGraph::from_edges(n, edges);
 
         // Shortcut targets per p-node level.
         let mut shortcut: Vec<Vec<V>> = vec![Vec::new(); t as usize];
@@ -157,7 +165,7 @@ impl DecrementalSpanner {
                 }));
                 let mut next = Vec::new();
                 for &u in &frontier {
-                    for &w in &adj[u as usize] {
+                    for &w in g.neighbors(u) {
                         if dist[w as usize] == u32::MAX {
                             dist[w as usize] = dist[u as usize] + 1;
                             next.push(w);
@@ -185,7 +193,7 @@ impl DecrementalSpanner {
             if t - 1 - sg.d[v as usize] == dv - 1 {
                 best = Some((sg.self_priority(v), sg.p_node(dv - 1), v));
             }
-            for &w in &adj[v as usize] {
+            for &w in g.neighbors(v) {
                 if dist[w as usize] == dv - 1 {
                     let key = sg.cluster_priority(cluster[w as usize], w);
                     if best.is_none_or(|(bk, _, _)| key > bk) {
@@ -209,10 +217,10 @@ impl DecrementalSpanner {
         // sequential insert loops.
         let ids: Vec<V> = (0..n as V).collect();
         let mut entries: Vec<(V, Reverse<u64>, V)> = bds_par::par_flat_map(&ids, |&v| {
-            let mut out = Vec::with_capacity(adj[v as usize].len() + 1);
+            let mut out = Vec::with_capacity(g.degree(v) + 1);
             let p = sg.p_node(t - 1 - sg.d[v as usize]);
             out.push((v, Reverse(sg.self_priority(v)), p));
-            for &w in &adj[v as usize] {
+            for &w in g.neighbors(v) {
                 // entry (w → v) keyed by w's cluster
                 out.push((v, Reverse(sg.cluster_priority(cluster[w as usize], w)), w));
             }
@@ -248,9 +256,8 @@ impl DecrementalSpanner {
             parent_prio,
             ins,
             prio_of,
+            live: edges.len(),
             cluster,
-            adj,
-            buckets: FxHashMap::default(),
             spanner: SpannerSet::new(),
             mark: vec![0; total],
             slot: vec![0; total],
@@ -259,28 +266,23 @@ impl DecrementalSpanner {
             stats: BatchStats::default(),
         };
 
-        // Buckets + initial spanner.
-        for e in edges {
-            this.buckets
-                .entry((e.u, this.cluster[e.v as usize]))
-                .or_default()
-                .insert(e.v);
-            this.buckets
-                .entry((e.v, this.cluster[e.u as usize]))
-                .or_default()
-                .insert(e.u);
-        }
+        // Initial spanner: the forest plus every bucket's selection. A
+        // neighbour w of v is picked iff InterCluster[(v, Cluster(w))]
+        // selects it.
         for v in 0..n as V {
             let p = this.parent[v as usize];
             if !this.sg.is_p(p) {
                 this.spanner.add(Edge::new(p, v));
             }
         }
-        let keys: Vec<(V, V)> = this.buckets.keys().copied().collect();
-        for key in keys {
-            if let Some(e) = this.selection(key) {
-                this.spanner.add(e);
-            }
+        let picked = bds_par::par_flat_map(&ids, |&v| {
+            let pick = |w: V| this.selection((v, this.cluster[w as usize]));
+            this.neighbors(v)
+                .filter_map(|w| pick(w).filter(|e| e == &Edge::new(v, w)))
+                .collect()
+        });
+        for e in picked {
+            this.spanner.add(e);
         }
         this.spanner.take_delta_into(&mut DeltaBuf::new());
         this
@@ -299,23 +301,29 @@ impl DecrementalSpanner {
     }
 
     pub fn num_live_edges(&self) -> usize {
-        self.adj.iter().map(FxHashSet::len).sum::<usize>() / 2
+        self.live
     }
 
     pub fn live_edges(&self) -> Vec<Edge> {
-        let mut out = Vec::with_capacity(self.num_live_edges());
-        for u in 0..self.n as V {
-            for &w in &self.adj[u as usize] {
-                if u < w {
-                    out.push(Edge { u, v: w });
-                }
-            }
-        }
-        out
+        let upper = |u: V| {
+            self.neighbors(u)
+                .filter(move |&w| u < w)
+                .map(move |v| Edge { u, v })
+        };
+        (0..self.n as V).flat_map(upper).collect()
     }
 
     pub fn contains_edge(&self, e: Edge) -> bool {
-        self.adj[e.u as usize].contains(&e.v)
+        self.prio_of.contains(e.u, e.v)
+    }
+
+    /// Live neighbours of original vertex `v`: the original sources of
+    /// In(v), in descending priority.
+    fn neighbors(&self, v: V) -> impl Iterator<Item = V> + '_ {
+        self.ins[v as usize]
+            .iter()
+            .map(|(_, rec)| rec.src)
+            .filter(|&w| !self.sg.is_p(w))
     }
 
     pub fn spanner_edges(&self) -> Vec<Edge> {
@@ -330,33 +338,36 @@ impl DecrementalSpanner {
         self.stats
     }
 
-    /// The currently selected representative of bucket `key = (v, c)`:
-    /// `Some` iff the bucket is nonempty and `c ≠ Cluster(v)`.
-    fn selection(&self, key: (V, V)) -> Option<Edge> {
-        if self.cluster[key.0 as usize] == key.1 {
+    /// The selected representative of InterCluster[(v, c)]: the lowest
+    /// entry of In(v)'s key range `[perm[c]·2³², (perm[c]+1)·2³²)`, i.e.
+    /// the min-id neighbour of v in cluster c. `None` if c = Cluster(v),
+    /// if the range is empty, or if its lowest entry is v's shortcut
+    /// (the highest key of range perm[v], so then the range's only one).
+    fn selection(&self, (v, c): (V, V)) -> Option<Edge> {
+        if self.cluster[v as usize] == c {
             return None;
         }
-        let b = self.buckets.get(&key)?;
-        b.first().map(|&w| Edge::new(key.0, w))
+        let ins = &self.ins[v as usize];
+        let lo = self.sg.cluster_priority(c, 0);
+        // Entries with priority ≥ lo; the last of them is the candidate.
+        let at_or_above = lo.checked_sub(1).map_or(ins.len(), |p| ins.bound_rank(p));
+        let (p, rec) = ins.kth(at_or_above.checked_sub(1)?)?;
+        (p >> 32 == lo >> 32 && !self.sg.is_p(rec.src)).then(|| Edge::new(v, rec.src))
     }
 
-    /// Mutate bucket `key` with `f`, fixing the selected edge around it.
-    fn bucket_edit(&mut self, key: (V, V), f: impl FnOnce(&mut BTreeSet<V>)) {
-        let before = self.selection(key);
-        {
-            let b = self.buckets.entry(key).or_default();
-            f(b);
-            if b.is_empty() {
-                self.buckets.remove(&key);
-            }
-        }
-        let after = self.selection(key);
-        if before != after {
-            if let Some(e) = before {
-                self.spanner.remove(e);
-            }
-            if let Some(e) = after {
-                self.spanner.add(e);
+    /// Move the spanner's reasons for the buckets `keys` from their
+    /// selections `before` an edit of In(·) or Cluster(·) to their
+    /// selections now.
+    fn reselect(&mut self, keys: [(V, V); 2], before: [Option<Edge>; 2]) {
+        for (key, before) in keys.into_iter().zip(before) {
+            let after = self.selection(key);
+            if before != after {
+                if let Some(e) = before {
+                    self.spanner.remove(e);
+                }
+                if let Some(e) = after {
+                    self.spanner.add(e);
+                }
             }
         }
     }
@@ -376,17 +387,10 @@ impl DecrementalSpanner {
 
         // ---- Phase 0: remove edges from every structure. ----
         for &e in batch {
-            assert!(
-                self.adj[e.u as usize].remove(&e.v),
-                "delete of absent {e:?}"
-            );
-            self.adj[e.v as usize].remove(&e.u);
-            self.bucket_edit((e.u, self.cluster[e.v as usize]), |b| {
-                b.remove(&e.v);
-            });
-            self.bucket_edit((e.v, self.cluster[e.u as usize]), |b| {
-                b.remove(&e.u);
-            });
+            assert!(self.contains_edge(e), "delete of absent {e:?}");
+            let (cu, cv) = (self.cluster[e.u as usize], self.cluster[e.v as usize]);
+            let keys = [(e.u, cv), (e.v, cu)];
+            let before = keys.map(|key| self.selection(key));
             for (a, b) in [(e.u, e.v), (e.v, e.u)] {
                 // bds:allow(no-unwrap): structure invariant named in the message; corrupt state must fail fast, not propagate.
                 let p = self.prio_of.remove(a, b).expect("directed edge present");
@@ -402,6 +406,8 @@ impl DecrementalSpanner {
                 // bds:allow(no-unwrap): structure invariant named in the message; corrupt state must fail fast, not propagate.
                 self.ins[b as usize].remove(p).expect("in-entry present");
             }
+            self.live -= 1;
+            self.reselect(keys, before);
         }
 
         // ---- Level-synchronous phases. ----
@@ -503,9 +509,8 @@ impl DecrementalSpanner {
                             queues[i as usize + 1].push((v, u64::MAX));
                             // Tree children resume from their (now dead)
                             // parent entry's priority.
-                            let children: Vec<V> = self.adj[v as usize]
-                                .iter()
-                                .copied()
+                            let children: Vec<V> = self
+                                .neighbors(v)
                                 .filter(|&c| self.parent[c as usize] == v)
                                 .collect();
                             for c in children {
@@ -544,9 +549,9 @@ impl DecrementalSpanner {
         }
     }
 
-    /// Relabel `v` from cluster `old_c` to `new_c`: move it between its
-    /// neighbors' buckets, flip its own buckets' eligibility, and update
-    /// the priority key of every out-entry of `v`, enqueuing dependent
+    /// Relabel `v` from cluster `old_c` to `new_c`: re-key every
+    /// out-entry of `v` (which moves it between its neighbours' buckets),
+    /// flip its own buckets' eligibility, and enqueue dependent
     /// rescans/cluster checks at the next level.
     fn apply_cluster_change(
         &mut self,
@@ -556,24 +561,18 @@ impl DecrementalSpanner {
         queues: &mut [Vec<(V, u64)>],
         cqueues: &mut [Vec<V>],
     ) {
-        let neighbors: Vec<V> = self.adj[v as usize].iter().copied().collect();
+        let neighbors: Vec<V> = self.neighbors(v).collect();
         for &w in &neighbors {
-            // v moves between w's buckets.
-            self.bucket_edit((w, old_c), |b| {
-                b.remove(&v);
-            });
-            self.bucket_edit((w, new_c), |b| {
-                b.insert(v);
-            });
-            // Re-key the entry (v → w) in In(w).
+            // Re-key the entry (v → w) in In(w): it moves from old_c's
+            // key range (bucket) to new_c's.
+            let keys = [(w, old_c), (w, new_c)];
+            let before = keys.map(|key| self.selection(key));
             // bds:allow(no-unwrap): structure invariant named in the message; corrupt state must fail fast, not propagate.
             let old_p = self.prio_of.get(v, w).expect("directed edge present");
             let new_p = self.sg.cluster_priority(new_c, v);
-            if old_p == new_p {
-                continue;
-            }
             assert!(self.ins[w as usize].update_priority(old_p, new_p));
             self.prio_of.insert(v, w, new_p);
+            self.reselect(keys, before);
             let dw = self.dist[w as usize];
             if self.parent[w as usize] == v && self.parent_prio[w as usize] == old_p {
                 // Keep the recorded priority in sync with the moved entry
@@ -610,26 +609,16 @@ impl DecrementalSpanner {
         }
         // Eligibility flips for v's own buckets: (v, old_c) becomes
         // selectable, (v, new_c) stops being selectable.
-        let before_old = self.selection((v, old_c));
-        let before_new = self.selection((v, new_c));
+        let keys = [(v, old_c), (v, new_c)];
+        let before = keys.map(|key| self.selection(key));
         self.cluster[v as usize] = new_c;
-        let after_old = self.selection((v, old_c));
-        let after_new = self.selection((v, new_c));
-        for (b, a) in [(before_old, after_old), (before_new, after_new)] {
-            if b != a {
-                if let Some(e) = b {
-                    self.spanner.remove(e);
-                }
-                if let Some(e) = a {
-                    self.spanner.add(e);
-                }
-            }
-        }
+        self.reselect(keys, before);
     }
 
     /// Full validation oracle: recomputes distances, clusters, buckets and
-    /// the spanner from scratch (same random bits) and compares. O(n·m) —
-    /// test-only.
+    /// the spanner from scratch (same random bits) and compares; each
+    /// bucket's min-id member must be its In(v) key-range selection.
+    /// O(n·m) — test-only.
     pub fn validate(&self) {
         let t = self.sg.t;
         // Reference distances on G′ via per-vertex BFS over the original
@@ -675,7 +664,7 @@ impl DecrementalSpanner {
             } else {
                 assert_eq!(self.dist[p as usize] + 1, self.dist[v as usize]);
                 assert_eq!(self.cluster[p as usize], self.cluster[v as usize]);
-                assert!(self.adj[v as usize].contains(&p), "dead parent edge");
+                assert!(self.prio_of.contains(p, v), "dead parent edge");
             }
             // Parent = first candidate in priority order.
             let mut w = 0u64;
@@ -700,20 +689,20 @@ impl DecrementalSpanner {
                 "stale priority on ({u},{vtx})"
             );
         }
-        // Buckets match adjacency × clusters.
-        let mut want_buckets: FxHashMap<(V, V), BTreeSet<V>> = FxHashMap::default();
+        // `live` counts the in-lists' edges; `prio_of` holds both their
+        // orientations plus the n shortcuts and the t − 1 chain entries.
+        assert_eq!(self.live, edges.len(), "live-edge count diverged");
+        assert_eq!(self.prio_of.len(), 2 * self.live + self.n + t as usize - 1);
+        // Buckets from adjacency × clusters: each selects its min-id
+        // member through the key range. Spanner contents = forest +
+        // selected representatives.
+        let mut buckets: FxHashMap<(V, V), BTreeSet<V>> = FxHashMap::default();
         for e in &edges {
-            want_buckets
-                .entry((e.u, self.cluster[e.v as usize]))
-                .or_default()
-                .insert(e.v);
-            want_buckets
-                .entry((e.v, self.cluster[e.u as usize]))
-                .or_default()
-                .insert(e.u);
+            for (a, b) in [(e.u, e.v), (e.v, e.u)] {
+                let key = (a, self.cluster[b as usize]);
+                buckets.entry(key).or_default().insert(b);
+            }
         }
-        assert_eq!(self.buckets, want_buckets, "bucket state diverged");
-        // Spanner contents = forest + selected representatives.
         let mut want = SpannerSet::new();
         for v in 0..self.n as V {
             let p = self.parent[v as usize];
@@ -721,8 +710,11 @@ impl DecrementalSpanner {
                 want.add(Edge::new(p, v));
             }
         }
-        for &key in self.buckets.keys() {
-            if let Some(e) = self.selection(key) {
+        for (&(v, c), members) in &buckets {
+            let first = members.first().map(|&w| Edge::new(v, w));
+            let expect = first.filter(|_| self.cluster[v as usize] != c);
+            assert_eq!(self.selection((v, c)), expect, "selection of ({v}, {c})");
+            if let Some(e) = expect {
                 want.add(e);
             }
         }
@@ -766,6 +758,7 @@ impl Decremental for DecrementalSpanner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bds_dstruct::FxHashSet;
     use bds_graph::csr::edge_stretch;
     use bds_graph::gen;
     use rand::{rngs::StdRng, seq::SliceRandom, Rng, SeedableRng};
@@ -901,6 +894,14 @@ mod tests {
             "size {} vs bound {bound}",
             s.spanner_size()
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate edge")]
+    fn duplicate_input_edge_panics() {
+        let mut edges = gen::gnm_connected(10, 20, 3);
+        edges.push(edges[7]);
+        DecrementalSpanner::new(10, 2, &edges, 5);
     }
 
     #[test]

@@ -180,9 +180,9 @@ impl<V: Copy> PriorityList<V> {
             .map(|(r, k, v)| (r, dec(k), v))
     }
 
-    /// Entries in descending priority order (testing/debug).
-    pub fn entries(&self) -> Vec<(u64, &V)> {
-        self.inner.iter().map(|(k, v)| (dec(k), v)).collect()
+    /// Entries in descending priority order.
+    pub fn iter(&self) -> impl Iterator<Item = (u64, &V)> + '_ {
+        self.inner.iter().map(|(k, v)| (dec(k), v))
     }
 }
 
@@ -257,7 +257,10 @@ mod tests {
         for &(p, v) in &entries {
             inc.insert(p, v);
         }
-        assert_eq!(bulk.entries(), inc.entries());
+        assert_eq!(
+            bulk.iter().collect::<Vec<_>>(),
+            inc.iter().collect::<Vec<_>>()
+        );
         for from in [0usize, 1, 7, 250, 499, 500] {
             let (mut wa, mut wb) = (0u64, 0u64);
             let a = bulk.next_with(from, |_, &v| v % 13 == 0, &mut wa);

@@ -27,6 +27,7 @@
 #   k  contracted edge reborn within a batch drops its rep event  caught by: bds_ultra unit tests (shared index)
 #   l  serve collect pulls one raw update past the batch size  caught by: serve batch-bound unit test (bds_graph)
 #   m  HDT probe accepts an internal first candidate  caught by: hdt unit tests (bds_dstruct)
+#   n  decremental selection keeps the shortcut entry  caught by: decremental unit tests (bds_core)
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
@@ -48,6 +49,7 @@ describe() {
     k) echo "ContractedEdges drops the (key, old_rep, new_rep) event of a contracted edge that died and was reborn in one batch (the rep chain goes stale)" ;;
     l) echo "ServeLoop::collect loop bound < -> <= (every full batch holds one raw update more than the configured size)" ;;
     m) echo "HDT replace's probe skips the leaves-the-smaller-tree test (an internal first candidate is linked as the replacement, closing a cycle)" ;;
+    n) echo "DecrementalSpanner::selection stops skipping v's shortcut entry (a key range holding only the shortcut selects (v, p-node))" ;;
     *) echo "unknown mutant '$1'" >&2; exit 2 ;;
   esac
 }
@@ -148,6 +150,13 @@ plan() {
       to='false'
       catcher='cargo test -q -p bds_dstruct --lib hdt'
       ;;
+    n)
+      file="crates/core/src/decremental.rs"
+      needle='!self.sg.is_p(rec.src)).then('
+      from='self.sg.is_p(rec.src)'
+      to='false'
+      catcher='cargo test -q -p bds_core --lib decremental'
+      ;;
     *) echo "unknown mutant '$1'" >&2; exit 2 ;;
   esac
 }
@@ -195,7 +204,7 @@ run_mutant() {
 }
 
 main() {
-  local all=(a b c d e f g h i j k l m)
+  local all=(a b c d e f g h i j k l m n)
   if [ "${1:-}" = "--list" ]; then
     for id in "${all[@]}"; do
       echo "$id  $(describe "$id")"

@@ -125,7 +125,7 @@ proptest! {
             prop_assert_eq!(pl.rank_of(*p), Some(rank));
             prop_assert_eq!(pl.find(*p), Some((rank, v)));
         }
-        let entries: Vec<(u64, u16)> = pl.entries().into_iter().map(|(p, v)| (p, *v)).collect();
+        let entries: Vec<(u64, u16)> = pl.iter().map(|(p, &v)| (p, v)).collect();
         let want: Vec<(u64, u16)> = model.iter().map(|(&std::cmp::Reverse(p), &v)| (p, v)).collect();
         prop_assert_eq!(entries, want);
     }
@@ -151,7 +151,7 @@ proptest! {
         for &(p, v) in &entries {
             inc.insert(p, v);
         }
-        prop_assert_eq!(bulk.entries(), inc.entries());
+        prop_assert_eq!(bulk.iter().collect::<Vec<_>>(), inc.iter().collect::<Vec<_>>());
         let (mut wa, mut wb) = (0u64, 0u64);
         let a = bulk.next_with(from, |_, &v| v % 7 == 0, &mut wa).map(|(r, p, &v)| (r, p, v));
         let b = inc.next_with(from, |_, &v| v % 7 == 0, &mut wb).map(|(r, p, &v)| (r, p, v));

@@ -32,6 +32,9 @@ use bds_graph::types::{Edge, UpdateBatch};
 /// lane left empty) for Theorem 1.1, `WeightedSet` (weight lane filled)
 /// for Theorem 1.6.
 pub trait OutputSet: Default {
+    /// The set of `output`'s insertions (at their weights), with an
+    /// empty baseline: the bulk form of adding each and taking the delta.
+    fn from_output(output: &DeltaBuf) -> Self;
     /// Add `e` at weight `w` (an unweighted set ignores `w`).
     fn add(&mut self, e: Edge, w: f64);
     /// Remove `e`; panics if it is absent.
@@ -124,9 +127,9 @@ impl<D: Slot> BentleySaxe<D> {
             while (edges.len() as u64) > s.capacity(j) {
                 j += 1;
             }
-            s.build_slot(j, edges.to_vec());
+            s.install_slot(j, edges.to_vec());
+            s.out = D::Output::from_output(&s.scratch);
         }
-        s.out.take_delta_into(&mut DeltaBuf::new());
         s
     }
 
@@ -151,6 +154,13 @@ impl<D: Slot> BentleySaxe<D> {
     /// Install a fresh instance into the empty slot `j` (1-based) over
     /// `edges`, folding its output in and indexing its edges.
     fn build_slot(&mut self, j: u32, edges: Vec<Edge>) {
+        self.install_slot(j, edges);
+        fold(&mut self.out, &self.scratch);
+    }
+
+    /// [`BentleySaxe::build_slot`] short of the fold: the new instance's
+    /// output is left in `scratch`.
+    fn install_slot(&mut self, j: u32, edges: Vec<Edge>) {
         if self.slots.len() < j as usize {
             self.slots.resize_with(j as usize, || None);
         }
@@ -166,7 +176,6 @@ impl<D: Slot> BentleySaxe<D> {
         let seed = self.next_seed();
         let inst = D::build(self.n, self.param, &edges, seed);
         inst.output_into(&mut self.scratch);
-        fold(&mut self.out, &self.scratch);
         for e in edges {
             self.part.assign(e, j);
         }

@@ -136,7 +136,7 @@ impl DecrementalSpanner {
         let total = sg.total_vertices();
         let t = sg.t;
         // Input adjacency for the build only. A duplicate input edge
-        // panics when `prio_of` is built ("duplicate edge key").
+        // panics once pass 2 has sorted the in-list entries.
         let g = CsrGraph::from_edges(n, edges);
 
         // Shortcut targets per p-node level.
@@ -230,12 +230,16 @@ impl DecrementalSpanner {
             entries.push((sg.p_node(i + 1), Reverse(u64::MAX), sg.p_node(i)));
         }
         bds_par::par_sort(&mut entries);
-        let prio_of = {
-            let mut packed: Vec<(u64, u64)> =
-                bds_par::par_map(&entries, |&(tgt, Reverse(key), src)| (pack(src, tgt), key));
-            bds_par::par_sort(&mut packed);
-            EdgeTable::from_sorted_batch(&packed)
-        };
+        // An entry's key is a function of its (src, target), so a
+        // duplicate input edge leaves two equal entries side by side,
+        // and `prio_of` can take the entries in this order.
+        for w in entries.windows(2) {
+            assert!(w[0] != w[1], "duplicate edge ({}, {})", w[0].2, w[0].0);
+        }
+        let prio_of = EdgeTable::from_distinct_batch(&bds_par::par_map(
+            &entries,
+            |&(tgt, Reverse(key), src)| (pack(src, tgt), key),
+        ));
         let targets: Vec<V> = (0..total as V).collect();
         let ins: Vec<PriorityList<InEntry>> = bds_par::par_map(&targets, |&v| {
             let lo = entries.partition_point(|&(x, _, _)| x < v);
@@ -266,25 +270,28 @@ impl DecrementalSpanner {
             stats: BatchStats::default(),
         };
 
-        // Initial spanner: the forest plus every bucket's selection. A
-        // neighbour w of v is picked iff InterCluster[(v, Cluster(w))]
-        // selects it.
-        for v in 0..n as V {
+        // Initial spanner, one reason per forest edge and per bucket
+        // selection. Walking In(v) in descending order, the selection of
+        // each key range other than Cluster(v)'s is the range's last
+        // entry, unless that entry is v's shortcut (as in `selection`).
+        let reasons = bds_par::par_flat_map(&ids, |&v| {
+            let mut out = Vec::new();
             let p = this.parent[v as usize];
             if !this.sg.is_p(p) {
-                this.spanner.add(Edge::new(p, v));
+                out.push(Edge::new(p, v));
             }
-        }
-        let picked = bds_par::par_flat_map(&ids, |&v| {
-            let pick = |w: V| this.selection((v, this.cluster[w as usize]));
-            this.neighbors(v)
-                .filter_map(|w| pick(w).filter(|e| e == &Edge::new(v, w)))
-                .collect()
+            let own = this.sg.cluster_priority(this.cluster[v as usize], 0) >> 32;
+            let mut entries = this.ins[v as usize].iter().peekable();
+            while let Some((key, rec)) = entries.next() {
+                let range = key >> 32;
+                let last = entries.peek().is_none_or(|&(next, _)| next >> 32 != range);
+                if last && range != own && !this.sg.is_p(rec.src) {
+                    out.push(Edge::new(v, rec.src));
+                }
+            }
+            out
         });
-        for e in picked {
-            this.spanner.add(e);
-        }
-        this.spanner.take_delta_into(&mut DeltaBuf::new());
+        this.spanner = SpannerSet::from_reasons(&reasons);
         this
     }
 
@@ -776,6 +783,34 @@ mod tests {
                 2 * k - 1
             );
         }
+    }
+
+    #[test]
+    fn bulk_built_spanner_validates_at_widths_1_and_2() {
+        // n and 2m above bds_par's GRAIN, so at width 2 the entry sort,
+        // the `prio_of` build and the initial-selection walk run in
+        // parallel. Deleting every edge afterwards removes each
+        // refcounted reason once: a miscounted one would panic or leave
+        // an edge behind.
+        let (n, m, k) = (2_500, 6_000, 3);
+        let edges = gen::gnm_connected(n, m, 21);
+        let mut spanners = Vec::new();
+        for threads in [1, 2] {
+            bds_par::run_with_threads(threads, || {
+                let mut s = DecrementalSpanner::new(n, k, &edges, 13);
+                s.validate();
+                let mut got = s.spanner_edges();
+                got.sort_unstable();
+                spanners.push(got);
+                let mut out = DeltaBuf::new();
+                for batch in edges.chunks(1_500) {
+                    s.delete_into(batch, &mut out);
+                }
+                assert_eq!(s.spanner_size(), 0, "threads = {threads}");
+                s.validate();
+            });
+        }
+        assert_eq!(spanners[0], spanners[1]);
     }
 
     #[test]

@@ -82,6 +82,10 @@ impl Slot for DecrementalSpanner {
 }
 
 impl OutputSet for SpannerSet {
+    fn from_output(output: &DeltaBuf) -> Self {
+        SpannerSet::from_reasons(output.inserted())
+    }
+
     fn add(&mut self, e: Edge, _w: f64) {
         SpannerSet::add(self, e);
     }

@@ -8,6 +8,7 @@
 //! per-batch netting (an edge that bounces within one batch reports
 //! nothing).
 
+use bds_dstruct::edge_table::pack;
 use bds_dstruct::EdgeTable;
 use bds_graph::api::DeltaBuf;
 use bds_graph::types::Edge;
@@ -24,6 +25,27 @@ pub struct SpannerSet {
 impl SpannerSet {
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// A set holding one reason per entry of `reasons` (an edge listed
+    /// twice counts 2), with an empty baseline: what one
+    /// [`SpannerSet::add`] per reason followed by a
+    /// [`SpannerSet::take_delta_into`] leaves, built in bulk (sort,
+    /// run-length counts, one table build).
+    pub fn from_reasons(reasons: &[Edge]) -> Self {
+        let mut keys: Vec<u64> = bds_par::par_map(reasons, |e| pack(e.u, e.v));
+        bds_par::par_sort(&mut keys);
+        let mut runs: Vec<(u64, u64)> = Vec::with_capacity(keys.len());
+        for key in keys {
+            match runs.last_mut() {
+                Some((last, count)) if *last == key => *count += 1,
+                _ => runs.push((key, 1)),
+            }
+        }
+        Self {
+            count: EdgeTable::from_sorted_batch(&runs),
+            baseline: EdgeTable::new(),
+        }
     }
 
     #[inline]
@@ -139,6 +161,81 @@ mod tests {
         let mut d = DeltaBuf::new();
         s.take_delta_into(&mut d);
         assert_eq!(d.recourse(), 0);
+    }
+
+    /// The refcounts one `add` per reason leaves.
+    fn by_adds(reasons: &[Edge]) -> Vec<(Edge, u64)> {
+        let mut s = SpannerSet::new();
+        for &e in reasons {
+            s.add(e);
+        }
+        counts(&s)
+    }
+
+    fn counts(s: &SpannerSet) -> Vec<(Edge, u64)> {
+        let mut c: Vec<(Edge, u64)> = s.count.iter().map(|(u, v, c)| (Edge { u, v }, c)).collect();
+        c.sort_unstable();
+        c
+    }
+
+    #[test]
+    fn bulk_build_matches_one_add_per_reason() {
+        // Edges with one, two and three reasons, listed out of order.
+        let (a, b, c, d) = (
+            Edge::new(0, 1),
+            Edge::new(1, 2),
+            Edge::new(2, 9),
+            Edge::new(3, 4),
+        );
+        let reasons = [c, a, b, c, d, b, c];
+        let mut bulk = SpannerSet::from_reasons(&reasons);
+        let want = by_adds(&reasons);
+        assert_eq!(counts(&bulk), want);
+        assert_eq!(want, vec![(a, 1), (b, 2), (c, 3), (d, 1)]);
+        let mut delta = DeltaBuf::new();
+        bulk.take_delta_into(&mut delta);
+        assert_eq!(
+            delta.recourse(),
+            0,
+            "bulk build starts with an empty baseline"
+        );
+        // Two of c's three reasons go: it stays, and reports nothing.
+        bulk.remove(c);
+        bulk.remove(c);
+        bulk.remove(b);
+        bulk.take_delta_into(&mut delta);
+        assert_eq!(delta.recourse(), 0);
+        bulk.remove(c);
+        bulk.take_delta_into(&mut delta);
+        assert_eq!(delta.deleted(), &[c]);
+    }
+
+    #[test]
+    fn bulk_build_matches_adds_on_a_large_batch() {
+        // Above bds_par's GRAIN, so the sort and map run in parallel.
+        let reasons: Vec<Edge> = (0..20_000u32)
+            .map(|i| Edge::new(i % 997, 1_000 + i % 1_499))
+            .chain((0..5_000u32).map(|i| Edge::new(i % 997, 1_000 + i % 1_499)))
+            .collect();
+        for threads in [1, 2] {
+            let mut bulk =
+                bds_par::run_with_threads(threads, || SpannerSet::from_reasons(&reasons));
+            let want = by_adds(&reasons);
+            assert!(want.iter().any(|&(_, c)| c >= 2));
+            assert_eq!(counts(&bulk), want);
+            let mut delta = DeltaBuf::new();
+            bulk.take_delta_into(&mut delta);
+            assert_eq!(delta.recourse(), 0);
+        }
+    }
+
+    #[test]
+    fn bulk_build_of_nothing_is_empty() {
+        let mut s = SpannerSet::from_reasons(&[]);
+        assert!(s.is_empty());
+        let mut delta = DeltaBuf::new();
+        s.take_delta_into(&mut delta);
+        assert_eq!(delta.recourse(), 0);
     }
 
     #[test]

@@ -289,11 +289,20 @@ impl EdgeTable {
     /// (e.g. to deduplicate or to reuse the ordering for adjacency
     /// grouping). Keys must be distinct; duplicates panic.
     pub fn from_sorted_batch(packed: &[(u64, u64)]) -> Self {
-        if packed.is_empty() {
-            return Self::default();
-        }
         for w in packed.windows(2) {
             assert!(w[0].0 != w[1].0, "duplicate edge key {:?}", unpack(w[0].0));
+        }
+        Self::from_distinct_batch(packed)
+    }
+
+    /// Bulk-build from `(packed_key, value)` pairs with distinct keys,
+    /// in any order: [`EdgeTable::from_sorted_batch`]'s parallel scatter
+    /// without its sorted-order duplicate check, for callers that have
+    /// ruled duplicates out in an order of their own. A duplicate key
+    /// is not detected and corrupts the table.
+    pub fn from_distinct_batch(packed: &[(u64, u64)]) -> Self {
+        if packed.is_empty() {
+            return Self::default();
         }
         let mut table = Self::with_capacity(packed.len());
         table.len = packed.len();

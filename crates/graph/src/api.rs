@@ -649,12 +649,8 @@ impl SpannerView {
     /// the structure's batch sequence ([`BatchDynamic::batch_seq`]) so
     /// the next sequenced delta it produces applies cleanly.
     pub fn from_output(n: usize, structure: &impl BatchDynamic) -> Self {
-        let mut buf = DeltaBuf::new();
-        structure.output_into(&mut buf);
         let mut view = Self::new(n);
-        view.apply(&buf);
-        view.epoch = 0;
-        view.seq = structure.batch_seq();
+        view.reseed_from_output(structure, &mut DeltaBuf::new());
         view
     }
 
@@ -666,15 +662,22 @@ impl SpannerView {
     /// sequence and restarts its epoch at 0.
     pub fn reseed_from_output(&mut self, structure: &impl BatchDynamic, scratch: &mut DeltaBuf) {
         structure.output_into(scratch);
+        self.reseed(scratch, structure.batch_seq());
+    }
+
+    /// Re-seed this view from an output snapshot (`output`'s
+    /// insertions), anchored at batch sequence `seq`, epoch 0.
+    pub(crate) fn reseed(&mut self, output: &DeltaBuf, seq: u64) {
         self.member.clear();
+        self.member.reserve(output.inserted().len());
         self.degree.fill(0);
-        for (e, w) in scratch.inserted_weighted() {
+        for (e, w) in output.inserted_weighted() {
             self.member.insert(e.u, e.v, w.to_bits());
             self.degree[e.u as usize] += 1;
             self.degree[e.v as usize] += 1;
         }
         self.epoch = 0;
-        self.seq = structure.batch_seq();
+        self.seq = seq;
     }
 
     pub fn n(&self) -> usize {
@@ -782,7 +785,7 @@ impl SpannerView {
 // Builder validation helpers (shared by every crate's typed builder)
 // ---------------------------------------------------------------------------
 
-/// The per-edge input check shared by [`validate_edges`] and
+/// The per-edge input check shared by [`validate_edge_forms`] and
 /// [`FullyDynamic::process_checked`]: both endpoints below `n` and
 /// canonical form (`u < v` — [`Edge`]'s fields are public, so a struct
 /// literal can bypass the canonicalizing constructor).
@@ -800,6 +803,22 @@ fn check_edge(n: usize, e: Edge) -> Result<(), BatchError> {
 /// Validate an initial edge list against `n`: every edge passes the
 /// per-edge range and canonical-form check, and there are no duplicates.
 pub fn validate_edges(n: usize, edges: &[Edge]) -> Result<(), ConfigError> {
+    validate_edge_forms(n, edges)?;
+    let mut sorted: Vec<Edge> = edges.to_vec();
+    sorted.sort_unstable();
+    for w in sorted.windows(2) {
+        if w[0] == w[1] {
+            return Err(ConfigError::DuplicateEdge(w[0]));
+        }
+    }
+    Ok(())
+}
+
+/// The per-edge half of [`validate_edges`]: every endpoint below `n`
+/// and every edge canonical, with no duplicate check. For callers that
+/// find duplicates themselves while indexing the edges (the sharded
+/// engine's per-lane live tables).
+pub fn validate_edge_forms(n: usize, edges: &[Edge]) -> Result<(), ConfigError> {
     for &e in edges {
         check_edge(n, e).map_err(|err| match err {
             BatchError::VertexOutOfRange { vertex, n } => {
@@ -810,13 +829,6 @@ pub fn validate_edges(n: usize, edges: &[Edge]) -> Result<(), ConfigError> {
                 reason: "edge is not canonical (u < v required; self-loops are invalid)",
             },
         })?;
-    }
-    let mut sorted: Vec<Edge> = edges.to_vec();
-    sorted.sort_unstable();
-    for w in sorted.windows(2) {
-        if w[0] == w[1] {
-            return Err(ConfigError::DuplicateEdge(w[0]));
-        }
     }
     Ok(())
 }

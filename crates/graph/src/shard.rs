@@ -72,8 +72,8 @@
 //! ```
 
 use crate::api::{
-    validate_edges, BatchDynamic, BatchStats, ConfigError, Decremental, DeltaBuf, FullyDynamic,
-    SpannerView,
+    validate_edge_forms, validate_edges, BatchDynamic, BatchStats, ConfigError, Decremental,
+    DeltaBuf, FullyDynamic, SpannerView,
 };
 use crate::csr::CsrGraph;
 use crate::types::{Edge, UpdateBatch, V};
@@ -128,18 +128,29 @@ struct Lane<S> {
 }
 
 impl<S> Lane<S> {
-    /// A lane serving `shard`, which was built over exactly `edges`.
-    fn new(shard: S, edges: &[Edge]) -> Self {
+    /// Lane `i` over exactly `edges`: index them in the live table,
+    /// failing on the first duplicate, then build the shard with
+    /// `factory(i, edges)`.
+    fn build<E>(
+        i: usize,
+        edges: &[Edge],
+        factory: impl FnOnce(usize, &[Edge]) -> Result<S, E>,
+    ) -> Result<Self, ConfigError>
+    where
+        ConfigError: From<E>,
+    {
         let mut live = EdgeTable::with_capacity(edges.len());
-        for e in edges {
-            live.insert(e.u, e.v, 1);
+        for &e in edges {
+            if live.insert(e.u, e.v, 1).is_some() {
+                return Err(ConfigError::DuplicateEdge(e));
+            }
         }
-        Lane {
-            shard,
+        Ok(Lane {
+            shard: factory(i, edges)?,
             delta: DeltaBuf::new(),
             sub: UpdateBatch::default(),
             live,
-        }
+        })
     }
 }
 
@@ -201,12 +212,20 @@ impl ShardedEngineBuilder {
     /// Build the engine: the initial edges are routed by
     /// [`HashPartitioner`], and `factory(i, shard_edges)` builds shard
     /// `i` over exactly the edges routed to it (their order follows the
-    /// input). For [`crate::wal::recover`] to rebuild an identical
-    /// engine the factory should be deterministic in `(i, shard_edges)`.
-    pub fn build_with<S: FullyDynamic, E>(
+    /// input).
+    ///
+    /// The lanes are built at once, one pool task per lane, so the
+    /// factory runs concurrently, once per lane (a single lane is built
+    /// on the caller at full width). It must be deterministic in
+    /// `(i, shard_edges)`: that is what makes the engine independent of
+    /// the thread count, and what lets [`crate::wal::recover`] rebuild
+    /// an identical engine. Each lane checks its edges for duplicates
+    /// while indexing them; if several lanes fail, the error is the
+    /// first failing lane's.
+    pub fn build_with<S: FullyDynamic + Send, E>(
         self,
         edges: &[Edge],
-        mut factory: impl FnMut(usize, &[Edge]) -> Result<S, E>,
+        factory: impl Fn(usize, &[Edge]) -> Result<S, E> + Sync + Send,
     ) -> Result<ShardedEngine<S>, ConfigError>
     where
         ConfigError: From<E>,
@@ -217,16 +236,17 @@ impl ShardedEngineBuilder {
                 reason: "at least one shard is required",
             });
         }
-        validate_edges(self.n, edges)?;
+        validate_edge_forms(self.n, edges)?;
         let part = HashPartitioner;
         let mut routed: Vec<Vec<Edge>> = vec![Vec::new(); self.shards];
         for &e in edges {
             routed[part.shard_of(e, self.shards)].push(e);
         }
-        let mut lanes = Vec::with_capacity(self.shards);
-        for (i, shard_edges) in routed.iter().enumerate() {
-            lanes.push(Lane::new(factory(i, shard_edges)?, shard_edges));
-        }
+        let ids: Vec<usize> = (0..self.shards).collect();
+        // INVARIANT: every id is below self.shards == routed.len().
+        let lanes = bds_par::par_map_grain(&ids, 1, |&i| Lane::build(i, &routed[i], &factory))
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()?;
         Ok(ShardedEngine {
             n: self.n,
             lanes,
@@ -476,15 +496,23 @@ impl<P: Partitioner> ShardedView<P> {
     /// epoch 0, bound to the engine's identity, layout epoch, and batch
     /// sequence.
     pub fn of<S: FullyDynamic + Send>(engine: &ShardedEngine<S, P>) -> Self {
-        let views = engine
+        // Lane outputs are read here (the shards need not be `Sync`);
+        // the mirrors are seeded from them at once, one task per lane.
+        let outputs: Vec<DeltaBuf> = engine
             .lanes
             .iter()
             .map(|lane| {
-                let mut v = SpannerView::from_output(engine.n, &lane.shard);
-                v.resync_seq(engine.seq);
-                v
+                let mut out = DeltaBuf::new();
+                lane.shard.output_into(&mut out);
+                out
             })
             .collect();
+        let (n, seq) = (engine.n, engine.seq);
+        let views = bds_par::par_map_grain(&outputs, 1, |out| {
+            let mut v = SpannerView::new(n);
+            v.reseed(out, seq);
+            v
+        });
         Self {
             n: engine.n,
             views,
@@ -798,6 +826,45 @@ mod tests {
                 .build_with(&[Edge::new(0, 9)], move |_, es| MirrorSpanner::build(3, es)),
             Err(ConfigError::VertexOutOfRange { .. })
         ));
+    }
+
+    #[test]
+    fn duplicates_fail_in_the_first_failing_lane_at_every_width() {
+        let (n, k) = (50, 3);
+        let edges = gen::gnm(n, 200, 7);
+        let on = |lane| {
+            edges
+                .iter()
+                .copied()
+                .find(|&e| HashPartitioner.shard_of(e, k) == lane)
+                .unwrap()
+        };
+        // Lanes 1 and 2 each see one edge twice; lane 0 is clean.
+        let mut dup = edges.clone();
+        dup.push(on(2));
+        dup.push(on(1));
+        for threads in [1, 2] {
+            let build = |input: &[Edge]| {
+                bds_par::run_with_threads(threads, || {
+                    ShardedEngineBuilder::new(n)
+                        .shards(k)
+                        .build_with(input, move |_, es| {
+                            let mut sorted = es.to_vec();
+                            sorted.sort_unstable();
+                            sorted.dedup();
+                            assert_eq!(sorted.len(), es.len(), "a factory saw a duplicate");
+                            MirrorSpanner::build(n, es)
+                        })
+                        .map(|engine| engine.num_live_edges())
+                })
+            };
+            assert_eq!(build(&edges), Ok(edges.len()), "threads = {threads}");
+            assert_eq!(
+                build(&dup),
+                Err(ConfigError::DuplicateEdge(on(1))),
+                "threads = {threads}"
+            );
+        }
     }
 
     #[test]

@@ -1122,7 +1122,8 @@ pub struct Corruption {
 /// carrying the crashed engine's shard count — and a factory that is
 /// deterministic in `(lane, edges)` — is the caller's contract. Routing
 /// is always [`HashPartitioner`], so there is no partitioner to
-/// mismatch. The factory is called once per lane and then dropped.
+/// mismatch. The factory runs concurrently, once per lane (see
+/// [`ShardedEngineBuilder::build_with`]), and is then dropped.
 pub fn recover<S, F, E>(
     snapshot_path: &Path,
     log_path: &Path,
@@ -1131,7 +1132,7 @@ pub fn recover<S, F, E>(
 ) -> Result<Recovered<S>, RecoverError>
 where
     S: FullyDynamic + Send,
-    F: FnMut(usize, &[Edge]) -> Result<S, E>,
+    F: Fn(usize, &[Edge]) -> Result<S, E> + Sync + Send,
     ConfigError: From<E>,
 {
     let (recovered, corruption) = recover_inner(snapshot_path, log_path, builder, factory, true)?;
@@ -1148,7 +1149,8 @@ where
 /// violations (and unreadable header/snapshot) still fail — those mean
 /// the artifacts do not belong together, not that bytes rotted. The
 /// same caller contract applies: only the shard count (and factory
-/// determinism) is left to the builder.
+/// determinism) is left to the builder, and the factory runs
+/// concurrently, once per lane.
 pub fn recover_prefix<S, F, E>(
     snapshot_path: &Path,
     log_path: &Path,
@@ -1157,7 +1159,7 @@ pub fn recover_prefix<S, F, E>(
 ) -> Result<(Recovered<S>, Option<Corruption>), RecoverError>
 where
     S: FullyDynamic + Send,
-    F: FnMut(usize, &[Edge]) -> Result<S, E>,
+    F: Fn(usize, &[Edge]) -> Result<S, E> + Sync + Send,
     ConfigError: From<E>,
 {
     recover_inner(snapshot_path, log_path, builder, factory, false)
@@ -1172,7 +1174,7 @@ fn recover_inner<S, F, E>(
 ) -> Result<(Recovered<S>, Option<Corruption>), RecoverError>
 where
     S: FullyDynamic + Send,
-    F: FnMut(usize, &[Edge]) -> Result<S, E>,
+    F: Fn(usize, &[Edge]) -> Result<S, E> + Sync + Send,
     ConfigError: From<E>,
 {
     let snap = Snapshot::read_from(snapshot_path)?;

@@ -89,6 +89,10 @@ impl Slot for DecrementalSparsifier {
 }
 
 impl OutputSet for WeightedSet {
+    fn from_output(output: &DeltaBuf) -> Self {
+        WeightedSet::from_output(output)
+    }
+
     fn add(&mut self, e: Edge, w: f64) {
         self.insert(e, w);
     }

@@ -22,6 +22,20 @@ impl WeightedSet {
         Self::default()
     }
 
+    /// The set of `output`'s insertions at their weights, with an empty
+    /// baseline: what inserting each and taking the delta leaves, built
+    /// in bulk. Panics on a duplicate edge.
+    pub fn from_output(output: &DeltaBuf) -> Self {
+        let entries: Vec<(u32, u32, u64)> = output
+            .inserted_weighted()
+            .map(|(e, w)| (e.u, e.v, w.to_bits()))
+            .collect();
+        Self {
+            weight: EdgeTable::from_batch(&entries),
+            baseline: EdgeTable::new(),
+        }
+    }
+
     fn touch(&mut self, e: Edge) {
         if self.baseline.get(e.u, e.v).is_none() {
             let w = self.weight.get(e.u, e.v).unwrap_or(0.0f64.to_bits());

@@ -28,6 +28,7 @@
 #   l  serve collect pulls one raw update past the batch size  caught by: serve batch-bound unit test (bds_graph)
 #   m  HDT probe accepts an internal first candidate  caught by: hdt unit tests (bds_dstruct)
 #   n  decremental selection keeps the shortcut entry  caught by: decremental unit tests (bds_core)
+#   o  bulk SpannerSet counts each distinct edge once  caught by: bds_core unit tests
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
@@ -50,6 +51,7 @@ describe() {
     l) echo "ServeLoop::collect loop bound < -> <= (every full batch holds one raw update more than the configured size)" ;;
     m) echo "HDT replace's probe skips the leaves-the-smaller-tree test (an internal first candidate is linked as the replacement, closing a cycle)" ;;
     n) echo "DecrementalSpanner::selection stops skipping v's shortcut entry (a key range holding only the shortcut selects (v, p-node))" ;;
+    o) echo "SpannerSet::from_reasons drops the run increment (an edge with several reasons is counted once, so removing one reason drops it)" ;;
     *) echo "unknown mutant '$1'" >&2; exit 2 ;;
   esac
 }
@@ -157,6 +159,13 @@ plan() {
       to='false'
       catcher='cargo test -q -p bds_core --lib decremental'
       ;;
+    o)
+      file="crates/core/src/spanner_set.rs"
+      needle='if *last == key => *count += 1,'
+      from='*count += 1'
+      to='{}'
+      catcher='cargo test -q -p bds_core --lib'
+      ;;
     *) echo "unknown mutant '$1'" >&2; exit 2 ;;
   esac
 }
@@ -204,7 +213,7 @@ run_mutant() {
 }
 
 main() {
-  local all=(a b c d e f g h i j k l m n)
+  local all=(a b c d e f g h i j k l m n o)
   if [ "${1:-}" = "--list" ]; then
     for id in "${all[@]}"; do
       echo "$id  $(describe "$id")"

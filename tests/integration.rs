@@ -166,3 +166,76 @@ fn monotone_ever_in_spanner_is_bounded() {
         ever.len()
     );
 }
+
+/// Everything a built sharded engine exposes, per lane and sorted: the
+/// lane outputs, the lanes' live input edges (in lane order) and the
+/// edges of a [`ShardedView`] seeded from it.
+type BuiltEngine = (Vec<Vec<Edge>>, Vec<Edge>, Vec<Edge>);
+
+fn built<S: FullyDynamic + Send>(engine: &ShardedEngine<S>) -> BuiltEngine {
+    let mut buf = DeltaBuf::new();
+    let outputs = (0..engine.num_shards())
+        .map(|i| {
+            engine.shard(i).output_into(&mut buf);
+            let mut out = buf.inserted().to_vec();
+            out.sort_unstable();
+            out
+        })
+        .collect();
+    let mut live: Vec<Edge> = engine.live_input_edges().collect();
+    live.sort_unstable();
+    let mut view = ShardedView::of(engine).edges();
+    view.sort_unstable();
+    (outputs, live, view)
+}
+
+/// The lanes are built at once on the pool; the engine must not depend
+/// on how many threads built it — a dense two-lane Theorem 1.1 engine
+/// and a single-lane connectivity engine, at widths 1, 2 and 3.
+#[test]
+fn sharded_build_is_independent_of_the_thread_count() {
+    let (n, k) = (1_000, 3);
+    let edges = gen::gnm(n, 150_000, 17);
+    let spanner = |threads| {
+        bds_par::run_with_threads(threads, || {
+            let engine = ShardedEngineBuilder::new(n)
+                .shards(2)
+                .build_with(&edges, move |i, es| {
+                    FullyDynamicSpanner::builder(n)
+                        .stretch(k)
+                        .seed(31 + i as u64)
+                        .build(es)
+                })
+                .unwrap();
+            built(&engine)
+        })
+    };
+    let conn = |threads| {
+        bds_par::run_with_threads(threads, || {
+            let engine = ShardedEngineBuilder::new(n)
+                .shards(1)
+                .build_with(&edges, move |_, es| BatchConnectivity::builder(n).build(es))
+                .unwrap();
+            built(&engine)
+        })
+    };
+    let (want_spanner, want_conn) = (spanner(1), conn(1));
+    assert_eq!(want_spanner.0.len(), 2);
+    assert!(want_spanner.0.iter().all(|out| !out.is_empty()));
+    assert_eq!(want_spanner.1.len(), edges.len());
+    let mut union = want_spanner.0.concat();
+    union.sort_unstable();
+    assert_eq!(want_spanner.2, union, "the view mirrors the lane outputs");
+    for threads in [2, 3] {
+        assert_eq!(
+            spanner(threads),
+            want_spanner,
+            "spanner engine at {threads} threads"
+        );
+        assert_eq!(
+            conn(threads),
+            want_conn,
+            "connectivity engine at {threads} threads"
+        );
+    }
+}

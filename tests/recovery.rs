@@ -591,7 +591,7 @@ fn follower_tails_the_log_from_another_thread() {
 
 fn spanner_factory(
     n: usize,
-) -> impl FnMut(usize, &[Edge]) -> Result<FullyDynamicSpanner, ConfigError> + Send + Clone + 'static
+) -> impl Fn(usize, &[Edge]) -> Result<FullyDynamicSpanner, ConfigError> + Sync + Send + Clone + 'static
 {
     move |i, es| {
         FullyDynamicSpanner::builder(n)

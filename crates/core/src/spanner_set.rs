@@ -92,7 +92,10 @@ impl SpannerSet {
     }
 
     pub fn edges(&self) -> Vec<Edge> {
-        self.count.iter().map(|(u, v, _)| Edge { u, v }).collect()
+        let mut out = Vec::new();
+        self.count
+            .scan_into(&mut out, self.count.len(), 0, |u, v, _| Edge { u, v });
+        out
     }
 
     /// Write the current membership into `out` as insertions (the

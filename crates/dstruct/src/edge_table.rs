@@ -47,8 +47,11 @@ const EMPTY: u64 = u64::MAX;
 /// Tag of a never-used slot; occupied slots carry `0x80 | top-7-bits`.
 const TAG_FREE: u8 = 0;
 
-/// Queries per group-prefetch pipeline block in the batch operations.
-const PREFETCH_DEPTH: usize = 16;
+/// Queries per group-prefetch pipeline block in the batch operations,
+/// and how far ahead of its probe a batch reader issues
+/// [`EdgeTable::prefetch`]. A power of two.
+pub const PREFETCH_DEPTH: usize = 16;
+const _: () = assert!(PREFETCH_DEPTH.is_power_of_two());
 
 /// Tag-first probing adds an extra array indirection that only pays off
 /// once the slot array decisively exceeds the fast caches (misses then
@@ -211,6 +214,17 @@ impl EdgeTable {
         }
         #[cfg(not(target_arch = "x86_64"))]
         let _ = i;
+    }
+
+    /// Hint the cache that `(u, v)` is about to be looked up: prefetch
+    /// its home slot. For batch readers that pipeline their own queries
+    /// (routing them first, say) and probe each one [`PREFETCH_DEPTH`]
+    /// queries after its hint, as [`EdgeTable::get_batch`] does inside.
+    #[inline(always)]
+    pub fn prefetch(&self, u: u32, v: u32) {
+        if self.len != 0 {
+            self.prefetch_slot(hash_pair(pack(u, v), self.mask).0);
+        }
     }
 
     /// Probe for `key` with tag `tag` from its home slot `i`,
@@ -702,6 +716,41 @@ impl EdgeTable {
         removed
     }
 
+    /// Append `f(u, v, value)` for each live entry whose value has every
+    /// bit of `mask` set (`mask = 0` keeps them all), in slot order: the
+    /// order of [`EdgeTable::iter`]. `at_most` must bound the number of
+    /// such entries.
+    ///
+    /// Branch-free: every slot's item is written at the cursor, which
+    /// then advances by the slot's keep bit, so a part-full table pays
+    /// no mispredicted branch per slot. `out` grows once by
+    /// `at_most + 1` (the spare entry takes the writes after the last
+    /// kept item) and is truncated to what was kept. `f` also runs on
+    /// empty slots, whose items are overwritten, so it must be a cheap
+    /// map defined on any input.
+    #[inline]
+    pub fn scan_into<T: Copy>(
+        &self,
+        out: &mut Vec<T>,
+        at_most: usize,
+        mask: u64,
+        f: impl Fn(u32, u32, u64) -> T,
+    ) {
+        if self.len == 0 {
+            return;
+        }
+        let base = out.len();
+        out.resize(base + at_most + 1, f(0, 0, 0));
+        let buf = &mut out[base..];
+        let mut k = 0;
+        for s in &self.slots {
+            let (u, v) = unpack(s.key);
+            buf[k] = f(u, v, s.val);
+            k += usize::from((s.key != EMPTY) & (s.val & mask == mask));
+        }
+        out.truncate(base + k);
+    }
+
     /// Live entries as `(u, v, value)`, in unspecified order.
     pub fn iter(&self) -> impl Iterator<Item = (u32, u32, u64)> + '_ {
         self.slots.iter().filter(|s| s.key != EMPTY).map(|s| {
@@ -1061,6 +1110,75 @@ mod tests {
         assert_eq!(drained.len(), 100);
         assert!(t.is_empty());
         assert_eq!(t.get(5, 995), None);
+    }
+
+    /// `scan_into` returns exactly `iter()`'s entries in `iter()`'s
+    /// order, appended after what `out` held, unmasked and masked (odd
+    /// values only).
+    fn assert_scan_is_iter(t: &EdgeTable) {
+        let want: Vec<(u32, u32, u64)> = t.iter().collect();
+        let mut got = vec![(7, 7, 7)];
+        t.scan_into(&mut got, t.len(), 0, |u, v, val| (u, v, val));
+        assert_eq!((got[0], &got[1..]), ((7, 7, 7), &want[..]));
+        let odd: Vec<(u32, u32, u64)> = want.iter().copied().filter(|e| e.2 & 1 == 1).collect();
+        got.clear();
+        t.scan_into(&mut got, odd.len(), 1, |u, v, val| (u, v, val));
+        assert_eq!(got, odd);
+    }
+
+    #[test]
+    fn scan_into_matches_iter() {
+        // Unallocated, then a 16-slot table.
+        let mut t = EdgeTable::new();
+        assert_scan_is_iter(&t);
+        for i in 0..9u32 {
+            t.insert(i, i + 1, i as u64);
+        }
+        assert_eq!(t.capacity(), 16);
+        assert_scan_is_iter(&t);
+        // At the ⅝ load limit: 639 entries in 1024 slots (the 640th
+        // would grow the table).
+        let mut t = EdgeTable::with_capacity(600);
+        for i in 0..639u32 {
+            t.insert(i, 3 * i, i as u64);
+        }
+        assert_eq!((t.len(), t.capacity()), (639, 1024));
+        assert_scan_is_iter(&t);
+        // Backward-shift removals from a cluster that wraps past the
+        // last slot of a 16-slot table.
+        let homed = |h: usize, n: usize| -> Vec<u32> {
+            (0u32..)
+                .filter(|&k| hash_pair(pack(k, k), 15).0 == h)
+                .take(n)
+                .collect()
+        };
+        let keys = [homed(14, 2), homed(15, 3), homed(0, 1), homed(1, 1)].concat();
+        let mut t = EdgeTable::with_capacity(8);
+        for &k in &keys {
+            t.insert(k, k, k as u64);
+        }
+        assert_eq!(t.capacity(), 16);
+        assert!(t.slot(15).key != EMPTY && t.slot(0).key != EMPTY);
+        for &k in &keys {
+            assert_eq!(t.remove(k, k), Some(k as u64));
+            assert_scan_is_iter(&t);
+        }
+        // After a `drain_with` that shrinks the storage.
+        let mut t = EdgeTable::new();
+        for i in 0..10_000u32 {
+            t.insert(i, i + 1, 0);
+        }
+        t.drain_with(|_, _, _| {});
+        for i in 0..10u32 {
+            t.insert(i, i + 1, i as u64);
+        }
+        let big = t.capacity();
+        t.drain_with(|_, _, _| {});
+        assert!(t.capacity() < big, "the drain shrank the table");
+        for i in 0..10u32 {
+            t.insert(2 * i, i, i as u64);
+        }
+        assert_scan_is_iter(&t);
     }
 
     #[test]

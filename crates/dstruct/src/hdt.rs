@@ -187,12 +187,9 @@ impl DynamicForest {
 
     /// Current spanning-forest edges (O(edge-table capacity) scan).
     pub fn forest_edges(&self) -> Vec<(u32, u32)> {
-        let mut out = Vec::with_capacity(self.n_tree);
-        for (a, b, w) in self.edges.iter() {
-            if w & TREE_BIT != 0 {
-                out.push((a, b));
-            }
-        }
+        let mut out = Vec::new();
+        self.edges
+            .scan_into(&mut out, self.n_tree, TREE_BIT, |a, b, _| (a, b));
         out
     }
 
@@ -758,6 +755,16 @@ mod tests {
                 assert!(shadow.insert(e), "added edge {e:?} already in shadow");
             }
             let mut want = f.forest_edges();
+            let tree_bit: Vec<(u32, u32)> = f
+                .edges
+                .iter()
+                .filter(|&(_, _, w)| w & TREE_BIT != 0)
+                .map(|(a, b, _)| (a, b))
+                .collect();
+            assert_eq!(
+                want, tree_bit,
+                "forest_edges = the TREE_BIT filter, in order"
+            );
             let mut got: Vec<_> = shadow.iter().copied().collect();
             want.sort_unstable();
             got.sort_unstable();

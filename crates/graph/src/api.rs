@@ -732,9 +732,26 @@ impl SpannerView {
             .map(|(u, v, bits)| (Edge { u, v }, f64::from_bits(bits)))
     }
 
-    /// The mirrored edges as a fresh vector.
+    /// The mirrored edges as a fresh vector, in [`SpannerView::iter`]'s
+    /// order.
     pub fn edges(&self) -> Vec<Edge> {
-        self.member.iter().map(|(u, v, _)| Edge { u, v }).collect()
+        let mut out = Vec::new();
+        self.edges_into(&mut out);
+        out
+    }
+
+    /// Append the mirrored edges to `out` in one branch-free scan
+    /// ([`EdgeTable::scan_into`]).
+    pub(crate) fn edges_into(&self, out: &mut Vec<Edge>) {
+        self.member
+            .scan_into(out, self.member.len(), 0, |u, v, _| Edge { u, v });
+    }
+
+    /// Prefetch `e`'s home slot ahead of a [`SpannerView::contains`] or
+    /// [`SpannerView::weight`] probe ([`EdgeTable::prefetch`]).
+    #[inline]
+    pub(crate) fn prefetch(&self, e: Edge) {
+        self.member.prefetch(e.u, e.v);
     }
 
     /// Advance the mirror by one batch delta and bump the epoch.

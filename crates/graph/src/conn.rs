@@ -233,10 +233,14 @@ impl FullyDynamic for BatchConnectivity {
 #[derive(Debug, Clone)]
 pub struct ConnView {
     n: usize,
-    /// Flattened component id per vertex: the component's smallest
-    /// vertex.
-    comp: Vec<V>,
-    /// Component size at the root's slot (stale elsewhere).
+    /// The component table: between calls, `parent[v]` is `v`'s
+    /// component id, the component's smallest vertex. Inside
+    /// `rebuild`/`apply` it is the union-find forest those calls
+    /// update, whose every link points from a larger vertex id to a
+    /// smaller one (so the table's own roots are the component ids, and
+    /// `parent[v] ≤ v` always).
+    parent: Vec<V>,
+    /// Component size at the component id's slot (stale elsewhere).
     csize: Vec<u32>,
     /// Mirrored forest edges, for deletion-path rebuilds.
     edges: Vec<Edge>,
@@ -244,9 +248,6 @@ pub struct ConnView {
     /// edge in O(1). Built by the first delta that deletes, then kept in
     /// step with `edges` (equal lengths mark it live).
     slots: EdgeTable,
-    /// Union-find scratch used only inside `rebuild`/`apply`; every link
-    /// points from a larger vertex id to a smaller one.
-    parent: Vec<V>,
     /// Component count, recomputed at each flatten (robust to cyclic
     /// mirrored edge sets, e.g. a sharded union).
     ncomp: usize,
@@ -265,11 +266,10 @@ impl ConnView {
     pub fn from_edges(n: usize, edges: &[Edge]) -> Self {
         let mut v = Self {
             n,
-            comp: Vec::new(),
+            parent: Vec::new(),
             csize: Vec::new(),
             edges: edges.to_vec(),
             slots: EdgeTable::new(),
-            parent: Vec::new(),
             ncomp: n,
             epoch: 0,
             seq: 0,
@@ -310,24 +310,35 @@ impl ConnView {
         self.seq = seq;
     }
 
-    /// Flatten the union-find scratch into the component-id and size
-    /// tables in one forward pass, after which every query is `&self`
-    /// and O(1).
+    /// Flatten the union-find forest in place into the component table,
+    /// and count sizes, in one forward pass; after it every query is
+    /// `&self` and O(1). Sizes are counted by runs of one id, so a giant
+    /// component costs one increment per run rather than a chain of
+    /// read-modify-writes to one counter.
     fn flatten(&mut self) {
-        self.comp.clear();
-        self.comp.reserve(self.n);
         self.csize.clear();
         self.csize.resize(self.n, 0);
         let mut roots = 0usize;
-        for (v, &p) in self.parent.iter().enumerate() {
-            let is_root = p as usize == v;
-            roots += is_root as usize;
-            // INVARIANT: p ≤ v (links point to smaller ids), so comp[p]
-            // was pushed earlier in this pass.
-            let r = if is_root { p } else { self.comp[p as usize] };
-            self.comp.push(r);
-            // INVARIANT: r is a vertex id < n = csize.len().
-            self.csize[r as usize] += 1;
+        let (mut run_id, mut run): (V, u32) = (0, 0);
+        for v in 0..self.n {
+            // INVARIANT: v < n = parent.len(), and p = parent[v] ≤ v, so
+            // parent[p] is already p's component id (flattened earlier
+            // in this pass, or p = v is a root).
+            let p = self.parent[v];
+            // INVARIANT: as above.
+            let r = self.parent[p as usize];
+            // INVARIANT: as above.
+            self.parent[v] = r;
+            roots += usize::from(r as usize == v);
+            if r != run_id {
+                // INVARIANT: ids are vertex ids < n = csize.len().
+                self.csize[run_id as usize] += run;
+                (run_id, run) = (r, 0);
+            }
+            run += 1;
+        }
+        if let Some(size) = self.csize.get_mut(run_id as usize) {
+            *size += run;
         }
         self.ncomp = roots;
     }
@@ -344,27 +355,32 @@ impl ConnView {
         self.flatten();
     }
 
-    /// Root of `x`, halving its path on the way up.
-    fn find(&mut self, mut x: V) -> V {
-        // INVARIANT: x and every parent entry are vertex ids < n =
-        // parent.len() (mirrored edges stay inside 0..n).
-        while self.parent[x as usize] != x {
-            // INVARIANT: as above.
-            let up = self.parent[self.parent[x as usize] as usize];
-            // INVARIANT: as above.
-            self.parent[x as usize] = up;
-            x = up;
-        }
-        x
-    }
-
-    /// Link the larger root under the smaller, keeping every parent link
-    /// pointed at a smaller id (what `flatten`'s single pass needs).
+    /// Rem's union with splicing (Patwary–Blair–Manne 2010): climb from
+    /// both endpoints at once, always from the side whose parent is
+    /// larger, and splice that node under the other side's smaller
+    /// parent on the way up. It stops when both sides share a parent, or
+    /// when the climbing side is a root, which the splice just linked.
+    /// Every link keeps pointing at a smaller id (what `flatten`'s single
+    /// pass needs), so each root stays its tree's smallest vertex.
     fn union(&mut self, a: V, b: V) {
-        let (ra, rb) = (self.find(a), self.find(b));
-        if ra != rb {
-            // INVARIANT: roots are vertex ids < n = parent.len().
-            self.parent[ra.max(rb) as usize] = ra.min(rb);
+        let (mut x, mut y) = (a, b);
+        loop {
+            // INVARIANT: x, y and every parent entry are vertex ids < n =
+            // parent.len() (mirrored edges stay inside 0..n).
+            let (mut px, mut py) = (self.parent[x as usize], self.parent[y as usize]);
+            if px == py {
+                return;
+            }
+            if px < py {
+                std::mem::swap(&mut x, &mut y);
+                std::mem::swap(&mut px, &mut py);
+            }
+            // INVARIANT: as above; py < px ≤ x keeps the link downward.
+            self.parent[x as usize] = py;
+            if px == x {
+                return;
+            }
+            x = px;
         }
     }
 
@@ -437,18 +453,18 @@ impl ConnView {
 
     /// Whether `u` and `v` are currently connected (two loads).
     pub fn connected(&self, u: V, v: V) -> bool {
-        self.comp[u as usize] == self.comp[v as usize]
+        self.parent[u as usize] == self.parent[v as usize]
     }
 
     /// Size of `v`'s component.
     pub fn component_size(&self, v: V) -> u32 {
-        self.csize[self.comp[v as usize] as usize]
+        self.csize[self.parent[v as usize] as usize]
     }
 
     /// Component id of `v` at this epoch: the smallest vertex of its
     /// component.
     pub fn component_id(&self, v: V) -> V {
-        self.comp[v as usize]
+        self.parent[v as usize]
     }
 
     /// Number of connected components.
@@ -628,11 +644,106 @@ mod tests {
         }
     }
 
+    /// `view` against a [`UnionFind`] over `edges`: every component id
+    /// is its smallest member, every table entry is ≤ its index, and
+    /// sizes and the component count agree.
+    fn assert_view_is_union_find(view: &ConnView, n: usize, edges: &[Edge], what: &str) {
+        let mut uf = UnionFind::new(n);
+        for ed in edges {
+            uf.union(ed.u, ed.v);
+        }
+        let mut smallest = vec![V::MAX; n];
+        for v in 0..n as V {
+            let r = uf.find(v) as usize;
+            smallest[r] = smallest[r].min(v);
+        }
+        for v in 0..n as V {
+            assert!(
+                view.parent[v as usize] <= v,
+                "{what}: entry {v} above its index"
+            );
+            let id = smallest[uf.find(v) as usize];
+            assert_eq!(view.component_id(v), id, "{what}: id of {v}");
+            assert_eq!(
+                view.component_size(v),
+                uf.component_size(v),
+                "{what}: size of {v}"
+            );
+        }
+        assert_eq!(view.num_components(), uf.components(), "{what}");
+    }
+
+    #[test]
+    fn conn_view_union_find_matches_oracle() {
+        use crate::gen;
+        let n = 300usize;
+        let top = n as V - 1;
+        let ascending: Vec<Edge> = (0..top).map(|v| e(v, v + 1)).collect();
+        let descending: Vec<Edge> = ascending.iter().rev().copied().collect();
+        let star: Vec<Edge> = (0..top).map(|v| e(v, top)).collect();
+        let forest = gen::spanning_forest(n, &gen::gnm(n, n, 3));
+        // Two shards' forests over one graph: their union has cycles.
+        let mut union = forest.clone();
+        union.extend(gen::spanning_forest(n, &gen::gnm(n, n, 4)));
+        union.sort_unstable();
+        union.dedup();
+        assert!(union.len() > forest.len(), "the union adds edges");
+        for (name, edges) in [
+            ("ascending path", &ascending),
+            ("descending path", &descending),
+            ("star on the largest id", &star),
+            ("random forest", &forest),
+            ("union of two forests", &union),
+        ] {
+            let view = ConnView::from_edges(n, edges);
+            assert_view_is_union_find(&view, n, edges, name);
+            // The same edges folded in by one insert-only delta.
+            let mut view = ConnView::new(n);
+            let mut d = DeltaBuf::new();
+            for &ed in edges.iter() {
+                d.push_ins(ed);
+            }
+            view.apply(&d);
+            assert_view_is_union_find(&view, n, edges, name);
+        }
+    }
+
+    #[test]
+    fn conn_view_insert_only_apply_after_deleting_one() {
+        use crate::gen;
+        let n = 400usize;
+        let forest = gen::spanning_forest(n, &gen::gnm(n, 2 * n, 8));
+        let mut view = ConnView::from_edges(n, &forest);
+        let mut d = DeltaBuf::new();
+        for &ed in forest.iter().step_by(3) {
+            d.push_del(ed);
+        }
+        view.apply(&d);
+        d.clear();
+        for &ed in forest.iter().step_by(6) {
+            d.push_ins(ed);
+        }
+        view.apply(&d);
+        let live: Vec<Edge> = forest
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| i % 3 != 0 || i % 6 == 0)
+            .map(|(_, &ed)| ed)
+            .collect();
+        assert_view_is_union_find(&view, n, &live, "insert-only after deleting");
+        let fresh = ConnView::from_edges(n, &live);
+        assert_eq!(view.parent, fresh.parent);
+        assert_eq!(view.num_components(), fresh.num_components());
+        for v in 0..n as V {
+            assert_eq!(view.component_size(v), fresh.component_size(v));
+        }
+    }
+
     #[test]
     fn conn_view_apply_matches_fresh_build() {
         // Every delta, insert-only or deleting, must leave the mirror
         // identical to a view built from scratch over the same forest:
-        // the slot index, the halving union and the one-pass flatten
+        // the slot index, the splicing union and the in-place flatten
         // together. Component ids are the smallest member vertex, so
         // they compare directly.
         use crate::{gen, stream::UpdateStream};

@@ -77,6 +77,7 @@ use crate::api::{
 };
 use crate::csr::CsrGraph;
 use crate::types::{Edge, UpdateBatch, V};
+use bds_dstruct::edge_table::PREFETCH_DEPTH;
 use bds_dstruct::EdgeTable;
 // Engine-id allocation is a process-global static, so it lives on the
 // facade's `global` escape (a loom location cannot sit in a `static`);
@@ -643,15 +644,18 @@ impl<P: Partitioner> ShardedView<P> {
     }
 
     /// Answer a batch of membership queries into `out` (cleared and
-    /// resized to `queries.len()`), fanned across threads via
-    /// [`bds_par::par_map_slice`] above the parallel grain. Zero
-    /// steady-state allocations once `out`'s capacity is warm — this is
-    /// the `BatchConnected`-shaped read path of the batch-dynamic
+    /// resized to `queries.len()`). Each query is routed to its lane
+    /// and its home slot prefetched [`PREFETCH_DEPTH`] queries ahead of
+    /// its probe, so a batch's cache misses overlap instead of queueing;
+    /// above the parallel grain, contiguous chunks run that pipeline on
+    /// the pool ([`bds_par::par_map_chunks`]). Zero steady-state
+    /// allocations once `out`'s capacity is warm — this is the
+    /// `BatchConnected`-shaped read path of the batch-dynamic
     /// connectivity literature, answered against one consistent epoch.
     pub fn batch_contains(&self, queries: &[Edge], out: &mut Vec<bool>) {
         out.clear();
         out.resize(queries.len(), false);
-        bds_par::par_map_slice(queries, out, |&e| self.contains(e));
+        self.probe_pipelined(queries, out, SpannerView::contains);
     }
 
     /// Batch [`ShardedView::degree`] (union degrees) into `out`; same
@@ -667,7 +671,43 @@ impl<P: Partitioner> ShardedView<P> {
     pub fn batch_weight(&self, queries: &[Edge], out: &mut Vec<Option<f64>>) {
         out.clear();
         out.resize(queries.len(), None);
-        bds_par::par_map_slice(queries, out, |&e| self.weight(e));
+        self.probe_pipelined(queries, out, SpannerView::weight);
+    }
+
+    /// `out[i] = probe(lane of queries[i], queries[i])`, routing and
+    /// prefetching each query [`PREFETCH_DEPTH`] queries before its
+    /// probe. The lanes of the queries in flight wait in a ring, so each
+    /// query is routed once.
+    fn probe_pipelined<R: Send>(
+        &self,
+        queries: &[Edge],
+        out: &mut [R],
+        probe: impl Fn(&SpannerView, Edge) -> R + Sync + Send,
+    ) {
+        let lanes = self.views.len();
+        let route = |e: Edge| {
+            let lane = self.part.shard_of(e, lanes);
+            // INVARIANT: shard_of returns a lane < lanes = views.len().
+            self.views[lane].prefetch(e);
+            lane
+        };
+        bds_par::par_map_chunks(queries, out, |qs, os| {
+            let mut ring = [0usize; PREFETCH_DEPTH];
+            for (slot, &e) in ring.iter_mut().zip(qs) {
+                *slot = route(e);
+            }
+            for (i, (&e, o)) in qs.iter().zip(os.iter_mut()).enumerate() {
+                // INVARIANT: PREFETCH_DEPTH is a power of two, so the
+                // masked index is < PREFETCH_DEPTH = ring.len().
+                let slot = &mut ring[i & (PREFETCH_DEPTH - 1)];
+                let lane = *slot;
+                if let Some(&ahead) = qs.get(i + PREFETCH_DEPTH) {
+                    *slot = route(ahead);
+                }
+                // INVARIANT: lane came from `route`, so < views.len().
+                *o = probe(&self.views[lane], e);
+            }
+        });
     }
 
     /// Iterate the union of mirrored edges (arbitrary order).
@@ -675,9 +715,16 @@ impl<P: Partitioner> ShardedView<P> {
         self.views.iter().flat_map(SpannerView::iter)
     }
 
-    /// The union of mirrored edges as a fresh vector.
+    /// The union of mirrored edges as a fresh vector, in
+    /// [`ShardedView::iter`]'s order: one branch-free scan per lane into
+    /// storage sized once for the union.
     pub fn edges(&self) -> Vec<Edge> {
-        self.iter().map(|(e, _)| e).collect()
+        // One spare entry: a lane's scan writes one past its last edge.
+        let mut out = Vec::with_capacity(self.len() + 1);
+        for view in &self.views {
+            view.edges_into(&mut out);
+        }
+        out
     }
 
     /// Materialize a CSR snapshot of the union at the current epoch
@@ -801,6 +848,7 @@ mod tests {
     use crate::gen;
     use crate::stream::UpdateStream;
     use bds_dstruct::FxHashMap;
+    use bds_par::GRAIN;
 
     type Shadow = FxHashMap<Edge, u64>;
 
@@ -1093,36 +1141,50 @@ mod tests {
     fn batch_queries_match_point_queries() {
         let n = 200;
         let init = gen::gnm(n, 500, 17);
-        let engine = ShardedEngineBuilder::new(n)
-            .shards(3)
-            .build_with(&init, move |_, es| MirrorSpanner::build(n, es))
-            .unwrap();
-        let view = ShardedView::of(&engine);
-        // Half live edges, half absent probes.
-        let mut queries: Vec<Edge> = init.iter().take(40).copied().collect();
-        queries.extend((0..40u32).map(|i| Edge::new(i, n as u32 - 1 - i)));
-        let mut got_c = Vec::new();
-        view.batch_contains(&queries, &mut got_c);
-        assert_eq!(got_c.len(), queries.len());
-        let mut got_w = Vec::new();
-        view.batch_weight(&queries, &mut got_w);
-        for (i, &e) in queries.iter().enumerate() {
-            assert_eq!(got_c[i], view.contains(e), "contains {e:?}");
-            assert_eq!(got_w[i], view.weight(e), "weight {e:?}");
-            assert_eq!(got_w[i].is_some(), got_c[i]);
+        // Live edges alternate with absent probes, repeated out to the
+        // longest batch.
+        let absent = (0..n as u32 / 2)
+            .map(|i| Edge::new(i, n as u32 - 1 - i))
+            .filter(|e| !init.contains(e));
+        let mixed: Vec<Edge> = init
+            .iter()
+            .take(40)
+            .copied()
+            .zip(absent)
+            .flat_map(|(a, b)| [a, b])
+            .collect();
+        let queries: Vec<Edge> = mixed.iter().copied().cycle().take(GRAIN + 1).collect();
+        let (mut got_c, mut got_w) = (Vec::new(), Vec::new());
+        for shards in 1..=3 {
+            let engine = ShardedEngineBuilder::new(n)
+                .shards(shards)
+                .build_with(&init, move |_, es| MirrorSpanner::build(n, es))
+                .unwrap();
+            let view = ShardedView::of(&engine);
+            // Below, at and just past one prefetch window; the served
+            // burst; the parallel path.
+            for len in [0, 1, 15, 16, 17, 1024, GRAIN + 1] {
+                let qs = &queries[..len];
+                view.batch_contains(qs, &mut got_c);
+                view.batch_weight(qs, &mut got_w);
+                assert_eq!((got_c.len(), got_w.len()), (len, len));
+                for (i, &e) in qs.iter().enumerate() {
+                    let at = (shards, len, e);
+                    assert_eq!(got_c[i], view.contains(e), "contains {at:?}");
+                    assert_eq!(got_w[i], view.weight(e), "weight {at:?}");
+                    assert_eq!(got_c[i], i % 2 == 0, "{at:?}: live edges alternate");
+                }
+            }
+            let verts: Vec<V> = (0..n as V).collect();
+            let mut got_d = Vec::new();
+            view.batch_degree(&verts, &mut got_d);
+            assert_eq!(got_d.len(), n);
+            let total: u64 = got_d.iter().map(|&d| d as u64).sum();
+            assert_eq!(total, 2 * view.len() as u64);
+            for &v in &verts {
+                assert_eq!(got_d[v as usize], view.degree(v));
+            }
         }
-        let verts: Vec<V> = (0..n as V).collect();
-        let mut got_d = Vec::new();
-        view.batch_degree(&verts, &mut got_d);
-        assert_eq!(got_d.len(), n);
-        let total: u64 = got_d.iter().map(|&d| d as u64).sum();
-        assert_eq!(total, 2 * view.len() as u64);
-        for &v in &verts {
-            assert_eq!(got_d[v as usize], view.degree(v));
-        }
-        // Outputs are cleared and resized on reuse.
-        view.batch_contains(&queries[..5], &mut got_c);
-        assert_eq!(got_c.len(), 5);
     }
 
     #[test]

@@ -72,6 +72,16 @@ mod tests {
                 let mut out = vec![0u32; b.len()];
                 par_map_slice(&b, &mut out, |&y| y - 5_000);
                 assert_eq!(out, a, "threads = {t}");
+                // Chunks: each output chunk meets the input chunk at
+                // its own offset.
+                out.fill(0);
+                par_map_chunks(&b, &mut out, |ys, os| {
+                    assert_eq!(ys.len(), os.len());
+                    for (o, &y) in os.iter_mut().zip(ys) {
+                        *o = y - 5_000;
+                    }
+                });
+                assert_eq!(out, a, "chunks, threads = {t}");
             });
         }
     }

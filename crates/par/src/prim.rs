@@ -125,21 +125,36 @@ pub fn par_map_slice<T: Sync, R: Send>(
     out: &mut [R],
     f: impl Fn(&T) -> R + Sync + Send,
 ) {
+    par_map_chunks(items, out, |ts, os| {
+        for (o, t) in os.iter_mut().zip(ts) {
+            *o = f(t);
+        }
+    });
+}
+
+/// [`par_map_slice`] a chunk at a time: `f(ts, os)` over matching
+/// contiguous chunks of `items` and `out`, about four per participant,
+/// one chunk of everything below [`GRAIN`]. For batch loops that
+/// pipeline within a chunk (prefetching a few items ahead, say).
+/// Allocates nothing.
+///
+/// Panics if `items` and `out` differ in length.
+pub fn par_map_chunks<T: Sync, R: Send>(
+    items: &[T],
+    out: &mut [R],
+    f: impl Fn(&[T], &mut [R]) + Sync + Send,
+) {
     assert_eq!(
         items.len(),
         out.len(),
-        "par_map_slice: input/output length mismatch"
+        "par_map_chunks: input/output length mismatch"
     );
     if items.len() < GRAIN {
-        for (o, t) in out.iter_mut().zip(items) {
-            *o = f(t);
-        }
+        f(items, out);
     } else {
         par_chunks_mut(out, chunk_len(items.len()), |lo, dst| {
-            // INVARIANT: lo < out.len() == items.len().
-            for (o, t) in dst.iter_mut().zip(&items[lo..]) {
-                *o = f(t);
-            }
+            // INVARIANT: lo + dst.len() ≤ out.len() == items.len().
+            f(&items[lo..lo + dst.len()], dst)
         });
     }
 }

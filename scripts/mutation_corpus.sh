@@ -29,6 +29,7 @@
 #   m  HDT probe accepts an internal first candidate  caught by: hdt unit tests (bds_dstruct)
 #   n  decremental selection keeps the shortcut entry  caught by: decremental unit tests (bds_core)
 #   o  bulk SpannerSet counts each distinct edge once  caught by: bds_core unit tests
+#   p  EdgeTable scan advances its cursor on empty slots  caught by: bds_dstruct unit tests
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
@@ -52,6 +53,7 @@ describe() {
     m) echo "HDT replace's probe skips the leaves-the-smaller-tree test (an internal first candidate is linked as the replacement, closing a cycle)" ;;
     n) echo "DecrementalSpanner::selection stops skipping v's shortcut entry (a key range holding only the shortcut selects (v, p-node))" ;;
     o) echo "SpannerSet::from_reasons drops the run increment (an edge with several reasons is counted once, so removing one reason drops it)" ;;
+    p) echo "EdgeTable::scan_into advances its cursor on empty slots too (the scan keeps holes, or runs past its sized buffer)" ;;
     *) echo "unknown mutant '$1'" >&2; exit 2 ;;
   esac
 }
@@ -166,6 +168,13 @@ plan() {
       to='{}'
       catcher='cargo test -q -p bds_core --lib'
       ;;
+    p)
+      file="crates/dstruct/src/edge_table.rs"
+      needle='k += usize::from((s.key != EMPTY) & (s.val & mask == mask));'
+      from='(s.key != EMPTY) & '
+      to=''
+      catcher='cargo test -q -p bds_dstruct --lib'
+      ;;
     *) echo "unknown mutant '$1'" >&2; exit 2 ;;
   esac
 }
@@ -213,7 +222,7 @@ run_mutant() {
 }
 
 main() {
-  local all=(a b c d e f g h i j k l m n o)
+  local all=(a b c d e f g h i j k l m n o p)
   if [ "${1:-}" = "--list" ]; then
     for id in "${all[@]}"; do
       echo "$id  $(describe "$id")"

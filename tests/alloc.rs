@@ -6,7 +6,7 @@
 //! heap allocations at all, and neither does a warm `apply_into` on the
 //! sharded dispatcher or on the Bentley–Saxe wrappers under E₀-resident
 //! churn, nor remove/insert churn on an `EdgeTable` near its maximum
-//! load.
+//! load, nor a `ShardedView` batch read into warm outputs.
 //!
 //! All assertions live in ONE test function and diff *per-thread*
 //! allocation counters: the process-global counter picks up stray
@@ -254,4 +254,43 @@ fn delta_path_is_allocation_free_after_warmup() {
         "EdgeTable remove/insert churn allocated near max load"
     );
     assert_eq!((table.len(), table.capacity()), (live.len(), cap));
+
+    // --- 7. ShardedView batch reads: `batch_contains` and
+    //        `batch_weight` into warm outputs are exactly zero, for the
+    //        served 1,024-query burst (the pipelined sequential path)
+    //        and for GRAIN + 1 queries (the parallel chunks), at 1 and at
+    //        2 threads. ---
+    for threads in [1, 2] {
+        bds_par::run_with_threads(threads, || {
+            let n = 500;
+            let init = gen::gnm(n, 4_000, 29);
+            let engine = ShardedEngineBuilder::new(n)
+                .shards(2)
+                .build_with(&init, move |_, shard_edges| {
+                    MirrorSpanner::build(n, shard_edges)
+                })
+                .unwrap();
+            let view = ShardedView::of(&engine);
+            let probes = gen::gnm(n, 3_000, 31);
+            for len in [1_024, bds_par::GRAIN + 1] {
+                let queries = &probes[..len];
+                let (mut hits, mut weights) = (Vec::new(), Vec::new());
+                view.batch_contains(queries, &mut hits);
+                view.batch_weight(queries, &mut weights);
+                let live = hits.iter().filter(|&&h| h).count();
+                assert!(live > 0 && live < len, "probes mix live and absent edges");
+                let before = pool_allocs();
+                for _ in 0..10 {
+                    view.batch_contains(queries, &mut hits);
+                    view.batch_weight(queries, &mut weights);
+                }
+                assert_eq!(
+                    pool_allocs() - before,
+                    0,
+                    "batch reads of {len} queries allocated at {threads} threads"
+                );
+                assert_eq!(hits.iter().filter(|&&h| h).count(), live);
+            }
+        });
+    }
 }

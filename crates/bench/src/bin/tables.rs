@@ -165,11 +165,11 @@ fn e5_estree() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(5);
         live.shuffle(&mut rng);
         let dels = live.len() / 2;
-        t.scan_work.reset();
+        let steps0 = t.stats().scan_steps;
         for e in live.drain(..dels) {
             t.delete_batch(&[(e.u, e.v), (e.v, e.u)]);
         }
-        let per = t.scan_work.get() as f64 / dels as f64;
+        let per = (t.stats().scan_steps - steps0) as f64 / dels as f64;
         println!(
             "| {n} | {} | {l} | {dels} | {per:.1} | {:.0} |",
             edges.len(),

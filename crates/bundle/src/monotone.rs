@@ -315,6 +315,11 @@ mod tests {
             s.delete_into(&batch, &mut d);
             d.apply_to(&mut shadow);
             s.validate();
+            let mut got: Vec<Edge> = shadow.iter().copied().collect();
+            let mut want = s.spanner_edges();
+            got.sort_unstable();
+            want.sort_unstable();
+            assert_eq!(got, want, "delta replay diverged");
         }
         assert_eq!(s.num_live_edges(), live.len());
     }

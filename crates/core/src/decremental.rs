@@ -1,17 +1,20 @@
 //! **Lemma 3.3** — decremental (2k−1)-spanner via exponential-start-time
 //! clustering maintained on the shifted auxiliary graph G′.
 //!
-//! The structure embeds a batched Even–Shiloach engine (the phase loop of
-//! Theorem 1.2) and interleaves cluster/priority maintenance with it
-//! level-synchronously: after distances at level `i` settle, clusters at
-//! level `i` are recomputed (a vertex is its own center iff its parent is
-//! a p-node, otherwise it inherits the parent's cluster), the priority
-//! keys `(perm[Cluster(v)], v)` of v's out-entries are updated in its
-//! out-neighbors' in-lists, and out-neighbors parented on a moved entry
-//! are enqueued for a bounded forward rescan. Priorities only *decrease*
-//! at a fixed distance (the candidate set only shrinks decrementally), so
-//! entries before a scan position never become candidates — the invariant
-//! that keeps forward-only rescans sound.
+//! The structure runs Theorem 1.2's batched Even–Shiloach engine
+//! ([`bds_estree::EsEngine`]) over G′ and keeps only what is Lemma 3.3's
+//! own: the shifts, cluster labels, bucket selection and the spanner. Its
+//! hook interleaves cluster maintenance with the engine's phases: after
+//! distances at level `i` settle, clusters at level `i` are recomputed (a
+//! vertex is its own center iff its parent is a p-node, otherwise it
+//! inherits the parent's cluster), the priority keys `(perm[Cluster(v)],
+//! v)` of v's out-entries are re-keyed in its out-neighbors' in-lists, and
+//! out-neighbors parented on a moved entry are enqueued for a bounded
+//! forward rescan. Priorities only *decrease* at a fixed distance (the
+//! candidate set only shrinks decrementally), so entries before a scan
+//! position never become candidates — the invariant that keeps
+//! forward-only rescans sound; an entry that rises past a parent is
+//! adopted at once.
 //!
 //! The spanner is the shortest-path forest restricted to original
 //! vertices (intra-cluster trees) plus, for every vertex `v` and adjacent
@@ -24,9 +27,8 @@
 //! range's lowest non-shortcut entry, found by one rank lookup.
 
 use crate::spanner_set::SpannerSet;
-use bds_dstruct::edge_table::pack;
-use bds_dstruct::{EdgeTable, FxHashMap, PriorityList};
-use bds_estree::ShiftedGraph;
+use bds_dstruct::FxHashMap;
+use bds_estree::{EsEngine, Hook, ShiftedGraph, NO_VERTEX};
 use bds_graph::api::{
     validate_edges, BatchDynamic, BatchStats, ConfigError, Decremental, DeltaBuf,
 };
@@ -35,43 +37,32 @@ use bds_graph::CsrGraph;
 use std::cmp::Reverse;
 use std::collections::BTreeSet;
 
-const NO_VERTEX: V = V::MAX;
-
-#[derive(Clone, Copy)]
-struct InEntry {
-    src: V,
-}
-
 /// Decremental (2k−1)-spanner (Lemma 3.3).
 pub struct DecrementalSpanner {
     n: usize,
     k: u32,
-    sg: ShiftedGraph,
-    // --- Even–Shiloach state over G′ (original vertices + p-chain) ---
-    dist: Vec<u32>,
-    parent: Vec<V>,
-    parent_prio: Vec<u64>,
-    /// In(v), descending: for an original v, its shortcut (the top key of
-    /// range perm[v]) and, per live neighbour w, (w → v) keyed
-    /// `cluster_priority(Cluster(w), w)`. InterCluster[(v, c)] is the key
-    /// range `[perm[c]·2³², (perm[c]+1)·2³²)`; its selection is the range's
-    /// lowest non-shortcut entry.
-    ins: Vec<PriorityList<InEntry>>,
-    /// directed edge (u → v) -> current priority inside ins[v]; also the
-    /// live-edge membership index.
-    prio_of: EdgeTable,
+    /// Even–Shiloach state over G′ (original vertices + p-chain). In(v),
+    /// descending: for an original v, its shortcut (the top key of range
+    /// perm[v]) and, per live neighbour w, (w → v) keyed
+    /// `cluster_priority(Cluster(w), w)`.
+    es: EsEngine,
     /// Number of live (undirected) edges.
     live: usize,
-    // --- clustering state (original vertices only) ---
+    cl: Clusters,
+}
+
+/// Lemma 3.3's own state, and the engine hook that maintains it.
+struct Clusters {
+    sg: ShiftedGraph,
+    /// Cluster center per original vertex.
     cluster: Vec<V>,
     spanner: SpannerSet,
-    mark: Vec<u32>,
-    /// scratch: per-vertex slot index, valid while `mark[v] == epoch`
-    slot: Vec<u32>,
-    epoch: u32,
-    /// Rescan levels at least this large scan in parallel.
-    par_rescan_min: usize,
+    /// Cluster changes and recourse (the engine counts the rest).
     stats: BatchStats,
+    /// Vertices whose cluster is rechecked when their level settles:
+    /// pushed as they find a parent at the level being settled, and by
+    /// that level's cluster moves for the next one.
+    pending: Vec<V>,
 }
 
 /// Typed builder for [`DecrementalSpanner`] (Lemma 3.3).
@@ -208,13 +199,10 @@ impl DecrementalSpanner {
             cluster[v as usize] = center;
         }
 
-        // Pass 2: build prioritized in-lists and the priority index as
-        // one sorted batch over all n + t lists: every directed entry
-        // (shortcut, p-chain, and both edge orientations) is emitted as
-        // (target, descending key, src), one parallel sort groups each
-        // list's entries in final order, and the flat lists bulk-build
-        // from their slices with zero comparisons — no per-vertex
-        // sequential insert loops.
+        // Pass 2: every directed entry of G′ (shortcut, p-chain, and both
+        // edge orientations) as (target, descending key, src); one
+        // parallel sort groups each in-list's entries in final order for
+        // the engine's build step.
         let ids: Vec<V> = (0..n as V).collect();
         let mut entries: Vec<(V, Reverse<u64>, V)> = bds_par::par_flat_map(&ids, |&v| {
             let mut out = Vec::with_capacity(g.degree(v) + 1);
@@ -231,44 +219,25 @@ impl DecrementalSpanner {
         }
         bds_par::par_sort(&mut entries);
         // An entry's key is a function of its (src, target), so a
-        // duplicate input edge leaves two equal entries side by side,
-        // and `prio_of` can take the entries in this order.
+        // duplicate input edge leaves two equal entries side by side.
         for w in entries.windows(2) {
             assert!(w[0] != w[1], "duplicate edge ({}, {})", w[0].2, w[0].0);
         }
-        let prio_of = EdgeTable::from_distinct_batch(&bds_par::par_map(
-            &entries,
-            |&(tgt, Reverse(key), src)| (pack(src, tgt), key),
-        ));
-        let targets: Vec<V> = (0..total as V).collect();
-        let ins: Vec<PriorityList<InEntry>> = bds_par::par_map(&targets, |&v| {
-            let lo = entries.partition_point(|&(x, _, _)| x < v);
-            let hi = entries.partition_point(|&(x, _, _)| x <= v);
-            PriorityList::from_sorted_entries(
-                entries[lo..hi]
-                    .iter()
-                    .map(|&(_, Reverse(key), src)| (key, InEntry { src })),
-            )
-        });
-
-        let mut this = Self {
-            n,
-            k,
-            sg,
-            dist,
-            parent,
-            parent_prio,
-            ins,
-            prio_of,
-            live: edges.len(),
-            cluster,
-            spanner: SpannerSet::new(),
-            mark: vec![0; total],
-            slot: vec![0; total],
-            epoch: 0,
-            par_rescan_min: 64,
-            stats: BatchStats::default(),
-        };
+        // Out-adjacency of G′: each original's neighbours, then each
+        // p-node's chain successor and shortcut targets.
+        let mut out_adj: Vec<V> = Vec::with_capacity(entries.len());
+        let mut out_off = vec![0];
+        for v in 0..n as V {
+            out_adj.extend_from_slice(g.neighbors(v));
+            out_off.push(out_adj.len());
+        }
+        for i in 0..t {
+            out_adj.extend((i + 1 < t).then(|| sg.p_node(i + 1)));
+            out_adj.extend_from_slice(&shortcut[i as usize]);
+            out_off.push(out_adj.len());
+        }
+        let out = (out_off, out_adj);
+        let es = EsEngine::assemble(t, &entries, out, dist, parent, parent_prio);
 
         // Initial spanner, one reason per forest edge and per bucket
         // selection. Walking In(v) in descending order, the selection of
@@ -276,23 +245,34 @@ impl DecrementalSpanner {
         // entry, unless that entry is v's shortcut (as in `selection`).
         let reasons = bds_par::par_flat_map(&ids, |&v| {
             let mut out = Vec::new();
-            let p = this.parent[v as usize];
-            if !this.sg.is_p(p) {
+            let p = es.parent(v);
+            if !sg.is_p(p) {
                 out.push(Edge::new(p, v));
             }
-            let own = this.sg.cluster_priority(this.cluster[v as usize], 0) >> 32;
-            let mut entries = this.ins[v as usize].iter().peekable();
-            while let Some((key, rec)) = entries.next() {
+            let own = sg.cluster_priority(cluster[v as usize], 0) >> 32;
+            let mut entries = es.in_list(v).iter().peekable();
+            while let Some((key, &src)) = entries.next() {
                 let range = key >> 32;
                 let last = entries.peek().is_none_or(|&(next, _)| next >> 32 != range);
-                if last && range != own && !this.sg.is_p(rec.src) {
-                    out.push(Edge::new(v, rec.src));
+                if last && range != own && !sg.is_p(src) {
+                    out.push(Edge::new(v, src));
                 }
             }
             out
         });
-        this.spanner = SpannerSet::from_reasons(&reasons);
-        this
+        Self {
+            n,
+            k,
+            es,
+            live: edges.len(),
+            cl: Clusters {
+                sg,
+                cluster,
+                spanner: SpannerSet::from_reasons(&reasons),
+                stats: BatchStats::default(),
+                pending: Vec::new(),
+            },
+        }
     }
 
     pub fn n(&self) -> usize {
@@ -304,7 +284,7 @@ impl DecrementalSpanner {
     }
 
     pub fn shifts(&self) -> &ShiftedGraph {
-        &self.sg
+        &self.cl.sg
     }
 
     pub fn num_live_edges(&self) -> usize {
@@ -313,7 +293,8 @@ impl DecrementalSpanner {
 
     pub fn live_edges(&self) -> Vec<Edge> {
         let upper = |u: V| {
-            self.neighbors(u)
+            self.cl
+                .neighbors(&self.es, u)
                 .filter(move |&w| u < w)
                 .map(move |v| Edge { u, v })
         };
@@ -321,28 +302,144 @@ impl DecrementalSpanner {
     }
 
     pub fn contains_edge(&self, e: Edge) -> bool {
-        self.prio_of.contains(e.u, e.v)
-    }
-
-    /// Live neighbours of original vertex `v`: the original sources of
-    /// In(v), in descending priority.
-    fn neighbors(&self, v: V) -> impl Iterator<Item = V> + '_ {
-        self.ins[v as usize]
-            .iter()
-            .map(|(_, rec)| rec.src)
-            .filter(|&w| !self.sg.is_p(w))
+        self.es.has_edge(e.u, e.v)
     }
 
     pub fn spanner_edges(&self) -> Vec<Edge> {
-        self.spanner.edges()
+        self.cl.spanner.edges()
     }
 
     pub fn spanner_size(&self) -> usize {
-        self.spanner.len()
+        self.cl.spanner.len()
     }
 
     pub fn stats(&self) -> BatchStats {
-        self.stats
+        let mut stats = self.es.stats();
+        stats += self.cl.stats;
+        stats
+    }
+
+    fn delete_inner(&mut self, batch: &[Edge]) {
+        // Phase 0: remove edges from the engine, moving the selections of
+        // the two buckets each edge sat in.
+        for &e in batch {
+            assert!(self.contains_edge(e), "delete of absent {e:?}");
+            let (cu, cv) = (self.cl.cluster[e.u as usize], self.cl.cluster[e.v as usize]);
+            let keys = [(e.u, cv), (e.v, cu)];
+            let before = keys.map(|key| self.cl.selection(&self.es, key));
+            self.es.remove(e.u, e.v, &mut self.cl);
+            self.es.remove(e.v, e.u, &mut self.cl);
+            self.live -= 1;
+            self.cl.reselect(&self.es, keys, before);
+        }
+        // Level-synchronous phases; the shortcut entry guarantees every
+        // original vertex settles by depth t − d_v.
+        let fell = self.es.run_phases(&mut self.cl);
+        assert_eq!(fell, 0, "a vertex fell past depth t");
+    }
+
+    /// Full validation oracle: recomputes distances, clusters, buckets and
+    /// the spanner from scratch (same random bits) and compares; the
+    /// engine checks its own tree; each bucket's min-id member must be its
+    /// In(v) key-range selection. O(n·m) — test-only.
+    pub fn validate(&self) {
+        let (sg, cluster) = (&self.cl.sg, &self.cl.cluster);
+        let t = sg.t;
+        self.es.validate(sg.source());
+        // Reference distances on G′ via per-vertex BFS over the original
+        // graph: dist(p0, v) = min_u (t − d_u + dist_G(u, v)).
+        let edges = self.live_edges();
+        let g = bds_graph::CsrGraph::from_edges(self.n, &edges);
+        let mut ref_dist = vec![u32::MAX; self.n];
+        let mut best_center = vec![NO_VERTEX; self.n];
+        for u in 0..self.n as V {
+            let du = g.bfs(u, 10 * t + 10);
+            let base = t - sg.d[u as usize];
+            for v in 0..self.n as V {
+                if du[v as usize] == bds_graph::csr::UNREACHED {
+                    continue;
+                }
+                let cand = base + du[v as usize];
+                let better = cand < ref_dist[v as usize]
+                    || (cand == ref_dist[v as usize]
+                        && (best_center[v as usize] == NO_VERTEX
+                            || sg.perm[u as usize] > sg.perm[best_center[v as usize] as usize]));
+                if better {
+                    ref_dist[v as usize] = cand;
+                    best_center[v as usize] = u;
+                }
+            }
+        }
+        for v in 0..self.n {
+            assert_eq!(self.es.dist(v as V), ref_dist[v], "dist mismatch at {v}");
+            assert_eq!(
+                cluster[v], best_center[v],
+                "cluster mismatch at {v} (dist {})",
+                ref_dist[v]
+            );
+        }
+        // Clusters follow parents; priority keys match current clusters.
+        for v in 0..self.n as V {
+            let p = self.es.parent(v);
+            let center = if sg.is_p(p) { v } else { cluster[p as usize] };
+            assert_eq!(
+                cluster[v as usize], center,
+                "cluster of {v} does not follow its parent"
+            );
+            for (p, &u) in self.es.in_list(v).iter().filter(|&(_, &u)| !sg.is_p(u)) {
+                let want = sg.cluster_priority(cluster[u as usize], u);
+                assert_eq!(p, want, "stale priority on ({u},{v})");
+            }
+        }
+        // `live` counts the in-lists' edges; the engine holds both their
+        // orientations plus the n shortcuts and the t − 1 chain entries.
+        assert_eq!(self.live, edges.len(), "live-edge count diverged");
+        assert_eq!(self.es.num_edges(), 2 * self.live + self.n + t as usize - 1);
+        // Buckets from adjacency × clusters: each selects its min-id
+        // member through the key range. Spanner contents = forest +
+        // selected representatives.
+        let mut buckets: FxHashMap<(V, V), BTreeSet<V>> = FxHashMap::default();
+        for e in &edges {
+            for (a, b) in [(e.u, e.v), (e.v, e.u)] {
+                let key = (a, cluster[b as usize]);
+                buckets.entry(key).or_default().insert(b);
+            }
+        }
+        let mut want = SpannerSet::new();
+        for v in 0..self.n as V {
+            let p = self.es.parent(v);
+            if !sg.is_p(p) {
+                want.add(Edge::new(p, v));
+            }
+        }
+        for (&(v, c), members) in &buckets {
+            let first = members.first().map(|&w| Edge::new(v, w));
+            let expect = first.filter(|_| cluster[v as usize] != c);
+            assert_eq!(
+                self.cl.selection(&self.es, (v, c)),
+                expect,
+                "selection of ({v}, {c})"
+            );
+            if let Some(e) = expect {
+                want.add(e);
+            }
+        }
+        let mut got = self.cl.spanner.edges();
+        let mut exp = want.edges();
+        got.sort_unstable();
+        exp.sort_unstable();
+        assert_eq!(got, exp, "spanner contents diverged");
+    }
+}
+
+impl Clusters {
+    /// Live neighbours of original vertex `v`: the original sources of
+    /// In(v), in descending priority.
+    fn neighbors<'a>(&'a self, es: &'a EsEngine, v: V) -> impl Iterator<Item = V> + 'a {
+        es.in_list(v)
+            .iter()
+            .map(|(_, &src)| src)
+            .filter(|&w| !self.sg.is_p(w))
     }
 
     /// The selected representative of InterCluster[(v, c)]: the lowest
@@ -350,24 +447,24 @@ impl DecrementalSpanner {
     /// the min-id neighbour of v in cluster c. `None` if c = Cluster(v),
     /// if the range is empty, or if its lowest entry is v's shortcut
     /// (the highest key of range perm[v], so then the range's only one).
-    fn selection(&self, (v, c): (V, V)) -> Option<Edge> {
+    fn selection(&self, es: &EsEngine, (v, c): (V, V)) -> Option<Edge> {
         if self.cluster[v as usize] == c {
             return None;
         }
-        let ins = &self.ins[v as usize];
+        let ins = es.in_list(v);
         let lo = self.sg.cluster_priority(c, 0);
         // Entries with priority ≥ lo; the last of them is the candidate.
         let at_or_above = lo.checked_sub(1).map_or(ins.len(), |p| ins.bound_rank(p));
-        let (p, rec) = ins.kth(at_or_above.checked_sub(1)?)?;
-        (p >> 32 == lo >> 32 && !self.sg.is_p(rec.src)).then(|| Edge::new(v, rec.src))
+        let (p, &src) = ins.kth(at_or_above.checked_sub(1)?)?;
+        (p >> 32 == lo >> 32 && !self.sg.is_p(src)).then(|| Edge::new(v, src))
     }
 
     /// Move the spanner's reasons for the buckets `keys` from their
     /// selections `before` an edit of In(·) or Cluster(·) to their
     /// selections now.
-    fn reselect(&mut self, keys: [(V, V); 2], before: [Option<Edge>; 2]) {
+    fn reselect(&mut self, es: &EsEngine, keys: [(V, V); 2], before: [Option<Edge>; 2]) {
         for (key, before) in keys.into_iter().zip(before) {
-            let after = self.selection(key);
+            let after = self.selection(es, key);
             if before != after {
                 if let Some(e) = before {
                     self.spanner.remove(e);
@@ -379,357 +476,86 @@ impl DecrementalSpanner {
         }
     }
 
-    fn next_epoch(&mut self) -> u32 {
-        self.epoch += 1;
-        self.epoch
-    }
-
-    fn delete_inner(&mut self, batch: &[Edge]) {
-        let t = self.sg.t;
-        let nl = t as usize + 2;
-        // (vertex, scan ceiling priority) per level for parent fixing.
-        let mut queues: Vec<Vec<(V, u64)>> = vec![Vec::new(); nl];
-        // cluster-dirty vertices per level.
-        let mut cqueues: Vec<Vec<V>> = vec![Vec::new(); nl];
-
-        // ---- Phase 0: remove edges from every structure. ----
-        for &e in batch {
-            assert!(self.contains_edge(e), "delete of absent {e:?}");
-            let (cu, cv) = (self.cluster[e.u as usize], self.cluster[e.v as usize]);
-            let keys = [(e.u, cv), (e.v, cu)];
-            let before = keys.map(|key| self.selection(key));
-            for (a, b) in [(e.u, e.v), (e.v, e.u)] {
-                // bds:allow(no-unwrap): structure invariant named in the message; corrupt state must fail fast, not propagate.
-                let p = self.prio_of.remove(a, b).expect("directed edge present");
-                if self.parent[b as usize] == a && self.parent_prio[b as usize] == p {
-                    // b lost its parent edge: seed a rescan at its level.
-                    // The ceiling (dead entry's priority) is resolved to a
-                    // rank only at scan time — ranks shift under the other
-                    // removals of this batch, priorities do not.
-                    self.parent[b as usize] = NO_VERTEX;
-                    self.spanner.remove(Edge::new(a, b));
-                    queues[self.dist[b as usize] as usize].push((b, p));
-                }
-                // bds:allow(no-unwrap): structure invariant named in the message; corrupt state must fail fast, not propagate.
-                self.ins[b as usize].remove(p).expect("in-entry present");
-            }
-            self.live -= 1;
-            self.reselect(keys, before);
-        }
-
-        // ---- Level-synchronous phases. ----
-        for i in 1..=t {
-            // (a) distance/parent fixing at level i.
-            let q = std::mem::take(&mut queues[i as usize]);
-            if !q.is_empty() {
-                let epoch = self.next_epoch();
-                let mut level: Vec<(V, u64)> = Vec::with_capacity(q.len());
-                for (v, ceil) in q {
-                    if self.dist[v as usize] != i {
-                        continue; // stale entry, vertex already consistent
-                    }
-                    // Skip-guard: a leapfrog assignment already installed a
-                    // *valid* parent above this ceiling; everything at or
-                    // below the ceiling is worse. Stale parents (left over
-                    // from a bump, violating the depth relation) never skip.
-                    let pv = self.parent[v as usize];
-                    if pv != NO_VERTEX
-                        && self.dist[pv as usize] + 1 == i
-                        && self.parent_prio[v as usize] > ceil
-                    {
-                        continue;
-                    }
-                    if self.mark[v as usize] == epoch {
-                        let s = self.slot[v as usize] as usize;
-                        if ceil > level[s].1 {
-                            level[s].1 = ceil; // higher ceiling = earlier scan
-                        }
-                    } else {
-                        self.mark[v as usize] = epoch;
-                        self.slot[v as usize] = level.len() as u32;
-                        level.push((v, ceil));
-                    }
-                }
-                self.stats.vertices_touched += level.len() as u64;
-
-                // Parallel, read-only snapshot scans.
-                let dist = &self.dist;
-                let ins = &self.ins;
-                let want = i - 1;
-                // Each scan returns its step count with its result, so
-                // both branches tally the same work.
-                let scan = |&(v, ceil): &(V, u64)| {
-                    let resume = ins[v as usize].bound_rank(ceil);
-                    let mut w = 0u64;
-                    let hit = ins[v as usize]
-                        .next_with(resume, |_, rec| dist[rec.src as usize] == want, &mut w)
-                        .map(|(_, p, rec)| (p, rec.src));
-                    (v, hit, w)
-                };
-                let scan_results = if level.len() >= self.par_rescan_min {
-                    bds_par::par_map_grain(&level, 16, scan)
-                } else {
-                    level.iter().map(scan).collect::<Vec<_>>()
-                };
-                self.stats.scan_steps += scan_results.iter().map(|r| r.2).sum::<u64>();
-
-                for (v, hit, _) in scan_results {
-                    match hit {
-                        Some((p, src)) => {
-                            let old = self.parent[v as usize];
-                            // A leapfrog during the previous level's (b)
-                            // pass may have installed a strictly better
-                            // *valid* parent than anything at/below the scan
-                            // ceiling; never downgrade it.
-                            if old != NO_VERTEX
-                                && self.dist[old as usize] + 1 == i
-                                && self.parent_prio[v as usize] > p
-                            {
-                                continue;
-                            }
-                            if old != src {
-                                if old != NO_VERTEX && !self.sg.is_p(old) {
-                                    self.spanner.remove(Edge::new(old, v));
-                                }
-                                if !self.sg.is_p(src) {
-                                    self.spanner.add(Edge::new(src, v));
-                                }
-                                self.parent[v as usize] = src;
-                                self.parent_prio[v as usize] = p;
-                                cqueues[i as usize].push(v);
-                            } else if self.parent_prio[v as usize] != p {
-                                self.parent_prio[v as usize] = p;
-                            }
-                        }
-                        None => {
-                            // Bump. The shortcut entry guarantees every
-                            // original vertex settles by depth t − d_v.
-                            assert!(i < t, "vertex {v} fell past depth t");
-                            let old = self.parent[v as usize];
-                            if old != NO_VERTEX {
-                                if !self.sg.is_p(old) {
-                                    self.spanner.remove(Edge::new(old, v));
-                                }
-                                self.parent[v as usize] = NO_VERTEX;
-                            }
-                            self.dist[v as usize] = i + 1;
-                            queues[i as usize + 1].push((v, u64::MAX));
-                            // Tree children resume from their (now dead)
-                            // parent entry's priority.
-                            let children: Vec<V> = self
-                                .neighbors(v)
-                                .filter(|&c| self.parent[c as usize] == v)
-                                .collect();
-                            for c in children {
-                                queues[i as usize + 1].push((c, self.parent_prio[c as usize]));
-                            }
-                        }
-                    }
-                }
-            }
-
-            // (b) cluster fixing at level i.
-            let cq = std::mem::take(&mut cqueues[i as usize]);
-            if cq.is_empty() {
-                continue;
-            }
-            let epoch = self.next_epoch();
-            for v in cq {
-                if self.dist[v as usize] != i || self.mark[v as usize] == epoch {
-                    continue;
-                }
-                self.mark[v as usize] = epoch;
-                let par = self.parent[v as usize];
-                debug_assert_ne!(par, NO_VERTEX);
-                let new_c = if self.sg.is_p(par) {
-                    v
-                } else {
-                    self.cluster[par as usize]
-                };
-                let old_c = self.cluster[v as usize];
-                if new_c == old_c {
-                    continue;
-                }
-                self.stats.cluster_changes += 1;
-                self.apply_cluster_change(v, old_c, new_c, &mut queues, &mut cqueues);
-            }
-        }
-    }
-
     /// Relabel `v` from cluster `old_c` to `new_c`: re-key every
     /// out-entry of `v` (which moves it between its neighbours' buckets),
     /// flip its own buckets' eligibility, and enqueue dependent
     /// rescans/cluster checks at the next level.
-    fn apply_cluster_change(
-        &mut self,
-        v: V,
-        old_c: V,
-        new_c: V,
-        queues: &mut [Vec<(V, u64)>],
-        cqueues: &mut [Vec<V>],
-    ) {
-        let neighbors: Vec<V> = self.neighbors(v).collect();
-        for &w in &neighbors {
+    fn apply_cluster_change(&mut self, es: &mut EsEngine, v: V, old_c: V, new_c: V) {
+        let neighbors: Vec<V> = self.neighbors(es, v).collect();
+        for w in neighbors {
             // Re-key the entry (v → w) in In(w): it moves from old_c's
             // key range (bucket) to new_c's.
             let keys = [(w, old_c), (w, new_c)];
-            let before = keys.map(|key| self.selection(key));
-            // bds:allow(no-unwrap): structure invariant named in the message; corrupt state must fail fast, not propagate.
-            let old_p = self.prio_of.get(v, w).expect("directed edge present");
+            let before = keys.map(|key| self.selection(es, key));
             let new_p = self.sg.cluster_priority(new_c, v);
-            assert!(self.ins[w as usize].update_priority(old_p, new_p));
-            self.prio_of.insert(v, w, new_p);
-            self.reselect(keys, before);
-            let dw = self.dist[w as usize];
-            if self.parent[w as usize] == v && self.parent_prio[w as usize] == old_p {
-                // Keep the recorded priority in sync with the moved entry
-                // even when v is a *stale* parent (w is pending a rescan
-                // after v bumped; the depth relation is broken).
-                self.parent_prio[w as usize] = new_p;
-                if dw == self.dist[v as usize] + 1 {
-                    if new_p < old_p {
-                        // Entry moved down: a better candidate may now
-                        // precede it — bounded forward rescan below the old
-                        // slot's priority (rank resolved at scan time).
-                        queues[dw as usize].push((w, old_p));
-                    }
-                    // w's cluster follows its parent's cluster.
-                    cqueues[dw as usize].push(w);
+            let (old_p, is_parent) = es.rekey(v, w, new_p);
+            self.reselect(es, keys, before);
+            if es.dist(w) != es.dist(v) + 1 {
+                continue; // v is no candidate for w
+            }
+            if is_parent {
+                if new_p < old_p {
+                    // Entry moved down: a better candidate may now
+                    // precede it — bounded forward rescan below the old
+                    // slot's priority (rank resolved at scan time).
+                    es.enqueue(w, old_p);
                 }
-            } else if new_p > old_p && dw == self.dist[v as usize] + 1 {
-                // Riser: v's entry climbed while being a candidate for w.
-                // If it passes w's current *valid* parent (or w has no
-                // valid parent), v is now the max-priority candidate —
-                // assign eagerly (the paper's single-NextWith detection).
-                let pw = self.parent[w as usize];
-                let pw_valid = pw != NO_VERTEX && self.dist[pw as usize] + 1 == dw;
-                if pw == NO_VERTEX || !pw_valid || self.parent_prio[w as usize] < new_p {
-                    if pw != NO_VERTEX && !self.sg.is_p(pw) {
-                        self.spanner.remove(Edge::new(pw, w));
-                    }
-                    self.spanner.add(Edge::new(v, w));
-                    self.parent[w as usize] = v;
-                    self.parent_prio[w as usize] = new_p;
-                    cqueues[dw as usize].push(w);
+                self.pending.push(w); // w's cluster follows its parent's
+            } else if new_p > old_p {
+                // Riser: v's entry climbed while being a candidate for w;
+                // if it passes w's parent, v is w's first candidate (the
+                // paper's single-NextWith detection).
+                if let Some(pw) = es.adopt(w, v, new_p) {
+                    self.parent_changed(w, pw, v);
                 }
             }
         }
         // Eligibility flips for v's own buckets: (v, old_c) becomes
         // selectable, (v, new_c) stops being selectable.
         let keys = [(v, old_c), (v, new_c)];
-        let before = keys.map(|key| self.selection(key));
+        let before = keys.map(|key| self.selection(es, key));
         self.cluster[v as usize] = new_c;
-        self.reselect(keys, before);
+        self.reselect(es, keys, before);
+    }
+}
+
+impl Hook for Clusters {
+    /// The forest edge follows v's parent; a vertex that found a parent
+    /// has its cluster rechecked when its level settles.
+    fn parent_changed(&mut self, v: V, old: V, new: V) {
+        if old != NO_VERTEX && !self.sg.is_p(old) {
+            self.spanner.remove(Edge::new(old, v));
+        }
+        if new != NO_VERTEX {
+            if !self.sg.is_p(new) {
+                self.spanner.add(Edge::new(new, v));
+            }
+            self.pending.push(v);
+        }
     }
 
-    /// Full validation oracle: recomputes distances, clusters, buckets and
-    /// the spanner from scratch (same random bits) and compares; each
-    /// bucket's min-id member must be its In(v) key-range selection.
-    /// O(n·m) — test-only.
-    pub fn validate(&self) {
-        let t = self.sg.t;
-        // Reference distances on G′ via per-vertex BFS over the original
-        // graph: dist(p0, v) = min_u (t − d_u + dist_G(u, v)).
-        let edges = self.live_edges();
-        let g = bds_graph::CsrGraph::from_edges(self.n, &edges);
-        let mut ref_dist = vec![u32::MAX; self.n];
-        let mut best_center = vec![NO_VERTEX; self.n];
-        for u in 0..self.n as V {
-            let du = g.bfs(u, 10 * t + 10);
-            let base = t - self.sg.d[u as usize];
-            for v in 0..self.n as V {
-                if du[v as usize] == bds_graph::csr::UNREACHED {
-                    continue;
-                }
-                let cand = base + du[v as usize];
-                let better = cand < ref_dist[v as usize]
-                    || (cand == ref_dist[v as usize]
-                        && (best_center[v as usize] == NO_VERTEX
-                            || self.sg.perm[u as usize]
-                                > self.sg.perm[best_center[v as usize] as usize]));
-                if better {
-                    ref_dist[v as usize] = cand;
-                    best_center[v as usize] = u;
-                }
-            }
-        }
-        for v in 0..self.n {
-            assert_eq!(self.dist[v], ref_dist[v], "dist mismatch at {v}");
-            assert_eq!(
-                self.cluster[v], best_center[v],
-                "cluster mismatch at {v} (dist {})",
-                self.dist[v]
-            );
-        }
-        // Parent invariants.
-        for v in 0..self.n as V {
-            let p = self.parent[v as usize];
-            assert_ne!(p, NO_VERTEX, "vertex {v} lacks a parent");
-            if self.sg.is_p(p) {
-                assert_eq!(self.dist[v as usize], t - self.sg.d[v as usize]);
-                assert_eq!(self.cluster[v as usize], v);
-            } else {
-                assert_eq!(self.dist[p as usize] + 1, self.dist[v as usize]);
-                assert_eq!(self.cluster[p as usize], self.cluster[v as usize]);
-                assert!(self.prio_of.contains(p, v), "dead parent edge");
-            }
-            // Parent = first candidate in priority order.
-            let mut w = 0u64;
-            let first = self.ins[v as usize].next_with(
-                0,
-                |_, rec| self.dist[rec.src as usize] == self.dist[v as usize] - 1,
-                &mut w,
-            );
-            // bds:allow(no-unwrap): structure invariant named in the message; corrupt state must fail fast, not propagate.
-            let (_, fp, frec) = first.expect("candidate must exist");
-            assert_eq!(frec.src, p, "parent of {v} is not the first candidate");
-            assert_eq!(fp, self.parent_prio[v as usize]);
-        }
-        // Priority keys match current clusters.
-        for (u, vtx, p) in self.prio_of.iter() {
-            if self.sg.is_p(u) {
+    /// Cluster fixing at level i: a vertex is its own center iff its
+    /// parent is a p-node, otherwise it takes its parent's cluster. A
+    /// vertex queued twice is a no-op the second time: level i's parents
+    /// and level i − 1's clusters do not move while this runs.
+    fn level_settled(&mut self, es: &mut EsEngine, i: u32) {
+        for v in std::mem::take(&mut self.pending) {
+            if es.dist(v) != i {
                 continue;
             }
-            assert_eq!(
-                p,
-                self.sg.cluster_priority(self.cluster[u as usize], u),
-                "stale priority on ({u},{vtx})"
-            );
-        }
-        // `live` counts the in-lists' edges; `prio_of` holds both their
-        // orientations plus the n shortcuts and the t − 1 chain entries.
-        assert_eq!(self.live, edges.len(), "live-edge count diverged");
-        assert_eq!(self.prio_of.len(), 2 * self.live + self.n + t as usize - 1);
-        // Buckets from adjacency × clusters: each selects its min-id
-        // member through the key range. Spanner contents = forest +
-        // selected representatives.
-        let mut buckets: FxHashMap<(V, V), BTreeSet<V>> = FxHashMap::default();
-        for e in &edges {
-            for (a, b) in [(e.u, e.v), (e.v, e.u)] {
-                let key = (a, self.cluster[b as usize]);
-                buckets.entry(key).or_default().insert(b);
+            let par = es.parent(v);
+            debug_assert_ne!(par, NO_VERTEX);
+            let new_c = if self.sg.is_p(par) {
+                v
+            } else {
+                self.cluster[par as usize]
+            };
+            let old_c = self.cluster[v as usize];
+            if new_c != old_c {
+                self.stats.cluster_changes += 1;
+                self.apply_cluster_change(es, v, old_c, new_c);
             }
         }
-        let mut want = SpannerSet::new();
-        for v in 0..self.n as V {
-            let p = self.parent[v as usize];
-            if !self.sg.is_p(p) {
-                want.add(Edge::new(p, v));
-            }
-        }
-        for (&(v, c), members) in &buckets {
-            let first = members.first().map(|&w| Edge::new(v, w));
-            let expect = first.filter(|_| self.cluster[v as usize] != c);
-            assert_eq!(self.selection((v, c)), expect, "selection of ({v}, {c})");
-            if let Some(e) = expect {
-                want.add(e);
-            }
-        }
-        let mut got = self.spanner.edges();
-        let mut exp = want.edges();
-        got.sort_unstable();
-        exp.sort_unstable();
-        assert_eq!(got, exp, "spanner contents diverged");
     }
 }
 
@@ -743,11 +569,11 @@ impl BatchDynamic for DecrementalSpanner {
     }
 
     fn output_into(&self, out: &mut DeltaBuf) {
-        self.spanner.output_into(out);
+        self.cl.spanner.output_into(out);
     }
 
     fn stats(&self) -> BatchStats {
-        self.stats
+        DecrementalSpanner::stats(self)
     }
 }
 
@@ -757,8 +583,8 @@ impl Decremental for DecrementalSpanner {
     /// edges).
     fn delete_into(&mut self, deletions: &[Edge], out: &mut DeltaBuf) {
         self.delete_inner(deletions);
-        self.spanner.take_delta_into(out);
-        self.stats.recourse += out.recourse() as u64;
+        self.cl.spanner.take_delta_into(out);
+        self.cl.stats.recourse += out.recourse() as u64;
     }
 }
 
@@ -815,31 +641,45 @@ mod tests {
 
     #[test]
     fn parallel_rescans_count_their_scan_steps() {
-        // Eight hubs share 300 leaves. With this seed hub 0 starts a
-        // level early and parents most leaves, so deleting its edges
-        // puts them all into one rescan level — far more than
-        // `par_rescan_min`. The parallel branch must tally the same
-        // scan work as the sequential one.
-        let (hubs, n, seed) = (8u32, 308usize, 9u64);
+        // Eight hubs share 300 leaves. Explicit shifts put every hub at
+        // depth 1 as its own center and every leaf at depth 2, parented
+        // by hub 0 (the largest fractional shift). Deleting hub 0's
+        // edges makes each leaf rescan its own In-list for the next hub;
+        // those scans do not depend on each other, so deleting in one
+        // batch (a level of 300 rescans, the parallel branch) must tally
+        // the same scan work as deleting in batches below
+        // PAR_RESCAN_MIN (the sequential branch).
+        let (hubs, n) = (8u32, 308usize);
         let edges: Vec<Edge> = (hubs..n as u32)
             .flat_map(|v| (0..hubs).map(move |h| Edge::new(h, v)))
             .collect();
+        let deltas: Vec<f64> = (0..n)
+            .map(|v| match v as u32 {
+                0 => 2.9,
+                h if h < hubs => 2.5 + 0.01 * h as f64,
+                l => 0.1 + 0.0001 * l as f64,
+            })
+            .collect();
         let batch: Vec<Edge> = (hubs..n as u32).map(|v| Edge::new(0, v)).collect();
+        assert!(batch.len() >= bds_estree::PAR_RESCAN_MIN);
         for threads in [1, 2] {
-            let steps = |par_rescan_min: usize| {
+            let steps = |chunk: usize| {
                 bds_par::run_with_threads(threads, || {
-                    let mut s = DecrementalSpanner::new(n, 2, &edges, seed);
-                    let orphans = s.parent.iter().filter(|&&p| p == 0).count();
-                    assert!(orphans >= 64, "hub 0 parents only {orphans} leaves");
-                    s.par_rescan_min = par_rescan_min;
-                    s.delete_into(&batch, &mut DeltaBuf::new());
+                    let sg = ShiftedGraph::from_deltas(&deltas);
+                    let mut s = DecrementalSpanner::with_shifts(n, 3, &edges, sg);
+                    assert!((hubs..n as u32).all(|v| s.es.parent(v) == 0));
+                    for b in batch.chunks(chunk) {
+                        s.delete_into(b, &mut DeltaBuf::new());
+                    }
                     s.validate();
-                    s.stats().scan_steps
+                    let st = s.stats();
+                    assert_eq!(st.vertices_touched, batch.len() as u64);
+                    st.scan_steps
                 })
             };
-            let sequential = steps(usize::MAX);
-            assert!(sequential > 0);
-            assert_eq!(steps(64), sequential, "threads = {threads}");
+            let sequential = steps(bds_estree::PAR_RESCAN_MIN - 1);
+            assert!(sequential >= batch.len() as u64);
+            assert_eq!(steps(batch.len()), sequential, "threads = {threads}");
         }
     }
 
@@ -894,6 +734,27 @@ mod tests {
             s.validate();
             let st = edge_stretch(n, &live, &s.spanner_edges(), n, 3);
             assert!(st <= (2 * k - 1) as f64, "stretch {st} after deletions");
+        }
+    }
+
+    #[test]
+    fn deep_cluster_moves_validate() {
+        // k = 4 grows deep cluster trees, so a re-clustered vertex often
+        // keeps children whose clusters must follow it a level down.
+        let n = 80;
+        for seed in [0u64, 3, 7] {
+            let edges = gen::gnm_connected(n, 800, seed);
+            let mut s = DecrementalSpanner::new(n, 4, &edges, seed * 3 + 1);
+            let mut live = edges.clone();
+            let mut rng = StdRng::seed_from_u64(seed);
+            live.shuffle(&mut rng);
+            let mut delta = DeltaBuf::new();
+            while live.len() > 500 {
+                let b: usize = rng.gen_range(1..=8);
+                let batch: Vec<Edge> = live.split_off(live.len() - b);
+                s.delete_into(&batch, &mut delta);
+                s.validate();
+            }
         }
     }
 

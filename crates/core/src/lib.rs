@@ -4,8 +4,9 @@
 //!   (δH_ins, δH_del) delta extraction into a [`DeltaBuf`].
 //! * [`decremental`] — **Lemma 3.3**: a decremental (2k−1)-spanner of
 //!   expected size O(n^{1+1/k}), maintained by exponential-start-time
-//!   clustering on the shifted auxiliary graph with a batched
-//!   Even–Shiloach tree and priority-ordered in-lists.
+//!   clustering on the shifted auxiliary graph, run on Theorem 1.2's
+//!   batched Even–Shiloach engine (`bds_estree::EsEngine`) through a
+//!   per-level cluster hook.
 //! * [`bentley_saxe`] — the one Bentley–Saxe style reduction from
 //!   fully-dynamic to decremental: [`BentleySaxe<D>`](bentley_saxe::BentleySaxe)
 //!   over any [`Slot`](bentley_saxe::Slot) structure. Theorem 1.1 and

@@ -5,6 +5,11 @@
 //! deletions, in O(L log n) amortized work per deleted edge and
 //! level-synchronous phases (O(L log² n) depth per batch).
 //!
+//! [`engine`] holds the one level-synchronous delete loop. [`EsTree`]
+//! runs it with a hook that records parent changes; Lemma 3.3's
+//! decremental spanner (`bds_core::decremental`) runs it with a hook that
+//! maintains cluster labels after each level settles.
+//!
 //! [`shift`] builds the auxiliary "shifted" graph G′ of §3.3: a chain
 //! p₀ → … → p_{t−1}, a shortcut p_{t−1−d_v} → v per vertex, and both
 //! orientations of every original edge — reducing exponential-start-time
@@ -12,9 +17,11 @@
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
+pub mod engine;
 pub mod shift;
 pub mod tree;
 
 pub use bds_graph::api::BatchStats;
+pub use engine::{EsEngine, Hook, NO_VERTEX, PAR_RESCAN_MIN, UNREACHED};
 pub use shift::ShiftedGraph;
-pub use tree::{EsTree, EsTreeBuilder, ParentChange, NO_VERTEX, UNREACHED};
+pub use tree::{EsTree, EsTreeBuilder, ParentChange};

@@ -1,30 +1,12 @@
-//! The batched Even–Shiloach tree (Theorem 1.2 / Algorithm 1).
-//!
-//! Per vertex `v`, `In(v)` is a Lemma 3.1 priority list of in-edges in
-//! descending priority order; the current parent is the *first* entry at
-//! depth `Dist(v) − 1` (invariant A1), identified by its priority key
-//! (ranks shift under deletions, keys do not). A deletion batch runs
-//! level-synchronous phases `i = 1..=L`: every dirty vertex at level `i`
-//! rescans forward from its resume position with `NextWith`; a failed scan
-//! bumps the vertex to level `i+1`, resets its scan to the head, and
-//! enqueues it together with its tree children (invariants A2–A4).
-//!
-//! Forward-only scanning is sound decrementally because an in-neighbor's
-//! distance never decreases: entries skipped at some level can never
-//! become candidates at that level again.
+//! [`EsTree`]: Theorem 1.2's decremental BFS tree, the Even–Shiloach
+//! engine ([`crate::engine`]) with a hook that records parent changes,
+//! over a digraph with a depth cap.
 
+use crate::engine::{EsEngine, Hook, NO_VERTEX, UNREACHED};
 use bds_dstruct::edge_table::{pack, unpack};
-use bds_dstruct::{EdgeTable, PriorityList};
 use bds_graph::api::{BatchDynamic, BatchStats, ConfigError, Decremental, DeltaBuf};
 use bds_graph::types::{Edge, V};
-use bds_par::{WorkCounter, GRAIN};
 use std::cmp::Reverse;
-use std::sync::atomic::{AtomicU32, Ordering};
-
-/// Parent sentinel.
-pub const NO_VERTEX: V = V::MAX;
-/// `dist` value for vertices beyond depth L (the paper's "L + 1").
-pub const UNREACHED: u32 = u32::MAX;
 
 /// One vertex's parent pointer change from a deletion batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,53 +16,30 @@ pub struct ParentChange {
     pub new_parent: V,
 }
 
-#[derive(Clone, Copy)]
-struct InEntry {
-    src: V,
-}
+/// Theorem 1.2's hook: record every parent change; nothing happens
+/// between levels.
+impl Hook for Vec<ParentChange> {
+    fn parent_changed(&mut self, vertex: V, old_parent: V, new_parent: V) {
+        self.push(ParentChange {
+            vertex,
+            old_parent,
+            new_parent,
+        });
+    }
 
-/// Range of entries whose packed key has high word `x`, in a slice
-/// sorted by packed key (i.e. the adjacency group of vertex `x`).
-#[inline]
-fn group_bounds(sorted: &[(u64, u64)], x: V) -> (usize, usize) {
-    let lo = sorted.partition_point(|&(k, _)| k < (x as u64) << 32);
-    let hi = sorted.partition_point(|&(k, _)| k < (x as u64 + 1) << 32);
-    (lo, hi)
-}
-
-/// View a `u32` slice atomically for CAS-parallel BFS claims.
-///
-/// SAFETY: `AtomicU32` has `u32`'s size and alignment with compatible
-/// in-memory representation; the exclusive borrow rules out concurrent
-/// non-atomic access.
-fn atomic_u32_view(dist: &mut [u32]) -> &[AtomicU32] {
-    unsafe { std::slice::from_raw_parts(dist.as_ptr() as *const AtomicU32, dist.len()) }
+    fn level_settled(&mut self, _: &mut EsEngine, _: u32) {}
 }
 
 /// Batched decremental Even–Shiloach tree on a digraph over `0..n`.
 pub struct EsTree {
-    n: usize,
     source: V,
-    l_max: u32,
-    dist: Vec<u32>,
-    parent: Vec<V>,
-    parent_prio: Vec<u64>,
-    ins: Vec<PriorityList<InEntry>>,
-    outs: Vec<Vec<V>>,
-    /// directed edge (u → v) -> its priority inside `ins[v]`.
-    prio_of: EdgeTable,
+    es: EsEngine,
     /// Number of live *canonical* (undirected) edges: unordered pairs
     /// {u, v} with at least one orientation live. Kept incrementally so
     /// the trait view agrees with the undirected implementors.
     canon_live: usize,
-    /// scratch: epoch marker for per-phase deduplication
-    mark: Vec<u32>,
-    /// scratch: per-vertex slot index, valid while `mark[v] == epoch`
-    slot: Vec<u32>,
-    epoch: u32,
-    pub scan_work: WorkCounter,
-    /// Cumulative statistics since construction.
-    stats: BatchStats,
+    /// Net parent changes across all batches.
+    recourse: u64,
 }
 
 /// Typed builder for [`EsTree`] (Theorem 1.2).
@@ -147,10 +106,11 @@ impl EsTree {
     /// priority orders `In(v)` descending and must be unique within each
     /// in-list. Duplicate directed edges are deduplicated as a batch,
     /// keeping the highest priority, so adversarial or generated
-    /// workloads cannot abort construction. Initialization runs a
-    /// level-synchronous BFS (Lemma 3.2) with parallel frontier
-    /// expansion, and builds the per-vertex in/out adjacency by parallel
-    /// sort + grouped scatter rather than sequential pushes.
+    /// workloads cannot abort construction. The engine's build step
+    /// assembles the lists around the out-adjacency, which the sorted,
+    /// deduplicated edges already are; the engine then roots the tree
+    /// with a level-synchronous BFS (Lemma 3.2) and picks every parent
+    /// as its first candidate in parallel.
     pub fn new(n: usize, source: V, l_max: u32, edges: &[(V, V, u64)]) -> Self {
         // --- Batch dedup, keeping the highest priority per (u, v). ---
         // Sorting (packed key, !priority) ascending clusters duplicates
@@ -158,12 +118,24 @@ impl EsTree {
         let mut fwd: Vec<(u64, u64)> = bds_par::par_map(edges, |&(u, v, p)| (pack(u, v), !p));
         bds_par::par_sort(&mut fwd);
         fwd.dedup_by_key(|&mut (k, _)| k);
-        // Un-flip priorities; `fwd` stays sorted by packed key, i.e.
-        // grouped by source vertex u.
-        let fwd: Vec<(u64, u64)> = bds_par::par_map(&fwd, |&(k, np)| (k, !np));
-
-        // prio_of: zero-copy bulk build from the sorted distinct batch.
-        let prio_of = EdgeTable::from_sorted_batch(&fwd);
+        let mut entries: Vec<(V, Reverse<u64>, V)> = bds_par::par_map(&fwd, |&(k, np)| {
+            let (u, v) = unpack(k);
+            (v, Reverse(!np), u)
+        });
+        bds_par::par_sort(&mut entries);
+        // Out-adjacency: `fwd` is grouped by source, in target order.
+        let out_off = (0..=n as u64)
+            .map(|u| fwd.partition_point(|&(k, _)| k < u << 32))
+            .collect();
+        let out_adj = fwd.iter().map(|&(k, _)| unpack(k).1).collect();
+        let mut es = EsEngine::assemble(
+            l_max,
+            &entries,
+            (out_off, out_adj),
+            vec![UNREACHED; n],
+            vec![NO_VERTEX; n],
+            vec![0; n],
+        );
 
         // Canonical (undirected) edge count: each unordered pair {u, v}
         // counts once — at its u < v orientation if present, else at the
@@ -172,119 +144,21 @@ impl EsTree {
             .iter()
             .filter(|&&(k, _)| {
                 let (u, v) = unpack(k);
-                u < v || !prio_of.contains(v, u)
+                u < v || !es.has_edge(v, u)
             })
             .count();
 
-        // --- Adjacency, built per vertex in parallel. ---
-        // `fwd` groups out-edges by u; a reversed copy, sorted by
-        // (target, descending priority), groups in-edges by v with each
-        // group already in list order. Group boundaries come from binary
-        // searches; every vertex's flat in-list then bulk-builds from
-        // its slice with zero comparisons.
-        let mut rev: Vec<(V, Reverse<u64>, V)> = bds_par::par_map(&fwd, |&(k, p)| {
-            let (u, v) = unpack(k);
-            (v, Reverse(p), u)
-        });
-        bds_par::par_sort(&mut rev);
-        let ids: Vec<V> = (0..n as V).collect();
-        let outs: Vec<Vec<V>> = bds_par::par_map(&ids, |&u| {
-            let (lo, hi) = group_bounds(&fwd, u);
-            fwd[lo..hi].iter().map(|&(k, _)| unpack(k).1).collect()
-        });
-        let ins: Vec<PriorityList<InEntry>> = bds_par::par_map(&ids, |&v| {
-            let lo = rev.partition_point(|&(x, _, _)| x < v);
-            let hi = rev.partition_point(|&(x, _, _)| x <= v);
-            PriorityList::from_sorted_entries(
-                rev[lo..hi]
-                    .iter()
-                    .map(|&(_, Reverse(p), u)| (p, InEntry { src: u })),
-            )
-        });
-
-        // --- Level-synchronous BFS from the source, truncated at l_max,
-        // with CAS-parallel frontier expansion above the GRAIN cutoff. ---
-        let mut dist = vec![UNREACHED; n];
-        dist[source as usize] = 0;
-        let mut frontier = vec![source];
-        let mut d = 0;
-        while !frontier.is_empty() && d < l_max {
-            d += 1;
-            frontier = if frontier.len() < GRAIN || bds_par::threads_available() <= 1 {
-                let mut next = Vec::new();
-                for &u in &frontier {
-                    for &w in &outs[u as usize] {
-                        if dist[w as usize] == UNREACHED {
-                            dist[w as usize] = d;
-                            next.push(w);
-                        }
-                    }
-                }
-                next
-            } else {
-                let adist = atomic_u32_view(&mut dist);
-                bds_par::par_flat_map(&frontier, |&u| {
-                    let mut local = Vec::new();
-                    for &w in &outs[u as usize] {
-                        if adist[w as usize]
-                            // ordering: Relaxed — first-writer-wins
-                            // distance claim; levels are separated by
-                            // the pool's join barrier, so no data is
-                            // published through this cell.
-                            .compare_exchange(UNREACHED, d, Ordering::Relaxed, Ordering::Relaxed)
-                            .is_ok()
-                        {
-                            local.push(w);
-                        }
-                    }
-                    local
-                })
-            };
-        }
-
-        let mut tree = Self {
-            n,
+        es.root_at(source);
+        Self {
             source,
-            l_max,
-            dist,
-            parent: vec![NO_VERTEX; n],
-            parent_prio: vec![0; n],
-            ins,
-            outs,
-            prio_of,
+            es,
             canon_live,
-            mark: vec![0; n],
-            slot: vec![0; n],
-            epoch: 0,
-            scan_work: WorkCounter::new(),
-            stats: BatchStats::default(),
-        };
-        // Initial parents: first (max-priority) in-entry at depth d-1.
-        let dist = &tree.dist;
-        // (vertex, matched (rank, priority, src)) per reachable vertex
-        type ParentHit = (V, Option<(usize, u64, V)>);
-        let found: Vec<ParentHit> = bds_par::par_filter_map(&ids, |&v| {
-            if dist[v as usize] < 1 || dist[v as usize] == UNREACHED {
-                return None;
-            }
-            let want = dist[v as usize] - 1;
-            let mut w = 0u64;
-            let hit = tree.ins[v as usize]
-                .next_with(0, |_, rec| dist[rec.src as usize] == want, &mut w)
-                .map(|(r, p, rec)| (r, p, rec.src));
-            Some((v, hit))
-        });
-        for (v, hit) in found {
-            // bds:allow(no-unwrap): structure invariant named in the message; corrupt state must fail fast, not propagate.
-            let (_, p, src) = hit.expect("reachable vertex must have a parent");
-            tree.parent[v as usize] = src;
-            tree.parent_prio[v as usize] = p;
+            recourse: 0,
         }
-        tree
     }
 
     pub fn n(&self) -> usize {
-        self.n
+        self.es.n()
     }
 
     pub fn source(&self) -> V {
@@ -292,32 +166,32 @@ impl EsTree {
     }
 
     pub fn l_max(&self) -> u32 {
-        self.l_max
+        self.es.l_max()
     }
 
     #[inline]
     pub fn dist(&self, v: V) -> u32 {
-        self.dist[v as usize]
+        self.es.dist(v)
     }
 
     #[inline]
     pub fn parent(&self, v: V) -> Option<V> {
-        let p = self.parent[v as usize];
+        let p = self.es.parent(v);
         (p != NO_VERTEX).then_some(p)
     }
 
     /// Priority of `v`'s current parent entry in `In(v)`.
     pub fn parent_priority(&self, v: V) -> Option<u64> {
-        self.parent(v).map(|_| self.parent_prio[v as usize])
+        self.parent(v).map(|_| self.es.parent_priority(v))
     }
 
     pub fn has_edge(&self, u: V, v: V) -> bool {
-        self.prio_of.contains(u, v)
+        self.es.has_edge(u, v)
     }
 
     /// Number of live *directed* edges (the native digraph view).
     pub fn num_edges(&self) -> usize {
-        self.prio_of.len()
+        self.es.num_edges()
     }
 
     /// Number of live *canonical* (undirected) edges: unordered pairs
@@ -330,278 +204,73 @@ impl EsTree {
 
     /// Tree edges `(parent, child)` of the current shortest-path tree.
     pub fn tree_edges(&self) -> Vec<(V, V)> {
-        (0..self.n as V)
+        (0..self.n() as V)
             .filter_map(|v| self.parent(v).map(|p| (p, v)))
             .collect()
-    }
-
-    fn next_epoch(&mut self) -> u32 {
-        self.epoch += 1;
-        self.epoch
     }
 
     /// Cumulative statistics since construction (`recourse` counts net
     /// parent-pointer changes).
     pub fn stats(&self) -> BatchStats {
-        let mut s = self.stats;
-        s.scan_steps = self.scan_work.get();
-        s
+        BatchStats {
+            recourse: self.recourse,
+            ..self.es.stats()
+        }
     }
 
     /// Delete a batch of *directed* edges (callers delete both
     /// orientations of an undirected edge). Returns all parent-pointer
     /// changes plus this batch's statistics. Panics if an edge is absent.
     pub fn delete_batch(&mut self, edges: &[(V, V)]) -> (Vec<ParentChange>, BatchStats) {
-        let mut stats = BatchStats::default();
-        let work0 = self.scan_work.get();
+        let before = self.es.stats();
         let mut changes: Vec<ParentChange> = Vec::new();
-        // Per-level work queues: (vertex, resume_rank).
-        let nl = self.l_max as usize + 2;
-        let mut queues: Vec<Vec<(V, usize)>> = vec![Vec::new(); nl];
-
-        // Phase 0: physically remove all deleted edges; seed the queues
-        // with vertices that lost their parent edge.
-        let mut seeds: Vec<(V, u64, V)> = Vec::new(); // (v, old parent prio, old parent)
         for &(u, v) in edges {
-            let p = self
-                .prio_of
-                .remove(u, v)
-                .unwrap_or_else(|| panic!("delete of absent edge ({u},{v})"));
-            if u != v && !self.prio_of.contains(v, u) {
+            self.es.remove(u, v, &mut changes);
+            if u != v && !self.es.has_edge(v, u) {
                 // Last live orientation of {u, v} gone. Self-loops are
                 // excluded on both sides of the count: the build filter
                 // never counts them (a loop is its own reverse, so the
-                // `contains` probe sees the edge itself), and canonical
+                // `has_edge` probe sees the edge itself), and canonical
                 // edges cannot represent them.
                 self.canon_live -= 1;
             }
-            if self.parent[v as usize] == u && self.parent_prio[v as usize] == p {
-                seeds.push((v, p, u));
-            }
-            // bds:allow(no-unwrap): structure invariant named in the message; corrupt state must fail fast, not propagate.
-            self.ins[v as usize].remove(p).expect("in-entry present");
         }
-        for (v, old_prio, old_parent) in seeds {
-            let d = self.dist[v as usize];
-            debug_assert!(d >= 1 && d != UNREACHED);
-            self.parent[v as usize] = NO_VERTEX;
-            // Resume where the removed entry used to sit (post-removal
-            // rank); earlier entries were already rejected at this level.
-            let resume = self.ins[v as usize].bound_rank(old_prio);
-            queues[d as usize].push((v, resume));
-            // Record the removal now; a found parent later overwrites.
-            changes.push(ParentChange {
-                vertex: v,
-                old_parent,
-                new_parent: NO_VERTEX,
-            });
-        }
-
-        // Level-synchronous phases.
-        for i in 1..=self.l_max {
-            let q = std::mem::take(&mut queues[i as usize]);
-            if q.is_empty() {
-                continue;
-            }
-            // Deduplicate by vertex, keeping the smallest resume rank
-            // (scanning earlier is always safe). The mark/slot scratch
-            // arrays make this allocation-free.
-            let epoch = self.next_epoch();
-            let mut level: Vec<(V, usize)> = Vec::with_capacity(q.len());
-            for (v, r) in q {
-                // Stale entry: a vertex enqueued as the child of a bumped
-                // parent may have been re-parented in the same phase (its
-                // own scan, computed from the phase snapshot, succeeded).
-                // Its state is already consistent — skip it. A vertex that
-                // genuinely bumped re-enqueued itself at its new level.
-                if self.dist[v as usize] != i {
-                    continue;
-                }
-                if self.mark[v as usize] == epoch {
-                    let s = self.slot[v as usize] as usize;
-                    if r < level[s].1 {
-                        level[s].1 = r;
-                    }
-                } else {
-                    self.mark[v as usize] = epoch;
-                    self.slot[v as usize] = level.len() as u32;
-                    level.push((v, r));
-                }
-            }
-            stats.vertices_touched += level.len() as u64;
-
-            // Parallel read-only rescan: distances of level i-1 are
-            // settled, and each task only reads In(v) of its own vertex.
-            let dist = &self.dist;
-            let ins = &self.ins;
-            let want = i - 1;
-            let results: Vec<(V, Option<(u64, V)>)> = if level.len() >= 64 {
-                bds_par::par_map_grain(&level, 16, |&(v, resume)| {
-                    let mut w = 0u64;
-                    let hit = ins[v as usize]
-                        .next_with(resume, |_, rec| dist[rec.src as usize] == want, &mut w)
-                        .map(|(_, p, rec)| (p, rec.src));
-                    self.scan_work.add(w);
-                    (v, hit)
-                })
-            } else {
-                let mut out = Vec::with_capacity(level.len());
-                let mut w = 0u64;
-                for &(v, resume) in &level {
-                    let hit = ins[v as usize]
-                        .next_with(resume, |_, rec| dist[rec.src as usize] == want, &mut w)
-                        .map(|(_, p, rec)| (p, rec.src));
-                    out.push((v, hit));
-                }
-                self.scan_work.add(w);
-                out
-            };
-
-            // Sequential application of the results.
-            for (v, hit) in results {
-                match hit {
-                    Some((p, src)) => {
-                        let old = self.parent[v as usize];
-                        if old != src || self.parent_prio[v as usize] != p {
-                            self.parent[v as usize] = src;
-                            self.parent_prio[v as usize] = p;
-                            if old != src {
-                                changes.push(ParentChange {
-                                    vertex: v,
-                                    old_parent: old,
-                                    new_parent: src,
-                                });
-                            }
-                        }
-                    }
-                    None => {
-                        let old = self.parent[v as usize];
-                        if i == self.l_max {
-                            // Falls off the maintained depth.
-                            self.dist[v as usize] = UNREACHED;
-                            self.parent[v as usize] = NO_VERTEX;
-                            if old != NO_VERTEX {
-                                changes.push(ParentChange {
-                                    vertex: v,
-                                    old_parent: old,
-                                    new_parent: NO_VERTEX,
-                                });
-                            }
-                            // Depth-L vertices are tree leaves: no children.
-                            continue;
-                        }
-                        self.dist[v as usize] = i + 1;
-                        self.parent[v as usize] = NO_VERTEX;
-                        if old != NO_VERTEX {
-                            changes.push(ParentChange {
-                                vertex: v,
-                                old_parent: old,
-                                new_parent: NO_VERTEX,
-                            });
-                        }
-                        queues[i as usize + 1].push((v, 0));
-                        // Tree children keep their scan position; their
-                        // parent entry will simply fail the depth test.
-                        for ci in 0..self.outs[v as usize].len() {
-                            let c = self.outs[v as usize][ci];
-                            if self.parent[c as usize] == v && self.prio_of.contains(v, c) {
-                                let resume =
-                                    self.ins[c as usize].bound_rank(self.parent_prio[c as usize]);
-                                queues[i as usize + 1].push((c, resume));
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
+        self.es.run_phases(&mut changes);
         // Collapse multiple changes per vertex into net changes.
         let net = self.net_changes(changes);
+        let mut stats = self.es.stats();
+        stats.scan_steps -= before.scan_steps;
+        stats.vertices_touched -= before.vertices_touched;
         stats.recourse = net.len() as u64;
-        stats.scan_steps = self.scan_work.get() - work0;
-        self.stats.vertices_touched += stats.vertices_touched;
-        self.stats.recourse += stats.recourse;
+        self.recourse += stats.recourse;
         (net, stats)
     }
 
-    /// Collapse a change log into net per-vertex changes (old = first old,
-    /// new = last new), dropping no-ops. Allocation-free dedup via the
-    /// same epoch-mark `mark`/`slot` scratch the phase loop uses.
-    fn net_changes(&mut self, changes: Vec<ParentChange>) -> Vec<ParentChange> {
-        let epoch = self.next_epoch();
-        // (vertex, first old parent, last new parent), first-seen order.
-        let mut acc: Vec<ParentChange> = Vec::new();
-        for c in changes {
-            if self.mark[c.vertex as usize] == epoch {
-                acc[self.slot[c.vertex as usize] as usize].new_parent = c.new_parent;
-            } else {
-                self.mark[c.vertex as usize] = epoch;
-                self.slot[c.vertex as usize] = acc.len() as u32;
-                acc.push(c);
-            }
-        }
-        acc.retain(|c| c.old_parent != c.new_parent);
-        acc
+    /// Collapse a change log into net per-vertex changes: each vertex's
+    /// first change (its old parent), in first-seen order, pointed at its
+    /// parent now; no-ops dropped. Allocation-free dedup via the engine's
+    /// epoch-mark scratch.
+    fn net_changes(&mut self, mut changes: Vec<ParentChange>) -> Vec<ParentChange> {
+        let epoch = self.es.next_epoch();
+        let es = &mut self.es;
+        changes.retain_mut(|c| {
+            let first = std::mem::replace(&mut es.mark[c.vertex as usize], epoch) != epoch;
+            c.new_parent = es.parent(c.vertex);
+            first && c.old_parent != c.new_parent
+        });
+        changes
     }
 
     /// Validation oracle: recompute BFS distances from scratch and check
     /// `dist`, plus structural parent invariants. Panics on violation.
     pub fn validate(&self) {
-        // Reference BFS over the *current* edge set.
-        let mut ref_dist = vec![UNREACHED; self.n];
-        ref_dist[self.source as usize] = 0;
-        let mut frontier = vec![self.source];
-        let mut d = 0;
-        while !frontier.is_empty() && d < self.l_max {
-            d += 1;
-            let mut next = Vec::new();
-            for &u in &frontier {
-                for &w in &self.outs[u as usize] {
-                    if self.prio_of.contains(u, w) && ref_dist[w as usize] == UNREACHED {
-                        ref_dist[w as usize] = d;
-                        next.push(w);
-                    }
-                }
-            }
-            frontier = next;
-        }
-        assert_eq!(self.dist, ref_dist, "distance labels diverge from BFS");
-        for v in 0..self.n as V {
-            let dv = self.dist[v as usize];
-            if dv == 0 || dv == UNREACHED {
-                assert_eq!(self.parent[v as usize], NO_VERTEX, "vertex {v}");
-                continue;
-            }
-            let p = self.parent[v as usize];
-            assert_ne!(p, NO_VERTEX, "vertex {v} at depth {dv} lacks a parent");
-            assert!(self.prio_of.contains(p, v), "parent edge ({p},{v}) dead");
-            assert_eq!(
-                self.dist[p as usize],
-                dv - 1,
-                "parent depth invariant at {v}"
-            );
-            // Invariant A1: no *valid candidate* strictly before the
-            // parent entry in In(v).
-            let rank = self.ins[v as usize]
-                .rank_of(self.parent_prio[v as usize])
-                // bds:allow(no-unwrap): structure invariant named in the message; corrupt state must fail fast, not propagate.
-                .expect("parent entry present");
-            let mut w = 0u64;
-            let first = self.ins[v as usize]
-                .next_with(0, |_, rec| self.dist[rec.src as usize] == dv - 1, &mut w)
-                .map(|(r, _, _)| r);
-            assert_eq!(
-                first,
-                Some(rank),
-                "parent of {v} is not the first candidate"
-            );
-        }
+        self.es.validate(self.source);
     }
 }
 
 impl BatchDynamic for EsTree {
     fn num_vertices(&self) -> usize {
-        self.n
+        self.n()
     }
 
     /// Counts *canonical* (undirected) edges, like every other
@@ -616,7 +285,7 @@ impl BatchDynamic for EsTree {
     /// canonical undirected edges.
     fn output_into(&self, out: &mut DeltaBuf) {
         out.clear();
-        for v in 0..self.n as V {
+        for v in 0..self.n() as V {
             if let Some(p) = self.parent(v) {
                 out.push_ins(Edge::new(p, v));
             }
@@ -861,7 +530,7 @@ mod tests {
         for e in live {
             t.delete_batch(&[(e.u, e.v), (e.v, e.u)]);
         }
-        let per_edge = t.scan_work.get() as f64 / m as f64;
+        let per_edge = t.stats().scan_steps as f64 / m as f64;
         // Generous constant; the point is it doesn't blow up with m².
         assert!(
             per_edge < (l as f64) * (n as f64).log2() * 4.0,

@@ -30,6 +30,7 @@
 #   n  decremental selection keeps the shortcut entry  caught by: decremental unit tests (bds_core)
 #   o  bulk SpannerSet counts each distinct edge once  caught by: bds_core unit tests
 #   p  EdgeTable scan advances its cursor on empty slots  caught by: bds_dstruct unit tests
+#   q  decremental cluster hook drops a child's next-level recheck  caught by: decremental unit tests (bds_core)
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
@@ -54,6 +55,7 @@ describe() {
     n) echo "DecrementalSpanner::selection stops skipping v's shortcut entry (a key range holding only the shortcut selects (v, p-node))" ;;
     o) echo "SpannerSet::from_reasons drops the run increment (an edge with several reasons is counted once, so removing one reason drops it)" ;;
     p) echo "EdgeTable::scan_into advances its cursor on empty slots too (the scan keeps holes, or runs past its sized buffer)" ;;
+    q) echo "DecrementalSpanner's cluster hook stops queueing w when its parent's entry moves (w keeps its old cluster after its parent is re-clustered)" ;;
     *) echo "unknown mutant '$1'" >&2; exit 2 ;;
   esac
 }
@@ -156,8 +158,8 @@ plan() {
       ;;
     n)
       file="crates/core/src/decremental.rs"
-      needle='!self.sg.is_p(rec.src)).then('
-      from='self.sg.is_p(rec.src)'
+      needle='!self.sg.is_p(src)).then('
+      from='self.sg.is_p(src)'
       to='false'
       catcher='cargo test -q -p bds_core --lib decremental'
       ;;
@@ -174,6 +176,13 @@ plan() {
       from='(s.key != EMPTY) & '
       to=''
       catcher='cargo test -q -p bds_dstruct --lib'
+      ;;
+    q)
+      file="crates/core/src/decremental.rs"
+      needle="self.pending.push(w); // w's cluster follows its parent's"
+      from='self.pending.push(w);'
+      to=''
+      catcher='cargo test -q -p bds_core --lib decremental'
       ;;
     *) echo "unknown mutant '$1'" >&2; exit 2 ;;
   esac
@@ -222,7 +231,7 @@ run_mutant() {
 }
 
 main() {
-  local all=(a b c d e f g h i j k l m n o p)
+  local all=(a b c d e f g h i j k l m n o p q)
   if [ "${1:-}" = "--list" ]; then
     for id in "${all[@]}"; do
       echo "$id  $(describe "$id")"

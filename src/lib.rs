@@ -18,7 +18,7 @@
 //! | Structure | Paper | Capability | Maintains |
 //! |---|---|---|---|
 //! | [`FullyDynamicSpanner`] | Theorem 1.1 | `FullyDynamic` | (2k−1)-spanner, Õ(n^{1+1/k}) edges (Bentley–Saxe over [`DecrementalSpanner`]) |
-//! | [`EsTree`] | Theorem 1.2 | `Decremental` | BFS tree of depth ≤ L |
+//! | [`EsTree`] | Theorem 1.2 | `Decremental` | BFS tree of depth ≤ L (on the Even–Shiloach engine [`estree::EsEngine`]) |
 //! | [`SparseSpanner`] | Theorem 1.3 | `FullyDynamic` | Õ(log n)-spanner with O(n) edges |
 //! | [`UltraSparseSpanner`] | Theorem 1.4 | `FullyDynamic` | spanner with n + O(n/x) edges |
 //! | [`BundleSpanner`] | Theorem 1.5 | `Decremental` | decremental t-bundle spanner |
@@ -28,7 +28,10 @@
 //! (Plus the building blocks: [`DecrementalSpanner`] — Lemma 3.3,
 //! [`MonotoneSpanner`] — Lemma 6.4, [`DecrementalSparsifier`] —
 //! Lemma 6.6. Theorems 1.1 and 1.6 are the two instantiations of one
-//! Bentley–Saxe reduction, [`core::bentley_saxe::BentleySaxe`].)
+//! Bentley–Saxe reduction, [`core::bentley_saxe::BentleySaxe`]. Lemma 3.3
+//! and [`EsTree`] run one Even–Shiloach engine, [`estree::EsEngine`]:
+//! the spanner maintains its clusters through the engine's per-level
+//! hook.)
 //!
 //! ## Quickstart
 //!

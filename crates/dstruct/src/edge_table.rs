@@ -22,20 +22,21 @@
 //!   limit, so a table whose live load sits between ½ and ⅝ — where
 //!   the serving tables live — would rehash every slot each few
 //!   thousand churn removals.
-//! * **Batch construction / batch ops with group prefetching.**
-//!   [`EdgeTable::from_batch`] sorts with `bds_par` and scatters in
-//!   parallel with CAS claims; [`EdgeTable::insert_batch`] scatters into
-//!   pre-grown storage without sorting; [`EdgeTable::get_batch`]
-//!   pipelines hash → prefetch → probe over blocks so independent slot
-//!   fetches overlap instead of serializing on memory latency. All
-//!   parallel paths fall back to tight sequential loops below
-//!   [`GRAIN`], so small batches keep their constant factors.
+//! * **Sequential batch ops with group prefetching.**
+//!   [`EdgeTable::from_batch`] packs and sorts with `bds_par`, then
+//!   scatters into exactly-sized storage; [`EdgeTable::insert_batch`]
+//!   scatters into pre-grown storage without sorting. The scatter and
+//!   [`EdgeTable::get_batch`] pipeline hash → prefetch → probe over
+//!   blocks so independent slot fetches overlap instead of serializing
+//!   on memory latency. Each batch op is one loop on the calling
+//!   thread, so the slot layout, and with it [`EdgeTable::iter`]'s
+//!   order, is a function of the operations alone at every pool width.
+//!   (A parallel CAS scatter, region-partitioned removals and chunked
+//!   lookups measure slower than these loops at 2 threads, and a CAS
+//!   scatter places colliding keys by race.)
 //!
 //! The value type is `u64`; callers store priorities, random keys, slot
 //! indices, refcounts, or `f64::to_bits` weights in it directly.
-
-use bds_par::GRAIN;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 
 use crate::fx::mix64;
 
@@ -284,9 +285,9 @@ impl EdgeTable {
     }
 
     /// Bulk-build from `(u, v, value)` entries: `bds_par` sort (which
-    /// groups equal keys for the duplicate check) followed by a parallel
-    /// CAS scatter into exactly-sized storage. Keys must be distinct;
-    /// duplicates panic (callers deduplicate first — see
+    /// groups equal keys for the duplicate check) followed by the
+    /// sequential scatter into exactly-sized storage. Keys must be
+    /// distinct; duplicates panic (callers deduplicate first — see
     /// `EsTree::new`'s keep-highest-priority pass).
     pub fn from_batch(entries: &[(u32, u32, u64)]) -> Self {
         if entries.is_empty() {
@@ -310,9 +311,9 @@ impl EdgeTable {
     }
 
     /// Bulk-build from `(packed_key, value)` pairs with distinct keys,
-    /// in any order: [`EdgeTable::from_sorted_batch`]'s parallel scatter
-    /// without its sorted-order duplicate check, for callers that have
-    /// ruled duplicates out in an order of their own. A duplicate key
+    /// in any order: [`EdgeTable::from_sorted_batch`]'s scatter without
+    /// its sorted-order duplicate check, for callers that have ruled
+    /// duplicates out in an order of their own. A duplicate key
     /// is not detected and corrupts the table.
     pub fn from_distinct_batch(packed: &[(u64, u64)]) -> Self {
         if packed.is_empty() {
@@ -324,83 +325,43 @@ impl EdgeTable {
         table
     }
 
-    /// Scatter distinct, absent keys into free slots (parallel above
-    /// [`GRAIN`]). Callers guarantee the load factor stays below 1.
+    /// Scatter distinct, absent keys into free slots, in input order.
+    /// Callers guarantee the load factor stays below 1.
     fn scatter(&mut self, packed: &[(u64, u64)]) {
         let mask = self.mask;
-        if packed.len() < GRAIN || bds_par::threads_available() <= 1 {
-            // Double-buffered write-flavored pipeline: hash + prefetch
-            // block k + 1 while block k's free-slot writes execute.
-            let mut buf_a = [(0u64, 0usize, 0u8, 0u64); PREFETCH_DEPTH];
-            let mut buf_b = [(0u64, 0usize, 0u8, 0u64); PREFETCH_DEPTH];
-            let (mut cur, mut nxt) = (&mut buf_a, &mut buf_b);
-            let stage =
-                |tbl: &Self,
-                 block: &[(u64, u64)],
-                 buf: &mut [(u64, usize, u8, u64); PREFETCH_DEPTH]| {
-                    for (j, &(key, val)) in block.iter().enumerate() {
-                        let (home, tag) = hash_pair(key, mask);
-                        buf[j] = (key, home, tag, val);
-                        tbl.prefetch_slot(home);
-                    }
-                };
-            let mut blocks = packed.chunks(PREFETCH_DEPTH);
-            let mut cur_block = blocks.next();
-            if let Some(b) = cur_block {
-                stage(self, b, cur);
+        // Double-buffered write-flavored pipeline: hash + prefetch block
+        // k + 1 while block k's free-slot writes execute.
+        let mut buf_a = [(0u64, 0usize, 0u8, 0u64); PREFETCH_DEPTH];
+        let mut buf_b = [(0u64, 0usize, 0u8, 0u64); PREFETCH_DEPTH];
+        let (mut cur, mut nxt) = (&mut buf_a, &mut buf_b);
+        let stage = |tbl: &Self,
+                     block: &[(u64, u64)],
+                     buf: &mut [(u64, usize, u8, u64); PREFETCH_DEPTH]| {
+            for (j, &(key, val)) in block.iter().enumerate() {
+                let (home, tag) = hash_pair(key, mask);
+                buf[j] = (key, home, tag, val);
+                tbl.prefetch_slot(home);
             }
-            while let Some(b) = cur_block {
-                let next_block = blocks.next();
-                if let Some(nb) = next_block {
-                    stage(self, nb, nxt);
-                }
-                for &(key, home, tag, val) in cur[..b.len()].iter() {
-                    let i = self.free_from(home);
-                    debug_assert_ne!(self.slot(i).key, key);
-                    *self.slot_mut(i) = Slot { key, val };
-                    self.set_tag(i, tag);
-                }
-                std::mem::swap(&mut cur, &mut nxt);
-                cur_block = next_block;
-            }
-            return;
+        };
+        let mut blocks = packed.chunks(PREFETCH_DEPTH);
+        let mut cur_block = blocks.next();
+        if let Some(b) = cur_block {
+            stage(self, b, cur);
         }
-        let (words, tag_bytes) = atomic_view(&mut self.slots, &mut self.tags);
-        let chunk = packed
-            .len()
-            .div_ceil(bds_par::threads_available() * 2)
-            .max(1);
-        bds_par::par_for(0..packed.len(), chunk, |r| {
-            for &(key, val) in &packed[r] {
-                let (mut i, tag) = hash_pair(key, mask);
-                loop {
-                    // Slot i's key word sits at index 2i (repr(C) pairs).
-                    // Keys are authoritative during the scatter; tags are
-                    // published after the claim and only read afterwards.
-                    // ordering: Relaxed CAS/stores — claiming a slot
-                    // only races with other builders for *distinct*
-                    // keys; readers start after the pool's join
-                    // barrier, which is the happens-before edge.
-                    match words[2 * i].compare_exchange(
-                        EMPTY,
-                        key,
-                        Ordering::Relaxed,
-                        Ordering::Relaxed,
-                    ) {
-                        Ok(_) => {
-                            // ordering: Relaxed — same regime as the
-                            // claim CAS above; the slot is now ours.
-                            words[2 * i + 1].store(val, Ordering::Relaxed);
-                            tag_bytes[i].store(tag, Ordering::Relaxed);
-                            break;
-                        }
-                        // Claimed by another key: step to the next slot.
-                        // (Keys are distinct, so it can never be ours.)
-                        Err(_) => i = (i + 1) & mask,
-                    }
-                }
+        while let Some(b) = cur_block {
+            let next_block = blocks.next();
+            if let Some(nb) = next_block {
+                stage(self, nb, nxt);
             }
-        });
+            for &(key, home, tag, val) in cur[..b.len()].iter() {
+                let i = self.free_from(home);
+                debug_assert_ne!(self.slot(i).key, key);
+                *self.slot_mut(i) = Slot { key, val };
+                self.set_tag(i, tag);
+            }
+            std::mem::swap(&mut cur, &mut nxt);
+            cur_block = next_block;
+        }
     }
 
     #[inline]
@@ -504,47 +465,16 @@ impl EdgeTable {
         self.set_tag(hole, TAG_FREE);
     }
 
-    /// Batch point lookups, in query order. Each worker pipelines its
-    /// queries in `PREFETCH_DEPTH`-blocks (hash + prefetch every home
-    /// slot, then probe), overlapping the cache misses that a pointwise
-    /// loop — or a tuple-keyed hash map — pays serially; the dense tag
+    /// Batch point lookups, in query order, pipelined in
+    /// `PREFETCH_DEPTH`-blocks (hash + prefetch every home slot, then
+    /// probe) so the cache misses that a pointwise loop — or a
+    /// tuple-keyed hash map — pays serially overlap; the dense tag
     /// array resolves most absent keys without touching the slots.
     pub fn get_batch(&self, queries: &[(u32, u32)]) -> Vec<Option<u64>> {
-        if queries.len() < GRAIN || bds_par::threads_available() <= 1 {
-            let mut out = Vec::with_capacity(queries.len());
-            self.get_pipelined(queries, &mut out);
-            return out;
-        }
-        let chunk = queries
-            .len()
-            .div_ceil(bds_par::threads_available() * 2)
-            .max(1);
-        let blocks: Vec<&[(u32, u32)]> = queries.chunks(chunk).collect();
-        bds_par::par_map_grain(&blocks, 1, |c| {
-            let mut out = Vec::with_capacity(c.len());
-            self.get_pipelined(c, &mut out);
-            out
-        })
-        .concat()
-    }
-
-    /// Hash a query block into `buf` and prefetch every home slot.
-    #[inline(always)]
-    fn stage_block(&self, block: &[(u32, u32)], buf: &mut [(u64, usize, u8); PREFETCH_DEPTH]) {
-        let mask = self.mask;
-        for (j, &(u, v)) in block.iter().enumerate() {
-            let key = pack(u, v);
-            let (home, tag) = hash_pair(key, mask);
-            buf[j] = (key, home, tag);
-            self.prefetch_slot(home);
-        }
-    }
-
-    fn get_pipelined(&self, queries: &[(u32, u32)], out: &mut Vec<Option<u64>>) {
         if self.len == 0 {
-            out.extend(queries.iter().map(|_| None));
-            return;
+            return vec![None; queries.len()];
         }
+        let mut out = Vec::with_capacity(queries.len());
         // Double-buffered software pipeline: block k + 1 is hashed and
         // prefetched while block k's probes execute, so every prefetch
         // gets a full block of latency headroom before its demand load.
@@ -567,11 +497,24 @@ impl EdgeTable {
             std::mem::swap(&mut cur, &mut nxt);
             cur_block = next_block;
         }
+        out
+    }
+
+    /// Hash a query block into `buf` and prefetch every home slot.
+    #[inline(always)]
+    fn stage_block(&self, block: &[(u32, u32)], buf: &mut [(u64, usize, u8); PREFETCH_DEPTH]) {
+        let mask = self.mask;
+        for (j, &(u, v)) in block.iter().enumerate() {
+            let key = pack(u, v);
+            let (home, tag) = hash_pair(key, mask);
+            buf[j] = (key, home, tag);
+            self.prefetch_slot(home);
+        }
     }
 
     /// Batch insert with distinct, absent keys: pre-grows once, then
-    /// scatters without sorting (parallel above [`GRAIN`]). Returns the
-    /// number of entries inserted. Panics (debug) on present keys —
+    /// scatters without sorting. Returns the number of entries
+    /// inserted. Panics (debug) on present keys —
     /// use [`EdgeTable::insert`] for overwrite semantics.
     pub fn insert_batch(&mut self, entries: &[(u32, u32, u64)]) -> usize {
         if entries.is_empty() {
@@ -595,123 +538,12 @@ impl EdgeTable {
         entries.len()
     }
 
-    /// Batch remove. Returns the number of keys actually removed.
-    ///
-    /// Large batches run the partitioned parallel path: queries are
-    /// sorted by home slot, the slot array is split into one contiguous
-    /// region per worker, and each worker backward-shift-removes the
-    /// keys homed in its region. A removal whose probe chain or cluster
-    /// tail would cross the region's end (or wrap) is deferred to a
-    /// sequential fix-up pass, so no two workers ever touch the same
-    /// slot. Small batches keep the tight sequential loop.
+    /// Batch remove, one backward-shift removal per query in query
+    /// order. Returns the number of keys actually removed.
     pub fn remove_batch(&mut self, queries: &[(u32, u32)]) -> usize {
-        let nparts = bds_par::threads_available();
-        if queries.len() < GRAIN || nparts <= 1 || self.slots.len() < nparts * 64 {
-            let mut removed = 0;
-            for &(u, v) in queries {
-                removed += usize::from(self.remove(u, v).is_some());
-            }
-            return removed;
-        }
-        let mask = self.mask;
-        let cap = self.slots.len();
-        // (home slot, key), sorted by home so each region's queries are
-        // one contiguous run.
-        let mut homed: Vec<(usize, u64)> = bds_par::par_map(queries, |&(u, v)| {
-            let key = pack(u, v);
-            (hash_pair(key, mask).0, key)
-        });
-        bds_par::par_sort(&mut homed);
-        // Disjoint per-worker views: region r owns slots
-        // [r·cap/nparts, (r+1)·cap/nparts) of both arrays.
-        struct Region<'a> {
-            lo: usize,
-            hi: usize,
-            slots: &'a mut [Slot],
-            tags: &'a mut [u8],
-            queries: &'a [(usize, u64)],
-            removed: usize,
-            deferred: Vec<u64>,
-        }
-        let mut regions: Vec<Region> = Vec::with_capacity(nparts);
-        {
-            let mut slots_rest: &mut [Slot] = &mut self.slots;
-            let mut tags_rest: &mut [u8] = &mut self.tags;
-            let mut queries_rest: &[(usize, u64)] = &homed;
-            let mut lo = 0usize;
-            for r in 0..nparts {
-                let hi = (r + 1) * (cap / nparts) + if r + 1 == nparts { cap % nparts } else { 0 };
-                let (s, srest) = slots_rest.split_at_mut(hi - lo);
-                let (t, trest) = tags_rest.split_at_mut(hi - lo);
-                let split = queries_rest.partition_point(|&(h, _)| h < hi);
-                let (q, qrest) = queries_rest.split_at(split);
-                regions.push(Region {
-                    lo,
-                    hi,
-                    slots: s,
-                    tags: t,
-                    queries: q,
-                    removed: 0,
-                    deferred: Vec::new(),
-                });
-                slots_rest = srest;
-                tags_rest = trest;
-                queries_rest = qrest;
-                lo = hi;
-            }
-        }
-        // Each region tallies its removals and defers boundary chains.
-        // Disjointness: a removal completes in its region only if the
-        // walk from `home` meets the key and then its cluster's
-        // terminating EMPTY at `end`, all inside `[lo, hi)`; it reads and
-        // writes only slots in `[home, end]`, moving entries back toward
-        // the key's slot. Anything else is deferred before any slot is
-        // touched. So no removal reads a slot another region writes, and
-        // the parallel pass equals a sequential run of whole Algorithm R
-        // removals.
-        bds_par::par_for_each_task(&mut regions, |region| {
-            let (lo, hi) = (region.lo, region.hi);
-            'query: for &(home, key) in region.queries {
-                let (mut at, mut end) = (None, home);
-                loop {
-                    if end >= hi {
-                        // Chain or cluster tail leaves the region
-                        // (possibly wrapping): leave it to the fix-up.
-                        region.deferred.push(key);
-                        continue 'query;
-                    }
-                    let k = region.slots[end - lo].key;
-                    if k == EMPTY {
-                        break;
-                    }
-                    if k == key {
-                        at = Some(end);
-                    }
-                    end += 1;
-                }
-                let Some(mut hole) = at else {
-                    continue; // definitively absent
-                };
-                for j in hole + 1..end {
-                    let s = region.slots[j - lo];
-                    if shifts_back(hash_pair(s.key, mask).0, hole, j, mask) {
-                        region.slots[hole - lo] = s;
-                        region.tags[hole - lo] = region.tags[j - lo];
-                        hole = j;
-                    }
-                }
-                region.slots[hole - lo] = FREE;
-                region.tags[hole - lo] = TAG_FREE;
-                region.removed += 1;
-            }
-        });
-        let mut removed: usize = regions.iter().map(|r| r.removed).sum();
-        let deferred: Vec<u64> = regions.into_iter().flat_map(|r| r.deferred).collect();
-        self.len -= removed;
-        // Sequential boundary fix-up: the few chains that crossed a
-        // region edge, with full wrap-around probing.
-        for key in deferred {
-            removed += usize::from(self.remove_key(key).is_some());
+        let mut removed = 0;
+        for &(u, v) in queries {
+            removed += usize::from(self.remove(u, v).is_some());
         }
         removed
     }
@@ -818,23 +650,6 @@ impl EdgeTable {
             *self.slot_mut(i) = s;
             self.set_tag(i, tag);
         }
-    }
-}
-
-/// View the slot array as a flat `AtomicU64` word array (key of slot `i`
-/// at word `2i`, value at `2i + 1`) and the tag array as `AtomicU8`s,
-/// for the CAS scatter.
-///
-/// SAFETY: `Slot` is `repr(C)` — two naturally aligned `u64` words — and
-/// the atomic types have their primitives' size, alignment, and
-/// compatible in-memory representation; the exclusive borrows rule out
-/// concurrent non-atomic access.
-fn atomic_view<'a>(slots: &'a mut [Slot], tags: &'a mut [u8]) -> (&'a [AtomicU64], &'a [AtomicU8]) {
-    unsafe {
-        (
-            std::slice::from_raw_parts(slots.as_ptr() as *const AtomicU64, slots.len() * 2),
-            std::slice::from_raw_parts(tags.as_ptr() as *const AtomicU8, tags.len()),
-        )
     }
 }
 
@@ -1050,48 +865,64 @@ mod tests {
     }
 
     #[test]
-    fn parallel_remove_batch_matches_model() {
-        // Force the partitioned parallel path (batch >= GRAIN on a
-        // multi-worker pool) and check it against point removals,
-        // including absent keys, duplicates in the batch, keys whose
-        // probe chains cross region boundaries (dense keys force
-        // clustering), and a cluster homed in the last region's final
-        // slots that wraps past slot 0 (deferred to the fix-up pass).
-        bds_par::run_with_threads(4, || {
-            let m = 3 * GRAIN as u32;
-            let wrapping = 24;
-            let mut entries: Vec<(u32, u32, u64)> =
-                (0..m).map(|i| (i / 7, i, i as u64 + 1)).collect();
-            let cap = capacity_for(m as usize + wrapping);
-            entries.extend(
-                (m..)
-                    .filter(|&k| hash_pair(pack(k, k), cap - 1).0 >= cap - 4)
-                    .take(wrapping)
-                    .map(|k| (k, k, k as u64)),
-            );
-            let mut t = EdgeTable::from_batch(&entries);
-            assert_eq!(t.capacity(), cap);
-            let mut dels: Vec<(u32, u32)> =
-                entries.iter().step_by(2).map(|&(u, v, _)| (u, v)).collect();
-            dels.push((u32::MAX - 2, 0)); // absent
-            dels.push(dels[0]); // duplicate: second copy is a no-op
-            let expect = entries.len().div_ceil(2);
-            assert_eq!(t.remove_batch(&dels), expect);
-            assert_eq!(t.len(), entries.len() - expect);
-            for (i, &(u, v, val)) in entries.iter().enumerate() {
-                let want = (i % 2 == 1).then_some(val);
-                assert_eq!(t.get(u, v), want, "entry {i}");
+    fn remove_batch_matches_model() {
+        // Batch removal against point removals: absent keys, duplicates
+        // in the batch, dense keys whose clusters run long, and a
+        // cluster homed in the table's last slots that wraps past slot
+        // 0, so backward shifts move entries across the wrap.
+        let m = 6_144u32;
+        let wrapping = 24;
+        let mut entries: Vec<(u32, u32, u64)> = (0..m).map(|i| (i / 7, i, i as u64 + 1)).collect();
+        let cap = capacity_for(m as usize + wrapping);
+        entries.extend(
+            (m..)
+                .filter(|&k| hash_pair(pack(k, k), cap - 1).0 >= cap - 4)
+                .take(wrapping)
+                .map(|k| (k, k, k as u64)),
+        );
+        let mut t = EdgeTable::from_batch(&entries);
+        assert_eq!(t.capacity(), cap);
+        let mut dels: Vec<(u32, u32)> =
+            entries.iter().step_by(2).map(|&(u, v, _)| (u, v)).collect();
+        dels.push((u32::MAX - 2, 0)); // absent
+        dels.push(dels[0]); // duplicate: second copy is a no-op
+        let expect = entries.len().div_ceil(2);
+        assert_eq!(t.remove_batch(&dels), expect);
+        assert_eq!(t.len(), entries.len() - expect);
+        for (i, &(u, v, val)) in entries.iter().enumerate() {
+            let want = (i % 2 == 1).then_some(val);
+            assert_eq!(t.get(u, v), want, "entry {i}");
+        }
+        // Remove the rest in one batch: the table drains fully.
+        let rest: Vec<(u32, u32)> = entries
+            .iter()
+            .skip(1)
+            .step_by(2)
+            .map(|&(u, v, _)| (u, v))
+            .collect();
+        assert_eq!(t.remove_batch(&rest), rest.len());
+        assert!(t.is_empty());
+    }
+
+    #[test]
+    fn bulk_build_slot_order_is_independent_of_width() {
+        // Colliding keys land in input order, so every build of one
+        // input lays out the same slots, whatever the pool width.
+        let packed: Vec<(u64, u64)> = (0..80_000u32).map(|i| (pack(i / 7, i), i as u64)).collect();
+        let order = |threads| {
+            bds_par::run_with_threads(threads, || {
+                EdgeTable::from_sorted_batch(&packed)
+                    .iter()
+                    .collect::<Vec<_>>()
+            })
+        };
+        let want = order(1);
+        assert_eq!(want.len(), packed.len());
+        for threads in [1, 2, 3] {
+            for round in 0..4 {
+                assert!(order(threads) == want, "threads = {threads}, round {round}");
             }
-            // Remove the rest in one parallel batch: table drains fully.
-            let rest: Vec<(u32, u32)> = entries
-                .iter()
-                .skip(1)
-                .step_by(2)
-                .map(|&(u, v, _)| (u, v))
-                .collect();
-            assert_eq!(t.remove_batch(&rest), rest.len());
-            assert!(t.is_empty());
-        });
+        }
     }
 
     #[test]

@@ -20,7 +20,8 @@
 //!   behind every `(u, v) → u64` hot path: packed single-word keys,
 //!   power-of-two linear probing, backward-shift removals that leave
 //!   no tombstone (so the table rehashes only to grow past ⅝ load),
-//!   and `bds_par`-parallel batch construction / lookup. Replaces the
+//!   and sequential, prefetch-pipelined batch construction / lookup,
+//!   whose slot layout depends on the input alone. Replaces the
 //!   tuple-keyed `FxHashMap`s the seed used in `EsTree`,
 //!   `DecrementalSpanner`, `SpannerSet`, `ContractLevel`, and the
 //!   sparsifier layers.

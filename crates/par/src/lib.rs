@@ -12,13 +12,11 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod alloc_counter;
-pub mod counters;
 pub mod pool;
 pub mod prim;
 pub mod sync;
 
 pub use alloc_counter::CountingAlloc;
-pub use counters::WorkCounter;
 pub use pool::{join, par_for, par_for_each_task, run_with_threads, threads_available};
 pub use prim::*;
 
@@ -65,9 +63,6 @@ mod tests {
         let b: Vec<u32> = (5_000..10_000).collect();
         for t in WIDTHS {
             run_with_threads(t, || {
-                // Enumerate: the index handed to `f` is the item's own.
-                let idx = par_map_idx(&a, |i, &x| (i, x));
-                assert!(idx.iter().all(|&(i, x)| i == x as usize));
                 // Zip: output slot i pairs with input item i.
                 let mut out = vec![0u32; b.len()];
                 par_map_slice(&b, &mut out, |&y| y - 5_000);
@@ -87,15 +82,6 @@ mod tests {
     }
 
     #[test]
-    fn iter_mut_reaches_every_item() {
-        let mut v = vec![1u64; 10_000];
-        for t in WIDTHS {
-            run_with_threads(t, || par_for_each_mut(&mut v, |x| *x += 1));
-        }
-        assert!(v.iter().all(|&x| x == 4));
-    }
-
-    #[test]
     fn sorts_match_sequential() {
         let base: Vec<u64> = (0..50_000u64)
             .map(|i| i.wrapping_mul(0x9e37_79b9) % 1000)
@@ -105,17 +91,7 @@ mod tests {
                 let (mut a, mut b) = (base.clone(), base.clone());
                 par_sort(&mut a);
                 b.sort_unstable();
-                assert_eq!(a, b);
-                let mut k = base.clone();
-                par_sort_by_key(&mut k, |&x| std::cmp::Reverse(x));
-                b.reverse();
-                assert_eq!(k, b);
-                // Stability: pairs equal on the key keep input order.
-                let mut c: Vec<(u64, usize)> = base.iter().copied().zip(0..).collect();
-                let mut d = c.clone();
-                par_sort_by(&mut c, |x, y| x.0.cmp(&y.0));
-                d.sort_by_key(|x| x.0); // std: stable
-                assert_eq!(c, d, "par_sort_by must be stable (threads = {t})");
+                assert_eq!(a, b, "threads = {t}");
             });
         }
     }
@@ -126,20 +102,5 @@ mod tests {
         let inner = run_with_threads(3, || run_with_threads(1, threads_available));
         assert_eq!(inner, 1);
         assert_ne!(threads_available(), 0);
-    }
-
-    #[test]
-    fn max_by_key_takes_last_tie() {
-        assert_eq!(par_max_by_key(&[1u32, 5, 3, 5, 2], |&x| x), Some(3));
-        // Above GRAIN: equal maxima in different chunks.
-        let mut xs = vec![0u32; 10_000];
-        xs[17] = 9;
-        xs[9_000] = 9;
-        for t in WIDTHS {
-            assert_eq!(
-                run_with_threads(t, || par_max_by_key(&xs, |&x| x)),
-                Some(9_000)
-            );
-        }
     }
 }

@@ -1,16 +1,14 @@
-//! Parallel primitives: map / filter-map / flat-map, prefix sums and
-//! sorting. These mirror the PRAM toolkit the paper assumes in its
-//! preliminaries (§2): a parallel sort stands in for the \[PP01\] batch
-//! BST operations.
+//! Parallel primitives: map / filter-map / flat-map, map into a slice,
+//! prefix sums and sorting. These mirror the PRAM toolkit the paper
+//! assumes in its preliminaries (§2): a parallel sort stands in for the
+//! \[PP01\] batch BST operations.
 //!
 //! All of them run on the worker pool ([`crate::pool`]) and keep the
-//! sequential semantics: maps and filters preserve input order,
-//! [`par_sort_by`] is stable, and
-//! [`par_max_by_key`] returns the last of equal maxima.
+//! sequential semantics: maps and filters preserve input order, and
+//! [`par_sort`] returns what `sort_unstable` does.
 
 use crate::pool::{par_for, SharedMut};
 use crate::{threads_available, GRAIN};
-use std::cmp::Ordering;
 
 /// Chunk length for a [`GRAIN`]-gated primitive over `n` items: about
 /// four chunks per participant.
@@ -85,19 +83,6 @@ pub fn par_map_grain<T: Sync, R: Send>(
     collect_indexed(items.len(), grain, |i| f(&items[i]))
 }
 
-/// Parallel indexed map: `f(i, &items[i])`.
-pub fn par_map_idx<T: Sync, R: Send>(
-    items: &[T],
-    f: impl Fn(usize, &T) -> R + Sync + Send,
-) -> Vec<R> {
-    if items.len() < GRAIN {
-        items.iter().enumerate().map(|(i, t)| f(i, t)).collect()
-    } else {
-        // INVARIANT: collect_indexed passes i < items.len().
-        collect_indexed(items.len(), chunk_len(items.len()), |i| f(i, &items[i]))
-    }
-}
-
 /// Parallel filter-map preserving input order.
 pub fn par_filter_map<T: Sync, R: Send>(
     items: &[T],
@@ -159,18 +144,6 @@ pub fn par_map_chunks<T: Sync, R: Send>(
     }
 }
 
-/// Parallel for-each over mutable chunks of size 1 — i.e. a data-parallel
-/// loop with exclusive access to each element.
-pub fn par_for_each_mut<T: Send>(items: &mut [T], f: impl Fn(&mut T) + Sync + Send) {
-    if items.len() < GRAIN {
-        items.iter_mut().for_each(f);
-    } else {
-        par_chunks_mut(items, chunk_len(items.len()), |_, c| {
-            c.iter_mut().for_each(&f)
-        });
-    }
-}
-
 /// Exclusive (left) prefix sums; returns a vector of length `n + 1` whose
 /// last entry is the total. Work O(n), depth O(log n).
 pub fn prefix_sums(items: &[usize]) -> Vec<usize> {
@@ -214,63 +187,19 @@ pub fn prefix_sums(items: &[usize]) -> Vec<usize> {
     out
 }
 
-/// Parallel sort: below [`GRAIN`] (or at width 1) `sort_run` sorts
-/// everything; otherwise it sorts one contiguous run per participant in
-/// parallel, and `merge` — std's stable sort, which detects the sorted
-/// runs — merges them in O(n log runs).
-fn par_sort_with<T: Send>(
-    items: &mut [T],
-    sort_run: impl Fn(&mut [T]) + Sync,
-    merge: impl FnOnce(&mut [T]),
-) {
+/// Parallel (unstable) sort: below [`GRAIN`] (or at width 1) one
+/// `sort_unstable`; otherwise each participant sorts one contiguous run
+/// in parallel, and std's stable sort, which detects the sorted runs,
+/// merges them in O(n log runs).
+pub fn par_sort<T: Ord + Send>(items: &mut [T]) {
     let width = threads_available();
     if items.len() < GRAIN || width <= 1 {
-        return sort_run(items);
+        return items.sort_unstable();
     }
-    par_chunks_mut(items, items.len().div_ceil(width), |_, run| sort_run(run));
-    merge(items);
-}
-
-/// Parallel (unstable) sort.
-pub fn par_sort<T: Ord + Send>(items: &mut [T]) {
-    par_sort_with(items, <[T]>::sort_unstable, <[T]>::sort);
-}
-
-/// Parallel sort by key.
-pub fn par_sort_by_key<T: Send, K: Ord + Send>(
-    items: &mut [T],
-    key: impl Fn(&T) -> K + Sync + Send,
-) {
-    let merge = |all: &mut [T]| all.sort_by_key(&key);
-    par_sort_with(items, |r| r.sort_unstable_by_key(&key), merge);
-}
-
-/// Parallel stable sort by comparator: equal elements keep their input
-/// order, exactly as `slice::sort_by`.
-pub fn par_sort_by<T: Send>(items: &mut [T], cmp: impl Fn(&T, &T) -> Ordering + Sync) {
-    par_sort_with(items, |r| r.sort_by(&cmp), |all| all.sort_by(&cmp));
-}
-
-/// Parallel maximum by key: the index of the *last* maximal item, as
-/// `Iterator::max_by_key`; `None` on empty input.
-pub fn par_max_by_key<T: Sync, K: Ord + Send>(
-    items: &[T],
-    key: impl Fn(&T) -> K + Sync + Send,
-) -> Option<usize> {
-    let n = items.len();
-    // INVARIANT: every index below ranges over 0..n.
-    let best_in =
-        |r: std::ops::Range<usize>| r.map(|i| (key(&items[i]), i)).max_by(|a, b| a.0.cmp(&b.0));
-    if n < GRAIN {
-        return best_in(0..n).map(|(_, i)| i);
-    }
-    let chunk = chunk_len(n);
-    let starts: Vec<usize> = (0..n).step_by(chunk).collect();
-    par_map_grain(&starts, 1, |&lo| best_in(lo..(lo + chunk).min(n)))
-        .into_iter()
-        .flatten()
-        .max_by(|a, b| a.0.cmp(&b.0))
-        .map(|(_, i)| i)
+    par_chunks_mut(items, items.len().div_ceil(width), |_, run| {
+        run.sort_unstable()
+    });
+    items.sort();
 }
 
 #[cfg(test)]
@@ -326,14 +255,6 @@ mod tests {
             }
             assert_eq!(got, want, "n = {n}");
         }
-    }
-
-    #[test]
-    fn max_by_key_finds_max() {
-        let xs: Vec<i64> = (0..5000).map(|i| (i * 37) % 4999).collect();
-        let i = par_max_by_key(&xs, |&x| x).unwrap();
-        assert_eq!(xs[i], *xs.iter().max().unwrap());
-        assert_eq!(par_max_by_key::<i64, i64>(&[], |&x| x), None);
     }
 
     #[test]

@@ -6,7 +6,9 @@
 # (repo lint, mini-loom model check, or a tier-3/4 test suite) that is
 # supposed to own that failure mode. The catcher MUST fail on the
 # mutated tree; if it passes, the tier it represents has gone vacuous
-# and this script exits nonzero.
+# and this script exits nonzero. What the catcher runs is built first
+# (`cargo test --no-run`, or `cargo build` for the lint): a mutated
+# tree that does not compile is an error (exit 2), never a catch.
 #
 # Usage:
 #   scripts/mutation_corpus.sh            # run every mutant
@@ -220,6 +222,16 @@ run_mutant() {
   echo "--- mutated $file:$ln"
   echo "---   was: $orig"
   echo "---   now: $mutated"
+
+  local build
+  case "$catcher" in
+    *"cargo test"*) build="${catcher/cargo test/cargo test --no-run}" ;;
+    *) build="cargo build -q" ;;
+  esac
+  if ! (cd "$scratch" && eval "$build"); then
+    echo "::error::mutant $id: the mutated tree does not build [$build]; a compile error is not a catch"
+    exit 2
+  fi
 
   if (cd "$scratch" && eval "$catcher"); then
     echo "::error::mutant $id survived — catcher [$catcher] passed on the mutated tree"

@@ -535,6 +535,41 @@ fn num_live_edges_agrees_across_structures() {
     }
 }
 
+// --- output order is a function of the input alone: every implementor
+//     reports the same edge sequence at any pool width, so the WAL seed
+//     and snapshot bytes of one seed repeat ---
+
+#[test]
+fn output_order_is_independent_of_width() {
+    let n = 2_000;
+    // Input above GRAIN, so the builds' parallel maps and sorts run
+    // split at width 2.
+    let edges = gen::gnm_connected(n, 3 * bds_par::GRAIN, 131);
+    let outputs = |threads| {
+        bds_par::run_with_threads(threads, || {
+            let mut buf = DeltaBuf::new();
+            fully_dynamic_structures(n, &edges)
+                .into_iter()
+                .map(|(name, s)| {
+                    s.output_into(&mut buf);
+                    let out: Vec<(Edge, u64)> = buf
+                        .inserted_weighted()
+                        .map(|(e, w)| (e, w.to_bits()))
+                        .collect();
+                    (name, out)
+                })
+                .collect::<Vec<_>>()
+        })
+    };
+    let (t1, t2) = (outputs(1), outputs(2));
+    for ((name, a), (_, b)) in t1.iter().zip(&t2) {
+        assert!(
+            a == b,
+            "{name}: output order differs between widths 1 and 2"
+        );
+    }
+}
+
 // --- process_checked is the validating entry point for untrusted
 //     batches: an out-of-range or non-canonical edge is a typed error
 //     and leaves the structure untouched, for every implementor ---
